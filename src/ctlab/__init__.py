@@ -74,7 +74,6 @@ from .heat import (
     GaussHermite,
     HeatValue,
     MonteCarlo,
-    OUMehler,
     SphereZonal,
     default_backend,
     generator_heat,

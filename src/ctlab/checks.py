@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -167,21 +167,28 @@ def _verdict(margin: float, sigma: float, z: float, eps: float) -> str:
     return "pass"
 
 
-def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> VerificationReport:
-    cd = spec.resolved_cd()
-    rep = VerificationReport(
+def _spec_fields(spec: CheckSpec) -> dict:
+    """The report fields that label a spec: ids, curvature-dimension bound,
+    exponents, times, seed and verdict levels (nan where unset)."""
+    try:
+        cd = spec.resolved_cd()
+    except Exception:  # noqa: BLE001 - the spec's own error is reported instead
+        cd = None
+    opt = lambda v: math.nan if v is None else v
+    return dict(
         check_id=spec.check_id, space=_space_label(spec.space),
-        lhs=float(lhs), rhs=float(rhs),
-        stderr_lhs=float(se_lhs), stderr_rhs=float(se_rhs),
-        verdict="", K=cd.K, N=cd.N,
+        K=cd.K if cd else math.nan, N=cd.N if cd else math.nan,
         p=spec.exponents.p, beta=spec.exponents.beta,
-        s=spec.s if spec.s is not None else math.nan,
-        t=spec.t if spec.t is not None else math.nan,
-        tau1=spec.tau1 if spec.tau1 is not None else math.nan,
-        tau2=spec.tau2 if spec.tau2 is not None else math.nan,
-        seed=spec.seed, z=spec.z, eps=spec.eps,
+        s=opt(spec.s), t=opt(spec.t), tau1=opt(spec.tau1), tau2=opt(spec.tau2),
+        seed=spec.seed, z=spec.z, eps=spec.eps)
+
+
+def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> VerificationReport:
+    rep = VerificationReport(
+        lhs=float(lhs), rhs=float(rhs),
+        stderr_lhs=float(se_lhs), stderr_rhs=float(se_rhs), verdict="",
         metadata=dict(meta, k=spec.k, n_trajectories=spec.n_trajectories),
-    )
+        **_spec_fields(spec))
     rep.verdict = rep.recompute_verdict()
     return rep
 
@@ -326,6 +333,28 @@ def _require(spec: CheckSpec, *names) -> None:
 # Wasserstein-side checks (Monte Carlo)
 
 
+def _sampled_estimate(spec: CheckSpec, time_a: float, time_b: float, cost, transform):
+    """Block estimate of the transformed cost between the two heat clouds."""
+    xs, ys = _two_sided_samples(spec, time_a, time_b)
+    return block_cost_estimate(spec.space, xs, ys, cost, transform=transform,
+                               block_size=spec.block_size, seed=spec.seed + 9)
+
+
+def _swc_transform(kap: float):
+    """c -> s_kappa(sqrt(c)/2)^2, the comparison form of a squared distance."""
+    return lambda c: float(comp_s(kap, math.sqrt(c) / 2.0)) ** 2
+
+
+def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> VerificationReport:
+    """The Monte Carlo transport pipeline: heat clouds at `times`, the block
+    estimate of transform(cost) as the lhs, and rhs(exact base cost) ->
+    (closed-form rhs, metadata)."""
+    est = _sampled_estimate(spec, *times, cost, transform)
+    value, meta = rhs(_exact_base(spec, cost))
+    return _base_report(spec, est.value, value, est.stderr, 0.0,
+                        **meta, n_blocks=est.n_blocks)
+
+
 def check_w2_control(spec: CheckSpec) -> VerificationReport:
     """Space-time Wasserstein control:
     W_p(P_s mu0, P_t mu1)^beta <= A(s,t)^beta W_p(mu0, mu1)^beta + J([s,t])^beta."""
@@ -333,19 +362,16 @@ def check_w2_control(spec: CheckSpec) -> VerificationReport:
     if not 0 <= spec.s < spec.t:
         raise ValueError("need 0 <= s < t")
     cd = spec.resolved_cd()
-    ex = spec.exponents
-    p, beta = ex.p, ex.beta
-    xs, ys = _two_sided_samples(spec, spec.s, spec.t)
-    est = block_cost_estimate(
-        spec.space, xs, ys, PthPowerDistance(p),
-        transform=lambda c: c ** (beta / p),
-        block_size=spec.block_size, seed=spec.seed + 9)
-    W0 = _exact_base(spec, PthPowerDistance(p)) ** (1.0 / p)
-    A = coeff_A(cd, spec.s, spec.t)
-    J = j_measure(cd, spec.s, spec.t)
-    rhs = A**beta * W0**beta + J**beta
-    return _base_report(spec, est.value, rhs, est.stderr, 0.0,
-                        coeff_A=A, j_mass=J, W0=W0, n_blocks=est.n_blocks)
+    p, beta = spec.exponents.p, spec.exponents.beta
+
+    def rhs(base):
+        W0 = base ** (1.0 / p)
+        A = coeff_A(cd, spec.s, spec.t)
+        J = j_measure(cd, spec.s, spec.t)
+        return A**beta * W0**beta + J**beta, dict(coeff_A=A, j_mass=J, W0=W0)
+
+    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
+                             lambda c: c ** (beta / p), rhs)
 
 
 def check_swc(spec: CheckSpec) -> VerificationReport:
@@ -360,19 +386,18 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
             f"pi*sqrt((N-1)/K) = {math.pi * math.sqrt((cd.N - 1) / cd.K):.6g}; "
             "rerun with a lowered bound K' < K")
     kap = cd.kappa
-    xs, ys = _two_sided_samples(spec, spec.s, spec.t)
-    est = block_cost_estimate(
-        spec.space, xs, ys, PthPowerDistance(2.0),
-        transform=lambda c: float(comp_s(kap, math.sqrt(c) / 2.0)) ** 2,
-        block_size=spec.block_size, seed=spec.seed + 9)
-    W0 = _exact_base(spec, PthPowerDistance(2.0)) ** 0.5
-    Ksum = cd.K * (spec.s + spec.t)
-    decay = math.exp(-Ksum)
-    coef = -math.expm1(-Ksum) / Ksum if abs(Ksum) > 1e-12 else 1.0
-    rhs = (decay * float(comp_s(kap, W0 / 2.0)) ** 2
-           + cd.N / 2.0 * coef * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
-    return _base_report(spec, est.value, rhs, est.stderr, 0.0,
-                        W0=W0, n_blocks=est.n_blocks)
+
+    def rhs(base):
+        W0 = base ** 0.5
+        Ksum = cd.K * (spec.s + spec.t)
+        decay = math.exp(-Ksum)
+        coef = -math.expm1(-Ksum) / Ksum if abs(Ksum) > 1e-12 else 1.0
+        value = (decay * float(comp_s(kap, W0 / 2.0)) ** 2
+                 + cd.N / 2.0 * coef * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
+        return value, dict(W0=W0)
+
+    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(2.0),
+                             _swc_transform(kap), rhs)
 
 
 def check_wp(spec: CheckSpec) -> VerificationReport:
@@ -384,17 +409,34 @@ def check_wp(spec: CheckSpec) -> VerificationReport:
         raise ValueError("need 0 <= s < t")
     p = spec.exponents.p
     cdp = spec.resolved_cd().shifted(p)
-    xs, ys = _two_sided_samples(spec, spec.s, spec.t)
-    est = block_cost_estimate(
-        spec.space, xs, ys, PthPowerDistance(p),
-        transform=lambda c: c ** (2.0 / p),
-        block_size=spec.block_size, seed=spec.seed + 9)
-    W0 = _exact_base(spec, PthPowerDistance(p)) ** (1.0 / p)
-    A = coeff_A(cdp, spec.s, spec.t)
-    J = j_measure(cdp, spec.s, spec.t)
-    rhs = A**2 * W0**2 + J**2
-    return _base_report(spec, est.value, rhs, est.stderr, 0.0,
-                        coeff_A=A, j_mass=J, W0=W0, n_blocks=est.n_blocks)
+
+    def rhs(base):
+        W0 = base ** (1.0 / p)
+        A = coeff_A(cdp, spec.s, spec.t)
+        J = j_measure(cdp, spec.s, spec.t)
+        return A**2 * W0**2 + J**2, dict(coeff_A=A, j_mass=J, W0=W0)
+
+    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
+                             lambda c: c ** (2.0 / p), rhs)
+
+
+def check_lp2(spec: CheckSpec) -> VerificationReport:
+    """Transport-cost contraction for the comparison cost s_{K*}(d/2)^p."""
+    _require(spec, "tau1", "tau2")
+    p = spec.exponents.p
+    if p < 2:
+        raise ValueError("requires p >= 2")
+    cd = spec.resolved_cd()
+
+    def rhs(base):
+        theta = theta_exponent(spec.tau1, spec.tau2, cd, p)
+        coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
+        value = math.exp(-theta) * base ** (2.0 / p) + (cd.N + p - 2.0) * coef * (
+            math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
+        return value, dict(theta=theta, base_cost=base)
+
+    return _transport_report(spec, (spec.tau1, spec.tau2), ComparisonCost(p=p, kstar=cd.k_star),
+                             lambda c: c ** (2.0 / p), rhs)
 
 
 def check_prectl(spec: CheckSpec) -> VerificationReport:
@@ -428,27 +470,6 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
                         tau_star=ts, d0=d0, near_cut_events=path.near_cut_events)
 
 
-def check_lp2(spec: CheckSpec) -> VerificationReport:
-    """Transport-cost contraction for the comparison cost s_{K*}(d/2)^p."""
-    _require(spec, "tau1", "tau2")
-    p = spec.exponents.p
-    if p < 2:
-        raise ValueError("requires p >= 2")
-    cd = spec.resolved_cd()
-    cost = ComparisonCost(p=p, kstar=cd.k_star)
-    xs, ys = _two_sided_samples(spec, spec.tau1, spec.tau2)
-    est = block_cost_estimate(
-        spec.space, xs, ys, cost, transform=lambda c: c ** (2.0 / p),
-        block_size=spec.block_size, seed=spec.seed + 9)
-    base = _exact_base(spec, cost)
-    theta = theta_exponent(spec.tau1, spec.tau2, cd, p)
-    coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
-    rhs = math.exp(-theta) * base ** (2.0 / p) + (cd.N + p - 2.0) * coef * (
-        math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
-    return _base_report(spec, est.value, rhs, est.stderr, 0.0,
-                        theta=theta, base_cost=base, n_blocks=est.n_blocks)
-
-
 def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     """Differential form of the two-sided control.
 
@@ -468,16 +489,12 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     kap = cd.kappa
 
-    def G(uval, seed):
-        sub = replace(spec, s=None, t=None, seed=seed)
-        xs, ys = _two_sided_samples(sub, uval / lam, uval * lam)
-        return block_cost_estimate(
-            spec.space, xs, ys, PthPowerDistance(2.0),
-            transform=lambda c: float(comp_s(kap, math.sqrt(c) / 2.0)) ** 2,
-            block_size=spec.block_size, seed=seed + 9)
+    def G(uval):  # the spec's seed at both u: the difference quotient uses common noise
+        return _sampled_estimate(spec, uval / lam, uval * lam, PthPowerDistance(2.0),
+                                 _swc_transform(kap))
 
-    g0 = G(u, spec.seed)          # same seed for both evaluations: the
-    g1 = G(u + du, spec.seed)     # difference quotient uses common noise
+    g0 = G(u)
+    g1 = G(u + du)
     deriv = (g1.value - g0.value) / du
     se_deriv = math.hypot(g0.stderr, g1.stderr) / du
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
@@ -773,18 +790,10 @@ def run_suite(specs, jobs: int = 1) -> list[VerificationReport]:
         try:
             return run_check(spec)
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-            cd = None
-            try:
-                cd = spec.resolved_cd()
-            except Exception:
-                pass
-            rep = VerificationReport(
-                check_id=spec.check_id, space=_space_label(spec.space),
+            return VerificationReport(
                 lhs=math.nan, rhs=math.nan, stderr_lhs=0.0, stderr_rhs=0.0,
-                verdict="error", K=cd.K if cd else math.nan,
-                N=cd.N if cd else math.nan, seed=spec.seed,
-                error=f"{type(exc).__name__}: {exc}")
-            return rep
+                verdict="error", error=f"{type(exc).__name__}: {exc}",
+                **_spec_fields(spec))
 
     if jobs <= 1:
         return [one(s) for s in specs]

@@ -3,9 +3,10 @@
 The generator is Laplacian + drift throughout, so the Euclidean kernel
 at time t has covariance 2tI.  Deterministic backends:
 
-* GaussHermite      - Euclidean, tensor Gauss-Hermite quadrature
-* OUMehler          - linear-drift space, the Gaussian transition kernel
-  with mean e^{-lam t} x and per-coordinate variance (1-e^{-2 lam t})/lam
+* GaussHermite      - Euclidean and linear-drift spaces, tensor Gauss-Hermite
+  quadrature against the Gaussian kernel: mean x and per-coordinate
+  variance 2t on flat space, mean e^{-lam t} x and variance
+  (1-e^{-2 lam t})/lam with drift
 * CircleFourier     - circles (1-spheres), Fourier multiplier e^{-(k/rho)^2 t}
 * SphereZonal       - zonal functions on 2-spheres, Legendre multiplier
   e^{-l(l+1) t / rho^2}
@@ -33,7 +34,6 @@ __all__ = [
     "HeatValue",
     "HeatBackend",
     "GaussHermite",
-    "OUMehler",
     "CircleFourier",
     "SphereZonal",
     "MonteCarlo",
@@ -70,70 +70,42 @@ class HeatBackend:
 
 
 class GaussHermite(HeatBackend):
-    """P_t f(x) = E f(x + sqrt(2t) G) by tensor Gauss-Hermite quadrature."""
+    """P_t f(x) = E f(mean + scale Z) by tensor Gauss-Hermite quadrature, Z with
+    density e^{-|z|^2} / pi^{m/2}: the Gaussian kernel of the flat or the
+    linear-drift generator."""
 
     def __init__(self, nodes: int = 64):
         if nodes < 8:
             raise ValueError("need at least 8 nodes")
         self.nodes = nodes
         self._z, self._w = hermgauss(nodes)
+        Z1, Z2 = np.meshgrid(self._z, self._z, indexing="ij")
+        self._offs2 = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
+        self._w2 = np.outer(self._w, self._w).ravel()
 
     def applies_to(self, space):
-        return isinstance(space, Euclidean) and not isinstance(space, EuclideanOU) \
-            and space.dim <= 2
+        return isinstance(space, Euclidean) and space.dim <= 2
 
     def apply(self, space, f, t, x):
         if not self.applies_to(space):
-            raise BackendMismatch("GaussHermite needs a drift-free Euclidean space, m <= 2")
+            raise BackendMismatch("GaussHermite needs a Euclidean or linear-drift space, m <= 2")
         x = np.asarray(x, dtype=float)
         if t == 0:
             return HeatValue(float(f(x)))
-        m = space.dim
-        if m == 1:
-            pts = x[None, :] + 2.0 * math.sqrt(t) * self._z[:, None]
+        if isinstance(space, EuclideanOU):
+            lam = space.lam
+            mean = math.exp(-lam * t) * x
+            sd = math.sqrt(-math.expm1(-2.0 * lam * t) / lam)  # sd^2 = (1 - e^{-2 lam t}) / lam
+            scale = math.sqrt(2.0) * sd
+        else:
+            mean, scale = x, 2.0 * math.sqrt(t)
+        if space.dim == 1:
+            pts = mean[None, :] + scale * self._z[:, None]
             vals = np.asarray(f(pts), dtype=float)
             return HeatValue(float(vals @ self._w / math.sqrt(math.pi)))
-        Z1, Z2 = np.meshgrid(self._z, self._z, indexing="ij")
-        W = np.outer(self._w, self._w).ravel()
-        offs = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-        pts = x[None, :] + 2.0 * math.sqrt(t) * offs
+        pts = mean[None, :] + scale * self._offs2
         vals = np.asarray(f(pts), dtype=float)
-        return HeatValue(float(vals @ W / math.pi))
-
-
-class OUMehler(HeatBackend):
-    """Gaussian transition kernel of the linear-drift generator."""
-
-    def __init__(self, nodes: int = 64):
-        if nodes < 8:
-            raise ValueError("need at least 8 nodes")
-        self.nodes = nodes
-        self._z, self._w = hermgauss(nodes)
-
-    def applies_to(self, space):
-        return isinstance(space, EuclideanOU) and space.dim <= 2
-
-    def apply(self, space, f, t, x):
-        if not self.applies_to(space):
-            raise BackendMismatch("OUMehler needs a linear-drift space, m <= 2")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return HeatValue(float(f(x)))
-        lam = space.lam
-        mean = math.exp(-lam * t) * x
-        var = -math.expm1(-2.0 * lam * t) / lam  # (1 - e^{-2 lam t}) / lam
-        sd = math.sqrt(var)
-        m = space.dim
-        if m == 1:
-            pts = mean[None, :] + math.sqrt(2.0) * sd * self._z[:, None]
-            vals = np.asarray(f(pts), dtype=float)
-            return HeatValue(float(vals @ self._w / math.sqrt(math.pi)))
-        Z1, Z2 = np.meshgrid(self._z, self._z, indexing="ij")
-        W = np.outer(self._w, self._w).ravel()
-        offs = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-        pts = mean[None, :] + math.sqrt(2.0) * sd * offs
-        vals = np.asarray(f(pts), dtype=float)
-        return HeatValue(float(vals @ W / math.pi))
+        return HeatValue(float(vals @ self._w2 / math.pi))
 
 
 class CircleFourier(HeatBackend):
@@ -174,7 +146,9 @@ class SphereZonal(HeatBackend):
 
     The input f must be rotationally symmetric about `axis`; it is read
     off along a meridian and expanded in Legendre polynomials with
-    Gauss-Legendre quadrature.
+    Gauss-Legendre quadrature.  A field whose values at two more
+    azimuths differ from the meridian's by more than a relative 1e-9
+    raises ValueError.
     """
 
     def __init__(self, n_modes: int = 64, axis=(0.0, 0.0, 1.0)):
@@ -182,36 +156,41 @@ class SphereZonal(HeatBackend):
             raise ValueError("need at least 8 modes")
         self.n_modes = n_modes
         axis = np.asarray(axis, dtype=float)
-        self.axis = axis / np.linalg.norm(axis)
+        self.axis = a = axis / np.linalg.norm(axis)
         self._u, self._w = leggauss(2 * n_modes)
-
-    def applies_to(self, space):
-        return isinstance(space, Sphere) and space.dim == 2
-
-    def _meridian_point(self, space, u):
-        """A point at polar angle arccos(u) from the axis (deterministic azimuth)."""
-        a = self.axis
         # deterministic orthogonal direction: smallest-component axis trick
         helper = np.zeros(3)
         helper[np.argmin(np.abs(a))] = 1.0
         perp = helper - (helper @ a) * a
         perp = perp / np.linalg.norm(perp)
-        u = np.asarray(u, dtype=float)[..., None]
-        return space.radius * (u * a + np.sqrt(np.maximum(1 - u**2, 0.0)) * perp)
+        # the nodes at polar angle arccos(u) on the unit sphere: along the
+        # meridian towards perp, then at two more azimuths, where a field
+        # that is not zonal about the axis differs from the meridian
+        turned = [math.cos(phi) * perp + math.sin(phi) * np.cross(a, perp)
+                  for phi in (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
+        u = self._u[..., None]
+        self._rings = np.stack([u * a + np.sqrt(np.maximum(1 - u**2, 0.0)) * d
+                                for d in (perp, *turned)])
+        # P_l(u) on the quadrature nodes via the recurrence
+        P = np.zeros((n_modes, self._u.size))
+        P[0] = 1.0
+        if n_modes > 1:
+            P[1] = self._u
+        for l in range(1, n_modes - 1):
+            P[l + 1] = ((2 * l + 1) * self._u * P[l] - l * P[l - 1]) / (l + 1)
+        self._P = P
+
+    def applies_to(self, space):
+        return isinstance(space, Sphere) and space.dim == 2
 
     def _coefficients(self, space, f):
-        pts = self._meridian_point(space, self._u)
-        vals = np.asarray(f(pts), dtype=float)
+        vals = np.asarray(f(space.radius * self._rings[0]), dtype=float)
+        turned = space.radius * self._rings[1:]
+        others = np.asarray(f(turned.reshape(-1, 3)), dtype=float).reshape(2, -1)
+        if np.any(np.abs(others - vals) > 1e-9 * np.max(np.abs(vals))):
+            raise ValueError("SphereZonal needs a field rotationally symmetric about its axis")
         ls = np.arange(self.n_modes)
-        # P_l(u) on the quadrature nodes via the recurrence
-        P = np.zeros((self.n_modes, self._u.size))
-        P[0] = 1.0
-        if self.n_modes > 1:
-            P[1] = self._u
-        for l in range(1, self.n_modes - 1):
-            P[l + 1] = ((2 * l + 1) * self._u * P[l] - l * P[l - 1]) / (l + 1)
-        coeff = (2 * ls + 1) / 2.0 * (P * (self._w * vals)[None, :]).sum(axis=1)
-        return coeff, P
+        return (2 * ls + 1) / 2.0 * (self._P * (self._w * vals)[None, :]).sum(axis=1)
 
     def apply(self, space, f, t, x):
         if not self.applies_to(space):
@@ -219,7 +198,7 @@ class SphereZonal(HeatBackend):
         x = np.asarray(x, dtype=float)
         if t == 0:
             return HeatValue(float(f(x)))
-        coeff, _ = self._coefficients(space, f)
+        coeff = self._coefficients(space, f)
         ls = np.arange(self.n_modes)
         decay = np.exp(-ls * (ls + 1) * t / space.radius**2)
         u0 = float(x @ self.axis) / space.radius
@@ -257,8 +236,6 @@ class MonteCarlo(HeatBackend):
 
 def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:
     """The natural deterministic backend for a space, if one exists."""
-    if isinstance(space, EuclideanOU):
-        return OUMehler(n_modes)
     if isinstance(space, Euclidean):
         return GaussHermite(n_modes)
     if isinstance(space, Sphere) and space.dim == 1:

@@ -106,7 +106,7 @@ class Snapshot:
     step: int
     t: float
     x1: np.ndarray
-    x2: np.ndarray
+    x2: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -119,13 +119,7 @@ class CoupledWalkPath:
     terminal: CoupledState
     snapshots: list = field(default_factory=list)
     near_cut_events: int = 0
-
-    @property
-    def terminal_distances(self):
-        return self._distances
-
-    def set_distances(self, d):
-        self._distances = d
+    terminal_distances: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -136,10 +130,6 @@ class SingleWalkResult:
     snapshots: list = field(default_factory=list)
 
 
-def _default_frame(space: ModelSpace, x: np.ndarray) -> np.ndarray:
-    return space.frame(x)
-
-
 def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Map ball coordinates (n, m) through frames (n, m, emb) to tangent vectors."""
     m = zeta.shape[-1]
@@ -147,23 +137,30 @@ def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return scale * np.einsum("...i,...ie->...e", zeta, frame)
 
 
+def _advance(space, x, zt, tau, k):
+    """exp_x(sqrt(tau)/k * zt + tau/k^2 * Z(x)), the velocity projected first."""
+    inv_k = 1.0 / k
+    inv_k2 = inv_k * inv_k
+    v = math.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(x)
+    return space.exp_map(x, space.project_tangent(x, v))
+
+
+def _step_single(space, x, frame, zeta, tau, k):
+    """One step of a lone walker: the new point, the frame transported
+    along the step, and the lifted noise that drove it."""
+    zt = _lift(frame, zeta)
+    new_x = _advance(space, x, zt, tau, k)
+    return new_x, space.transport_frame(x, new_x, frame), zt
+
+
 def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
     """One update of the coupled chain on batched state arrays."""
-    zt1 = _lift(frame1, zeta)
+    new_x1, new_frame, zt1 = _step_single(space, x1, frame1, zeta, tau1, k)
     diag = space.distance(x1, x2) < _DIAGONAL_TOL
     zt2 = space.parallel_transport(x1, x2, zt1)
     if np.any(diag):
         zt2 = np.where(diag[..., None], zt1, zt2)
-    inv_k = 1.0 / k
-    inv_k2 = inv_k * inv_k
-    v1 = math.sqrt(tau1) * inv_k * zt1 + tau1 * inv_k2 * space.drift(x1)
-    v2 = math.sqrt(tau2) * inv_k * zt2 + tau2 * inv_k2 * space.drift(x2)
-    v1 = space.project_tangent(x1, v1)
-    v2 = space.project_tangent(x2, v2)
-    new_x1 = space.exp_map(x1, v1)
-    new_x2 = space.exp_map(x2, v2)
-    new_frame = space.transport_frame(x1, new_x1, frame1)
-    return new_x1, new_x2, new_frame
+    return new_x1, _advance(space, x2, zt2, tau2, k), new_frame
 
 
 def step_coupled(space: ModelSpace, state: CoupledState, tau1: float, tau2: float,
@@ -175,11 +172,6 @@ def step_coupled(space: ModelSpace, state: CoupledState, tau1: float, tau2: floa
     return CoupledState(x1=x1, x2=x2, frame1=fr)
 
 
-def _chunks(n: int, size: int = _CHUNK):
-    for lo in range(0, n, size):
-        yield lo, min(lo + size, n)
-
-
 def _draw_chunk_noise(seed, lo, hi, n_steps, m):
     """Ball samples for trajectories lo..hi-1, shape (hi-lo, n_steps, m)."""
     out = np.empty((hi - lo, n_steps, m))
@@ -187,6 +179,44 @@ def _draw_chunk_noise(seed, lo, hi, n_steps, m):
         rng = trajectory_rng(seed, j)
         out[j - lo] = sample_unit_ball(m, rng, size=n_steps)
     return out
+
+
+def _drive(space: ModelSpace, starts: tuple, cfg: WalkConfig, step,
+           initial_frame: Callable[[ModelSpace, np.ndarray], np.ndarray] | None):
+    """Run cfg.n_trajectories walks in chunks of _CHUNK trajectories.
+
+    `starts` holds one start per walker, a point or per-trajectory rows;
+    the frame rides with the first walker.  step(points, frame, zeta)
+    advances a chunk by one step.  Returns the terminal points of each
+    walker, the terminal frames and the snapshots at the retained steps.
+    """
+    n, steps, m, emb = cfg.n_trajectories, cfg.n_steps, space.dim, space.emb_dim
+    terminal = tuple(np.empty((n, emb)) for _ in starts)
+    term_frame = np.empty((n, m, emb))
+    retained: dict[int, list] = {}
+    if cfg.retain_every is not None:
+        retained = {s: [] for s in sorted({0, steps, *range(0, steps + 1, cfg.retain_every)})}
+
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
+        pts = tuple(s[lo:hi].copy() if s.ndim == 2 else np.broadcast_to(s, (hi - lo, emb)).copy()
+                    for s in starts)
+        fr = initial_frame(space, pts[0]) if initial_frame else space.frame(pts[0])
+        if 0 in retained:
+            retained[0].append(tuple(p.copy() for p in pts))
+        for i in range(steps):
+            pts, fr = step(pts, fr, noise[:, i, :])
+            if i + 1 in retained:
+                retained[i + 1].append(tuple(p.copy() for p in pts))
+        for out, p in zip(terminal, pts):
+            out[lo:hi] = p
+        term_frame[lo:hi] = fr
+
+    dt = cfg.horizon / steps
+    snapshots = [Snapshot(s, s * dt, *(np.concatenate(w, axis=0) for w in zip(*parts)))
+                 for s, parts in retained.items()]
+    return terminal, term_frame, snapshots
 
 
 def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
@@ -204,51 +234,21 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
     y = np.asarray(y, dtype=float)
     space.check_point(x)
     space.check_point(y)
-    n, steps, m = cfg.n_trajectories, cfg.n_steps, space.dim
-    frame_fn = initial_frame or _default_frame
-
-    term_x1 = np.empty((n, space.emb_dim))
-    term_x2 = np.empty((n, space.emb_dim))
-    term_frame = np.empty((n, m, space.emb_dim))
-    retained: dict[int, list] = {}
     near_cut = 0
 
-    retain_steps = []
-    if cfg.retain_every is not None:
-        retain_steps = sorted({0, steps, *range(0, steps + 1, cfg.retain_every)})
+    def step(pts, fr, zeta):
+        nonlocal near_cut
+        x1, x2 = pts
+        near_cut += int(np.count_nonzero(space.is_near_cut(x1, x2)))
+        x1, x2, fr = _step_coupled_arrays(space, x1, x2, fr, zeta, tau1, tau2, cfg.k)
+        return (x1, x2), fr
 
-    for lo, hi in _chunks(n):
-        c = hi - lo
-        noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
-        x1 = np.broadcast_to(x, (c, space.emb_dim)).copy()
-        x2 = np.broadcast_to(y, (c, space.emb_dim)).copy()
-        fr = frame_fn(space, x1)
-        if 0 in retain_steps:
-            retained.setdefault(0, []).append((x1.copy(), x2.copy()))
-        for step in range(steps):
-            near_cut += int(np.count_nonzero(space.is_near_cut(x1, x2)))
-            x1, x2, fr = _step_coupled_arrays(
-                space, x1, x2, fr, noise[:, step, :], tau1, tau2, cfg.k)
-            if (step + 1) in retain_steps:
-                retained.setdefault(step + 1, []).append((x1.copy(), x2.copy()))
-        term_x1[lo:hi] = x1
-        term_x2[lo:hi] = x2
-        term_frame[lo:hi] = fr
-
-    snapshots = []
-    dt = cfg.horizon / steps
-    for step in retain_steps:
-        parts = retained.get(step, [])
-        x1s = np.concatenate([p[0] for p in parts], axis=0)
-        x2s = np.concatenate([p[1] for p in parts], axis=0)
-        snapshots.append(Snapshot(step=step, t=step * dt, x1=x1s, x2=x2s))
-
-    path = CoupledWalkPath(
+    (x1, x2), frame, snapshots = _drive(space, (x, y), cfg, step, initial_frame)
+    return CoupledWalkPath(
         tau1=tau1, tau2=tau2, config=cfg,
-        terminal=CoupledState(x1=term_x1, x2=term_x2, frame1=term_frame),
-        snapshots=snapshots, near_cut_events=near_cut)
-    path.set_distances(space.distance(term_x1, term_x2))
-    return path
+        terminal=CoupledState(x1=x1, x2=x2, frame1=frame),
+        snapshots=snapshots, near_cut_events=near_cut,
+        terminal_distances=space.distance(x1, x2))
 
 
 def run_single(space: ModelSpace, x, tau: float, cfg: WalkConfig,
@@ -258,44 +258,14 @@ def run_single(space: ModelSpace, x, tau: float, cfg: WalkConfig,
         raise ValueError("time scale must be nonnegative")
     x = np.asarray(x, dtype=float)
     space.check_point(x)
-    n, steps, m = cfg.n_trajectories, cfg.n_steps, space.dim
-    per_traj_starts = x.ndim == 2
-    if per_traj_starts and x.shape[0] != n:
+    if x.ndim == 2 and x.shape[0] != cfg.n_trajectories:
         raise ValueError("per-trajectory starts must match n_trajectories")
-    frame_fn = initial_frame or _default_frame
 
-    terminal = np.empty((n, space.emb_dim))
-    retain_steps = []
-    if cfg.retain_every is not None:
-        retain_steps = sorted({0, steps, *range(0, steps + 1, cfg.retain_every)})
-    retained: dict[int, list] = {}
+    def step(pts, fr, zeta):
+        new_x, fr, _ = _step_single(space, pts[0], fr, zeta, tau, cfg.k)
+        return (new_x,), fr
 
-    for lo, hi in _chunks(n):
-        c = hi - lo
-        noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
-        pos = x[lo:hi].copy() if per_traj_starts else np.broadcast_to(x, (c, space.emb_dim)).copy()
-        fr = frame_fn(space, pos)
-        if 0 in retain_steps:
-            retained.setdefault(0, []).append(pos.copy())
-        inv_k = 1.0 / cfg.k
-        inv_k2 = inv_k * inv_k
-        for step in range(steps):
-            zt = _lift(fr, noise[:, step, :])
-            v = math.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(pos)
-            v = space.project_tangent(pos, v)
-            new_pos = space.exp_map(pos, v)
-            fr = space.transport_frame(pos, new_pos, fr)
-            pos = new_pos
-            if (step + 1) in retain_steps:
-                retained.setdefault(step + 1, []).append(pos.copy())
-        terminal[lo:hi] = pos
-
-    snapshots = []
-    dt = cfg.horizon / steps
-    for step in retain_steps:
-        parts = retained.get(step, [])
-        snapshots.append(Snapshot(step=step, t=step * dt,
-                                  x1=np.concatenate(parts, axis=0), x2=None))
+    (terminal,), _, snapshots = _drive(space, (x,), cfg, step, initial_frame)
     return SingleWalkResult(tau=tau, config=cfg, terminal=terminal, snapshots=snapshots)
 
 

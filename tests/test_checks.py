@@ -205,6 +205,8 @@ def test_run_suite_records_errors_and_continues():
     reps = run_suite(specs)
     assert reps[0].verdict == "error"
     assert "DiameterError" in reps[0].error
+    # the error row keeps the spec's parameters
+    assert (reps[0].s, reps[0].t, reps[0].p, reps[0].beta) == (0.1, 0.4, 2.0, 2.0)
     assert reps[1].verdict == "pass"
 
 

@@ -8,7 +8,6 @@ from ctlab.heat import (
     CircleFourier,
     GaussHermite,
     MonteCarlo,
-    OUMehler,
     SphereZonal,
     default_backend,
     generator_heat,
@@ -183,7 +182,15 @@ def test_mode_floor():
     with pytest.raises(ValueError):
         SphereZonal(4)
     with pytest.raises(ValueError):
-        OUMehler(4)
+        GaussHermite(4)
+
+
+def test_sphere_zonal_rejects_non_zonal_field():
+    # f = x_0 is not symmetric about the default axis; its exact value
+    # P_t f(x) = e^{-2t} x_0 at t = 0.5 is e^{-1}, not what the meridian gives
+    s2 = Sphere(2)
+    with pytest.raises(ValueError, match="rotationally symmetric"):
+        heat_apply(s2, SphereZonal(), lambda p: p[..., 0], 0.5, np.array([1.0, 0.0, 0.0]))
 
 
 def test_heat_sample_time_zero():

@@ -151,6 +151,39 @@ def test_determinism_and_chunk_invariance():
         walk_mod._CHUNK = old
     assert np.array_equal(a.terminal.x1, c.terminal.x1)
     assert np.array_equal(a.terminal.x2, c.terminal.x2)
+    # single walks from per-trajectory starts, with snapshots
+    starts = sp.exp_map(np.broadcast_to(x, (50, 3)),
+                        np.stack([np.linspace(0.0, 1.0, 50), np.zeros(50), np.zeros(50)], -1))
+    cfg_r = WalkConfig(k=6, n_trajectories=50, seed=9, retain_every=5)
+    s_a = run_single(sp, starts, 0.3, cfg_r)
+    try:
+        walk_mod._CHUNK = 7
+        s_c = run_single(sp, starts, 0.3, cfg_r)
+    finally:
+        walk_mod._CHUNK = old
+    assert np.array_equal(s_a.terminal, s_c.terminal)
+    steps = [0, 5, 10, 15, 20, 25, 30, 35, 36]
+    assert [s.step for s in s_a.snapshots] == [s.step for s in s_c.snapshots] == steps
+    for u, v in zip(s_a.snapshots, s_c.snapshots):
+        assert np.array_equal(u.x1, v.x1)
+    assert np.array_equal(s_a.snapshots[0].x1, starts)
+    assert np.array_equal(s_a.snapshots[-1].x1, s_a.terminal)
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2), EuclideanOU(2, 1.0)],
+                         ids=["S2", "H2", "E2", "OU"])
+def test_coupled_first_walker_is_single_walk(space):
+    # the coupled kernel drives its first walker exactly like a lone walk
+    if isinstance(space, Sphere):
+        x, y = _sphere_pair(space)
+    elif isinstance(space, Hyperbolic):
+        x, y = _hyper_pair(space)
+    else:
+        x, y = _flat_pair(space)
+    cfg = WalkConfig(k=5, n_trajectories=40, seed=14)
+    coupled = run_coupled(space, x, y, 0.3, 0.6, cfg)
+    single = run_single(space, x, 0.3, cfg)
+    assert np.array_equal(coupled.terminal.x1, single.terminal)
 
 
 def test_seed_changes_output():
