@@ -16,7 +16,9 @@ every report, so each number is reproducible bit for bit.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -62,6 +64,9 @@ __all__ = [
     "named_field",
     "default_grid",
 ]
+
+
+log = logging.getLogger("ctl")
 
 
 class DiameterError(ValueError):
@@ -296,24 +301,28 @@ def _starts(measure: Optional[EmpiricalMeasure], point, n: int, seed: int):
     return measure.points[idx]
 
 
-def _two_sided_samples(spec: CheckSpec, time_a: float, time_b: float):
-    """Terminal clouds of the two heat distributions.
+def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
+    """Terminal clouds of the two heat distributions, one (a, b) pair of
+    clouds per (time_a, time_b) in `pairs`.
 
-    With share_noise the two runs consume identical per-trajectory
-    noise streams (common random numbers): the marginal laws are
-    unchanged and the difference of the two sides has far lower
-    variance.
+    With share_noise every cloud is a side of one walk on the same
+    per-trajectory noise streams (common random numbers): the marginal
+    laws are unchanged and the differences between clouds have far
+    lower variance.  Without it the a sides and the b sides walk on
+    separate seeds.
     """
     n = spec.n_trajectories
-    seed_a = spec.seed + 1
-    seed_b = seed_a if spec.share_noise else spec.seed + 2
     xa = _starts(spec.mu0, spec.x, n, spec.seed + 3)
     xb = _starts(spec.mu1, spec.y, n, spec.seed + 4)
-    cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=seed_a)
-    cfg_b = WalkConfig(k=spec.k, n_trajectories=n, seed=seed_b)
-    sample_a = run_single(spec.space, xa, time_a, cfg_a).terminal
-    sample_b = run_single(spec.space, xb, time_b, cfg_b).terminal
-    return sample_a, sample_b
+    times = tuple(t for pair in pairs for t in pair)
+    cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 1)
+    if spec.share_noise:
+        clouds = run_single(spec.space, (xa, xb) * len(pairs), times, cfg_a).terminal
+        return list(zip(clouds[0::2], clouds[1::2]))
+    cfg_b = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 2)
+    a = run_single(spec.space, (xa,) * len(pairs), times[0::2], cfg_a).terminal
+    b = run_single(spec.space, (xb,) * len(pairs), times[1::2], cfg_b).terminal
+    return list(zip(a, b))
 
 
 def _exact_base(spec: CheckSpec, cost) -> float:
@@ -333,11 +342,12 @@ def _require(spec: CheckSpec, *names) -> None:
 # Wasserstein-side checks (Monte Carlo)
 
 
-def _sampled_estimate(spec: CheckSpec, time_a: float, time_b: float, cost, transform):
-    """Block estimate of the transformed cost between the two heat clouds."""
-    xs, ys = _two_sided_samples(spec, time_a, time_b)
-    return block_cost_estimate(spec.space, xs, ys, cost, transform=transform,
-                               block_size=spec.block_size, seed=spec.seed + 9)
+def _sampled_estimates(spec: CheckSpec, pairs: tuple, cost, transform) -> list:
+    """Block estimates of the transformed cost between the two heat
+    clouds, one per (time_a, time_b) in `pairs`."""
+    return [block_cost_estimate(spec.space, xs, ys, cost, transform=transform,
+                                block_size=spec.block_size, seed=spec.seed + 9)
+            for xs, ys in _two_sided_samples(spec, pairs)]
 
 
 def _swc_transform(kap: float):
@@ -349,7 +359,7 @@ def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> Ve
     """The Monte Carlo transport pipeline: heat clouds at `times`, the block
     estimate of transform(cost) as the lhs, and rhs(exact base cost) ->
     (closed-form rhs, metadata)."""
-    est = _sampled_estimate(spec, *times, cost, transform)
+    (est,) = _sampled_estimates(spec, (times,), cost, transform)
     value, meta = rhs(_exact_base(spec, cost))
     return _base_report(spec, est.value, value, est.stderr, 0.0,
                         **meta, n_blocks=est.n_blocks)
@@ -489,12 +499,10 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     kap = cd.kappa
 
-    def G(uval):  # the spec's seed at both u: the difference quotient uses common noise
-        return _sampled_estimate(spec, uval / lam, uval * lam, PthPowerDistance(2.0),
-                                 _swc_transform(kap))
-
-    g0 = G(u)
-    g1 = G(u + du)
+    # one walk for both u: the difference quotient uses common noise
+    u1 = u + du
+    g0, g1 = _sampled_estimates(spec, ((u / lam, u * lam), (u1 / lam, u1 * lam)),
+                                PthPowerDistance(2.0), _swc_transform(kap))
     deriv = (g1.value - g0.value) / du
     se_deriv = math.hypot(g0.stderr, g1.stderr) / du
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
@@ -784,16 +792,22 @@ def run_check(spec: CheckSpec) -> VerificationReport:
 
 def run_suite(specs, jobs: int = 1) -> list[VerificationReport]:
     """Run all checks; per-check errors become reports with verdict 'error'
-    and the suite continues.  Reports come back in spec order."""
+    and the suite continues.  Reports come back in spec order.  Each
+    check logs one INFO line on the ``ctl`` logger: id, space, verdict,
+    margin, sigma and wall seconds."""
 
     def one(spec: CheckSpec) -> VerificationReport:
+        start = time.perf_counter()
         try:
-            return run_check(spec)
+            rep = run_check(spec)
         except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-            return VerificationReport(
+            rep = VerificationReport(
                 lhs=math.nan, rhs=math.nan, stderr_lhs=0.0, stderr_rhs=0.0,
                 verdict="error", error=f"{type(exc).__name__}: {exc}",
                 **_spec_fields(spec))
+        log.info("%s %s %s margin=%+.4e sigma=%.3e wall=%.3fs", rep.check_id, rep.space,
+                 rep.verdict, rep.margin, rep.sigma, time.perf_counter() - start)
+        return rep
 
     if jobs <= 1:
         return [one(s) for s in specs]

@@ -251,12 +251,17 @@ def cmd_verify(args) -> int:
     return exit_code(r.verdict for r in reports)
 
 
+def _given(args, *names) -> dict:
+    """The geometry options set on the command line, zero included, so
+    that the space constructor rejects a zero rather than a default
+    silently replacing it."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def cmd_simulate(args) -> int:
     try:
         space = build_space({"kind": args.space, "dim": args.dim,
-                             **({"radius": args.radius} if args.radius else {}),
-                             **({"curvature": args.curvature} if args.curvature else {}),
-                             **({"lam": args.lam} if args.lam else {})})
+                             **_given(args, "radius", "curvature", "lam")})
         x = np.asarray([float(v) for v in args.x.split(",")])
         y = np.asarray([float(v) for v in args.y.split(",")])
         space.check_point(x)
@@ -287,8 +292,7 @@ def cmd_wasserstein(args) -> int:
         a = _read_cloud(args.file_a)
         b = _read_cloud(args.file_b)
         space = build_space({"kind": args.space, "dim": args.dim,
-                             **({"radius": args.radius} if args.radius else {}),
-                             **({"curvature": args.curvature} if args.curvature else {})})
+                             **_given(args, "radius", "curvature")})
         mu = EmpiricalMeasure.uniform(a)
         nu = EmpiricalMeasure.uniform(b)
         if args.cost == "comparison":

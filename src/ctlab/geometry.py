@@ -324,6 +324,10 @@ class Sphere(ModelSpace):
         return self.project_tangent(y, out)
 
     def frame(self, x):
+        """Gram-Schmidt on the tangential projections of the coordinate
+        axes, skipping an axis that degenerates at the point.  A batch in
+        which only some points degenerate on an axis is framed point by
+        point, so no point's frame depends on the rest of its batch."""
         x = np.asarray(x, float)
         batch = x.shape[:-1]
         vecs = []
@@ -335,8 +339,12 @@ class Sphere(ModelSpace):
             for prev in vecs:
                 w = w - np.sum(w * prev, axis=-1, keepdims=True) * prev
             n = np.linalg.norm(w, axis=-1, keepdims=True)
-            if np.all(n > 1e-8):
+            ok = n > 1e-8
+            if np.all(ok):
                 vecs.append(w / n)
+            elif batch and np.any(ok):
+                rows = [self.frame(p) for p in x.reshape(-1, self.emb_dim)]
+                return np.stack(rows).reshape(batch + (self.dim, self.emb_dim))
             if len(vecs) == self.dim:
                 break
         if len(vecs) < self.dim:

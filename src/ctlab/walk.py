@@ -17,6 +17,10 @@ driving noise.
 Reproducibility: trajectory j draws from its own counter-based Philox
 stream keyed by (seed, j), so results are bit-identical for any chunk
 size or degree of parallelism; aggregation happens in trajectory order.
+A chunk draws its streams through one Philox generator that is re-keyed
+per trajectory, and every side of a walk (the two heat clouds of a
+two-sided check, say) steps on that one noise chunk, so each stream is
+drawn once per walk.
 """
 
 from __future__ import annotations
@@ -44,12 +48,18 @@ __all__ = [
 
 _CHUNK = 1024
 _DIAGONAL_TOL = 1e-12
+_WORD = 0xFFFFFFFFFFFFFFFF
+
+
+def _trajectory_key(seed: int, index: int) -> np.ndarray:
+    """The 128-bit Philox key (seed << 64) | index as its two uint64
+    words, low word first."""
+    return np.array([int(index) & _WORD, int(seed) & _WORD], dtype=np.uint64)
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """The counter-based stream for one trajectory: Philox keyed by (seed, index)."""
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) << 64 | (int(index) & 0xFFFFFFFFFFFFFFFF)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_trajectory_key(seed, index)))
 
 
 def sample_unit_ball(m: int, rng: np.random.Generator, size: int | None = None):
@@ -131,17 +141,27 @@ class SingleWalkResult:
 
 
 def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Map ball coordinates (n, m) through frames (n, m, emb) to tangent vectors."""
-    m = zeta.shape[-1]
+    """Map ball coordinates (n, m) through frames (..., n, m, emb) to
+    tangent vectors, the same zeta for every leading (side) axis.
+
+    The contraction runs on flat (rows, m) and (rows, m, emb) operands:
+    given a broadcast operand, einsum takes a path several times slower.
+    """
+    m, emb = frame.shape[-2:]
     scale = math.sqrt(2.0 * (m + 2))
-    return scale * np.einsum("...i,...ie->...e", zeta, frame)
+    rows = np.broadcast_to(zeta, frame.shape[:-1]).reshape(-1, m)
+    lifted = np.einsum("...i,...ie->...e", rows, frame.reshape(-1, m, emb))
+    return scale * lifted.reshape(frame.shape[:-2] + (emb,))
 
 
 def _advance(space, x, zt, tau, k):
-    """exp_x(sqrt(tau)/k * zt + tau/k^2 * Z(x)), the velocity projected first."""
+    """exp_x(sqrt(tau)/k * zt + tau/k^2 * Z(x)), the velocity projected first.
+
+    tau is a number or an array that broadcasts against x (one time
+    scale per side)."""
     inv_k = 1.0 / k
     inv_k2 = inv_k * inv_k
-    v = math.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(x)
+    v = np.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(x)
     return space.exp_map(x, space.project_tangent(x, v))
 
 
@@ -173,26 +193,54 @@ def step_coupled(space: ModelSpace, state: CoupledState, tau1: float, tau2: floa
 
 
 def _draw_chunk_noise(seed, lo, hi, n_steps, m):
-    """Ball samples for trajectories lo..hi-1, shape (hi-lo, n_steps, m)."""
-    out = np.empty((hi - lo, n_steps, m))
+    """Ball samples for trajectories lo..hi-1, shape (hi-lo, n_steps, m).
+
+    Row j - lo equals sample_unit_ball(m, trajectory_rng(seed, j),
+    size=n_steps) bit for bit.  One Philox generator serves the chunk:
+    per trajectory it is re-keyed with counter 0 and an empty buffer
+    (the state of a fresh generator), and the ball transform then runs
+    once over the whole chunk.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state  # a fresh generator's: counter 0, empty buffer
+    g = np.empty((hi - lo, n_steps, m))
+    radii = np.empty((hi - lo, n_steps, 1))
     for j in range(lo, hi):
-        rng = trajectory_rng(seed, j)
-        out[j - lo] = sample_unit_ball(m, rng, size=n_steps)
-    return out
+        state["state"]["key"][:] = _trajectory_key(seed, j)
+        bits.state = state
+        gen.standard_normal(out=g[j - lo])
+        gen.random(out=radii[j - lo])
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    radii **= 1.0 / m
+    g /= norm
+    g *= radii
+    return g
 
 
-def _drive(space: ModelSpace, starts: tuple, cfg: WalkConfig, step,
+def _rows(start, lo, hi):
+    """Rows lo..hi-1 of per-trajectory starts, or a point repeated."""
+    return start[lo:hi] if start.ndim == 2 else np.broadcast_to(start, (hi - lo, start.shape[-1]))
+
+
+def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step,
            initial_frame: Callable[[ModelSpace, np.ndarray], np.ndarray] | None):
     """Run cfg.n_trajectories walks in chunks of _CHUNK trajectories.
 
-    `starts` holds one start per walker, a point or per-trajectory rows;
-    the frame rides with the first walker.  step(points, frame, zeta)
-    advances a chunk by one step.  Returns the terminal points of each
-    walker, the terminal frames and the snapshots at the retained steps.
+    `sides` holds, per side, one start per walker, each a point or
+    per-trajectory rows.  A walker's points carry the sides on a leading
+    axis, shape (sides, chunk, emb); each side's frame rides with its
+    first walker and is built from that side's rows alone.
+    step(points, frames, zeta) advances every side of a chunk by one
+    step on the same noise.  Returns the terminal points of each walker
+    (sides, n, emb), the terminal frames (sides, n, m, emb) and the
+    snapshots at the retained steps, stacked the same way.
     """
     n, steps, m, emb = cfg.n_trajectories, cfg.n_steps, space.dim, space.emb_dim
-    terminal = tuple(np.empty((n, emb)) for _ in starts)
-    term_frame = np.empty((n, m, emb))
+    n_walkers = len(sides[0])
+    terminal = tuple(np.empty((len(sides), n, emb)) for _ in range(n_walkers))
+    term_frame = np.empty((len(sides), n, m, emb))
     retained: dict[int, list] = {}
     if cfg.retain_every is not None:
         retained = {s: [] for s in sorted({0, steps, *range(0, steps + 1, cfg.retain_every)})}
@@ -200,9 +248,10 @@ def _drive(space: ModelSpace, starts: tuple, cfg: WalkConfig, step,
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
-        pts = tuple(s[lo:hi].copy() if s.ndim == 2 else np.broadcast_to(s, (hi - lo, emb)).copy()
-                    for s in starts)
-        fr = initial_frame(space, pts[0]) if initial_frame else space.frame(pts[0])
+        pts = tuple(np.stack([_rows(side[w], lo, hi) for side in sides])
+                    for w in range(n_walkers))
+        fr = np.stack([initial_frame(space, p) if initial_frame else space.frame(p)
+                       for p in pts[0]])
         if 0 in retained:
             retained[0].append(tuple(p.copy() for p in pts))
         for i in range(steps):
@@ -210,13 +259,19 @@ def _drive(space: ModelSpace, starts: tuple, cfg: WalkConfig, step,
             if i + 1 in retained:
                 retained[i + 1].append(tuple(p.copy() for p in pts))
         for out, p in zip(terminal, pts):
-            out[lo:hi] = p
-        term_frame[lo:hi] = fr
+            out[:, lo:hi] = p
+        term_frame[:, lo:hi] = fr
 
     dt = cfg.horizon / steps
-    snapshots = [Snapshot(s, s * dt, *(np.concatenate(w, axis=0) for w in zip(*parts)))
+    snapshots = [Snapshot(s, s * dt, *(np.concatenate(w, axis=1) for w in zip(*parts)))
                  for s, parts in retained.items()]
     return terminal, term_frame, snapshots
+
+
+def _first_side(snapshots):
+    """The snapshots of a one-side walk, without the side axis."""
+    return [Snapshot(s.step, s.t, s.x1[0], None if s.x2 is None else s.x2[0])
+            for s in snapshots]
 
 
 def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
@@ -243,29 +298,45 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
         x1, x2, fr = _step_coupled_arrays(space, x1, x2, fr, zeta, tau1, tau2, cfg.k)
         return (x1, x2), fr
 
-    (x1, x2), frame, snapshots = _drive(space, (x, y), cfg, step, initial_frame)
+    (x1, x2), frame, snapshots = _drive(space, ((x, y),), cfg, step, initial_frame)
+    x1, x2 = x1[0], x2[0]
     return CoupledWalkPath(
         tau1=tau1, tau2=tau2, config=cfg,
-        terminal=CoupledState(x1=x1, x2=x2, frame1=frame),
-        snapshots=snapshots, near_cut_events=near_cut,
+        terminal=CoupledState(x1=x1, x2=x2, frame1=frame[0]),
+        snapshots=_first_side(snapshots), near_cut_events=near_cut,
         terminal_distances=space.distance(x1, x2))
 
 
-def run_single(space: ModelSpace, x, tau: float, cfg: WalkConfig,
+def run_single(space: ModelSpace, x, tau, cfg: WalkConfig,
                initial_frame=None) -> SingleWalkResult:
-    """Independent single walks from x (or per-trajectory rows of x)."""
-    if tau < 0:
+    """Independent single walks from x (or per-trajectory rows of x).
+
+    With a tuple of time scales, x is a matching sequence of starts, one
+    per side; every side walks on the same per-trajectory noise streams
+    (common random numbers) from its own start with its own frame, and
+    terminal and each snapshot are stacked as (sides, n, emb).
+    """
+    multi = isinstance(tau, tuple)
+    taus = tau if multi else (tau,)
+    starts = [np.asarray(s, dtype=float) for s in (x if multi else (x,))]
+    if len(starts) != len(taus):
+        raise ValueError("need one start per time scale")
+    if any(t < 0 for t in taus):
         raise ValueError("time scale must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    space.check_point(x)
-    if x.ndim == 2 and x.shape[0] != cfg.n_trajectories:
-        raise ValueError("per-trajectory starts must match n_trajectories")
+    for s in starts:
+        space.check_point(s)
+        if s.ndim == 2 and s.shape[0] != cfg.n_trajectories:
+            raise ValueError("per-trajectory starts must match n_trajectories")
+    scales = np.reshape(np.asarray(taus, dtype=float), (-1, 1, 1))
 
     def step(pts, fr, zeta):
-        new_x, fr, _ = _step_single(space, pts[0], fr, zeta, tau, cfg.k)
+        new_x, fr, _ = _step_single(space, pts[0], fr, zeta, scales, cfg.k)
         return (new_x,), fr
 
-    (terminal,), _, snapshots = _drive(space, (x,), cfg, step, initial_frame)
+    (terminal,), _, snapshots = _drive(space, tuple((s,) for s in starts), cfg, step,
+                                       initial_frame)
+    if not multi:
+        terminal, snapshots = terminal[0], _first_side(snapshots)
     return SingleWalkResult(tau=tau, config=cfg, terminal=terminal, snapshots=snapshots)
 
 

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from ctlab.checks import (
     CheckSpec,
     DiameterError,
     VerificationReport,
+    _two_sided_samples,
     _verdict,
     run_check,
     run_suite,
@@ -14,6 +16,7 @@ from ctlab.checks import (
 from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
 from ctlab.transport import EmpiricalMeasure
+from ctlab.walk import WalkConfig, run_single
 
 S2 = Sphere(2)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -217,6 +220,39 @@ def test_run_suite_parallel_matches_serial():
     parallel = run_suite(specs, jobs=2)
     for a, b in zip(serial, parallel):
         assert a.lhs == b.lhs and a.rhs == b.rhs and a.verdict == b.verdict
+
+
+def test_run_suite_logs_one_info_line_per_check(caplog):
+    specs = [CheckSpec(check_id="bl0", space=S2, t=t, f="cos_theta") for t in (0.1, 0.5)]
+    with caplog.at_level(logging.WARNING, logger="ctl"):
+        run_suite(specs)
+    assert caplog.records == []
+    with caplog.at_level(logging.INFO, logger="ctl"):
+        reps = run_suite(specs)
+    assert len(caplog.records) == 2
+    for rec, rep in zip(caplog.records, reps):
+        msg = rec.getMessage()
+        assert rec.levelno == logging.INFO and rec.name == "ctl"
+        assert msg.startswith(f"bl0 {rep.space} pass margin={rep.margin:+.4e} "
+                              f"sigma={rep.sigma:.3e} wall=")
+        assert msg.endswith("s")
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_two_sided_samples_seeds(share):
+    # shared noise walks both clouds on seed + 1; separate noise gives the
+    # b side seed + 2
+    y = sphere_point(0.5)
+    spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
+                     k=4, seed=7, share_noise=share)
+    pairs = ((0.1, 0.3), (0.2, 0.4))
+    clouds = _two_sided_samples(spec, pairs)
+    seed_b = 8 if share else 9
+    for (xs, ys), (ta, tb) in zip(clouds, pairs):
+        want_a = run_single(S2, NORTH, ta, WalkConfig(k=4, n_trajectories=30, seed=8))
+        want_b = run_single(S2, y, tb, WalkConfig(k=4, n_trajectories=30, seed=seed_b))
+        assert np.array_equal(xs, want_a.terminal)
+        assert np.array_equal(ys, want_b.terminal)
 
 
 def test_unknown_check_id_rejected():

@@ -112,6 +112,29 @@ def test_simulate_bad_geometry_exits_two(tmp_path):
                  "--tau2", "0.1", "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("space,x,y,opt,valid", [
+    ("sphere", "0,0,1", "1,0,0", "--radius", "1"),
+    ("hyperbolic", "1,0,0", "1,0,0", "--curvature", "-1"),
+    ("euclidean_ou", "0,0", "1,0", "--lam", "1"),
+])
+def test_simulate_zero_geometry_argument_exits_two(tmp_path, capsys, space, x, y, opt, valid):
+    # a zero is passed on to the space, which rejects it, not replaced by the default
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--space", space, "--dim", "2", f"--x={x}", f"--y={y}",
+            "--tau1", "0.1", "--tau2", "0.1", "--out", str(out)]
+    assert main(argv + [f"{opt}={valid}"]) == 0
+    assert main(argv + [f"{opt}=0"]) == 2
+    assert "bad geometry arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,opt", [("sphere", "--radius"), ("hyperbolic", "--curvature")])
+def test_wasserstein_zero_geometry_argument_exits_two(tmp_path, capsys, space, opt):
+    a = tmp_path / "a.csv"
+    np.savetxt(a, np.array([[0.0, 0.0, 1.0]]), delimiter=",")
+    assert main(["wasserstein", str(a), str(a), "--space", space, opt, "0"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_wasserstein_cli(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

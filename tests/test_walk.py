@@ -186,6 +186,79 @@ def test_coupled_first_walker_is_single_walk(space):
     assert np.array_equal(coupled.terminal.x1, single.terminal)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5])
+def test_chunk_noise_rows_are_trajectory_streams(m, seed):
+    # one re-keyed generator per chunk draws each trajectory's own stream
+    lo, hi, steps = 5, 12, 17
+    noise = walk_mod._draw_chunk_noise(seed, lo, hi, steps, m)
+    assert noise.shape == (hi - lo, steps, m)
+    for j in range(lo, hi):
+        expect = sample_unit_ball(m, trajectory_rng(seed, j), size=steps)
+        assert np.array_equal(noise[j - lo], expect)
+
+
+def test_trajectory_rng_is_philox_keyed_by_seed_and_index():
+    seed, j = 2**63 + 5, 3
+    key = (seed & 0xFFFFFFFFFFFFFFFF) << 64 | j
+    expect = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+    assert np.array_equal(trajectory_rng(seed, j).standard_normal(8), expect)
+
+
+def _starts_on(space, n, rng):
+    """n per-trajectory starts on the space, the first one on a coordinate axis."""
+    if isinstance(space, Sphere):
+        pts = rng.standard_normal((n, 3))
+        pts[0] = [1.0, 0.0, 0.0]
+        return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
+    if isinstance(space, Hyperbolic):
+        return space.embed(rng.standard_normal((n, 2)))
+    return rng.standard_normal((n, 2))
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2), EuclideanOU(2, 1.0)],
+                         ids=["S2", "H2", "E2", "OU"])
+def test_multi_side_walk_matches_separate_walks(space):
+    # every side of one walk steps on the shared noise exactly like a lone walk
+    x, y = _flat_pair(space)
+    if isinstance(space, Sphere):
+        x, y = np.array([1.0, 0.0, 0.0]), _sphere_pair(space)[1]
+    elif isinstance(space, Hyperbolic):
+        x, y = _hyper_pair(space)
+    rows = _starts_on(space, 40, np.random.default_rng(3))
+    cfg = WalkConfig(k=5, n_trajectories=40, seed=15, retain_every=10)
+    sides = (x, y, rows, x)
+    taus = (0.3, 0.6, 0.45, 0.0)
+    multi = run_single(space, sides, taus, cfg)
+    assert multi.terminal.shape == (4, 40, space.emb_dim)
+    for i, (start, tau) in enumerate(zip(sides, taus)):
+        lone = run_single(space, start, tau, cfg)
+        assert np.array_equal(multi.terminal[i], lone.terminal)
+        for u, v in zip(multi.snapshots, lone.snapshots):
+            assert np.array_equal(u.x1[i], v.x1)
+    with pytest.raises(ValueError):
+        run_single(space, (x, y), (0.3,), cfg)
+
+
+def test_sphere_walk_does_not_depend_on_batch_neighbours():
+    # a start on a coordinate axis must not change the frames of the
+    # other starts in its chunk
+    sp = Sphere(2)
+    starts = _starts_on(sp, 6, np.random.default_rng(0))
+    cfg = WalkConfig(k=4, n_trajectories=6, seed=16)
+    together = run_single(sp, starts, 0.5, cfg).terminal
+    old = walk_mod._CHUNK
+    try:
+        walk_mod._CHUNK = 1
+        alone = run_single(sp, starts, 0.5, cfg).terminal
+    finally:
+        walk_mod._CHUNK = old
+    assert np.array_equal(together, alone)
+    frames = sp.frame(starts)
+    for j in range(6):
+        assert np.array_equal(frames[j], sp.frame(starts[j]))
+
+
 def test_seed_changes_output():
     sp = Euclidean(2)
     a = run_single(sp, np.zeros(2), 0.5, WalkConfig(k=5, n_trajectories=10, seed=1))
