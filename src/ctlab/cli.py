@@ -52,24 +52,30 @@ class ConfigError(ValueError):
 # config parsing
 
 
+#: each space kind: its class and the one geometry key it takes (with
+#: that key's default); besides "kind" and "dim", any other key is an error
+_SPACES = {
+    "euclidean": (Euclidean, None, None),
+    "euclidean_ou": (EuclideanOU, "lam", 1.0),
+    "sphere": (Sphere, "radius", 1.0),
+    "hyperbolic": (Hyperbolic, "curvature", -1.0),
+}
+
+
 def build_space(obj) -> ModelSpace:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError("space must be an object with a 'kind'")
     kind = obj["kind"]
-    dim = int(obj.get("dim", 2))
-    known = {"kind", "dim", "radius", "curvature", "lam"}
-    extra = set(obj) - known
+    if not isinstance(kind, str) or kind not in _SPACES:
+        raise ConfigError(f"unknown space kind {kind!r}")
+    cls, key, default = _SPACES[kind]
+    extra = set(obj) - {"kind", "dim", key}
     if extra:
-        raise ConfigError(f"unknown space keys: {sorted(extra)}")
-    if kind == "euclidean":
-        return Euclidean(dim)
-    if kind == "euclidean_ou":
-        return EuclideanOU(dim, float(obj.get("lam", 1.0)))
-    if kind == "sphere":
-        return Sphere(dim, float(obj.get("radius", 1.0)))
-    if kind == "hyperbolic":
-        return Hyperbolic(dim, float(obj.get("curvature", -1.0)))
-    raise ConfigError(f"unknown space kind {kind!r}")
+        raise ConfigError(f"keys not taken by a {kind} space: {sorted(extra)}")
+    dim = int(obj.get("dim", 2))
+    if key is None:
+        return cls(dim)
+    return cls(dim, float(obj.get(key, default)))
 
 
 _CHECK_KEYS = {
@@ -376,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--config", required=True)
     v.add_argument("--seed", type=int, default=None, help="override the config seed")
     v.add_argument("--out", default=".", help="directory for report.csv / report.json")
-    v.add_argument("--jobs", type=int, default=1)
+    v.add_argument("--jobs", type=int, default=1,
+                   help="run this many checks concurrently (default 1); the "
+                        "assignment solves of a multi-block transport estimate "
+                        "already use every CPU")
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="dump coupled-walk trajectories to CSV")

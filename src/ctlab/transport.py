@@ -3,7 +3,11 @@
 Exact solvers (assignment for uniform equal-size supports, an LP for
 general weights), a log-domain entropic solver with a certified duality
 gap, the closed-form Gaussian W2 oracle, and block-averaged estimators
-with bootstrap standard errors for Monte Carlo samples.
+with bootstrap standard errors for Monte Carlo samples.  A multi-block
+estimate solves its blocks' assignments concurrently, one solver thread
+per available CPU, while the calling thread builds the next cost
+matrix; its results are bit-for-bit those of solving the blocks one
+after another.
 
 Costs are always built from the manifold geodesic distance, never the
 chordal embedding distance.
@@ -12,6 +16,9 @@ chordal embedding distance.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -323,6 +330,35 @@ def _transform_slope(tf, v: float) -> float:
     return abs(tf(v + h) - tf(max(v - h, 0.0))) / (2 * h)
 
 
+def _solver_threads() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _assignments(matrices):
+    """Yield (C, rows, cols) for each cost matrix C, in input order.
+
+    linear_sum_assignment releases the GIL, so the solves run on one
+    thread per CPU while the caller's iterator builds the next matrix on
+    the calling thread.  At most workers + 1 matrices are built and not
+    yet yielded, the one being built included.
+    """
+    workers = _solver_threads()
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque()
+        for C in matrices:
+            pending.append((C, pool.submit(linear_sum_assignment, C)))
+            if len(pending) > workers:
+                done, solve = pending.popleft()
+                yield (done, *solve.result())
+        while pending:
+            done, solve = pending.popleft()
+            yield (done, *solve.result())
+
+
 def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
                         cost: CostSpec,
                         transform: Callable[[float], float] | None = None,
@@ -330,15 +366,19 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
                         seed: int = 0) -> BlockEstimate:
     """Estimate a transport cost between two equal-size samples.
 
-    The samples are cut into aligned disjoint blocks of at most
-    block_size points, the exact cost (optionally transformed, e.g.
-    cost -> cost^(beta/p)) is computed per block, and the estimate is
-    the block mean.  The standard error is the larger of a bootstrap
-    over block values and the pooled within-block sampling error of the
+    With n >= 2 * block_size the samples are cut into
+    n_blocks = n // block_size aligned disjoint blocks of n // n_blocks
+    points each, so a block holds between block_size and
+    2 * block_size - 1 points and the last n % n_blocks points go
+    unused.  The exact cost (optionally transformed, e.g.
+    cost -> cost^(beta/p)) is computed per block, the blocks'
+    assignments being solved concurrently, and the estimate is the
+    block mean.  The standard error is the larger of a bootstrap over
+    block values and the pooled within-block sampling error of the
     matched pair costs (delta method through the transform); with few
     blocks the between-block spread alone can badly understate the
-    noise.  Single-block inputs fall back to bootstrap resampling of
-    the points themselves.
+    noise.  Smaller inputs form a single block of all n points and fall
+    back to bootstrap resampling of the points themselves.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -366,10 +406,9 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     size = n // n_blocks
     vals = np.empty(n_blocks)
     within_var = np.empty(n_blocks)  # variance of each transformed block value
-    for b in range(n_blocks):
-        sl = slice(b * size, (b + 1) * size)
-        C = cost.matrix(space, xs[sl], ys[sl])
-        rows, cols = linear_sum_assignment(C)
+    blocks = (slice(b * size, (b + 1) * size) for b in range(n_blocks))
+    matrices = (cost.matrix(space, xs[sl], ys[sl]) for sl in blocks)
+    for b, (C, rows, cols) in enumerate(_assignments(matrices)):
         matched = C[rows, cols]
         raw = float(matched.mean())
         vals[b] = tf(raw)

@@ -82,6 +82,35 @@ def test_build_space_and_check_strictness():
     assert spec.resolved_cd().K == pytest.approx(0.9)
 
 
+@pytest.mark.parametrize("kind,taken", [
+    ("euclidean", set()),
+    ("euclidean_ou", {"lam"}),
+    ("sphere", {"radius"}),
+    ("hyperbolic", {"curvature"}),
+])
+def test_build_space_rejects_geometry_keys_its_kind_does_not_take(kind, taken):
+    values = {"radius": 2.0, "curvature": -4.0, "lam": 0.5}
+    for key, value in values.items():
+        obj = {"kind": kind, "dim": 2, key: value}
+        if key in taken:
+            build_space(obj)
+        else:
+            with pytest.raises(ConfigError, match=key):
+                build_space(obj)
+    with pytest.raises(ConfigError):
+        build_space({"kind": "sphere", "dim": 2, "lam": -3, "curvature": 4})
+
+
+def test_verify_rejects_a_geometry_key_the_space_does_not_take(tmp_path, capsys):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({
+        "schema": "ctl-suite/1",
+        "checks": [{"id": "bl0", "space": {"kind": "sphere", "dim": 2, "curvature": 4},
+                    "t": 0.5, "f": "cos_theta"}]}))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "curvature" in capsys.readouterr().err
+
+
 def test_bundled_configs_parse():
     for name in ("acceptance.json", "deterministic.json", "negative_control.json"):
         specs = load_suite(bundled_config(name))
@@ -125,6 +154,29 @@ def test_simulate_zero_geometry_argument_exits_two(tmp_path, capsys, space, x, y
     assert main(argv + [f"{opt}={valid}"]) == 0
     assert main(argv + [f"{opt}=0"]) == 2
     assert "bad geometry arguments" in capsys.readouterr().err
+
+
+def test_simulate_geometry_argument_of_another_kind_exits_two(tmp_path, capsys):
+    argv = ["simulate", "--space", "euclidean", "--x=0,0", "--y=1,0",
+            "--tau1", "0.1", "--tau2", "0.1", "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 0
+    assert main(argv + ["--radius", "0", "--curvature", "5", "--lam", "-3"]) == 2
+    assert "bad geometry arguments" in capsys.readouterr().err
+    for opt in ("--radius=1", "--curvature=-1", "--lam=1"):
+        assert main(argv + [opt]) == 2
+
+
+@pytest.mark.parametrize("space,opt", [("euclidean", "--radius=1"),
+                                       ("euclidean", "--curvature=-1"),
+                                       ("sphere", "--curvature=-1"),
+                                       ("hyperbolic", "--radius=1")])
+def test_wasserstein_geometry_argument_of_another_kind_exits_two(tmp_path, capsys, space, opt):
+    a = tmp_path / "a.csv"
+    point = {"euclidean": [0.0, 0.0], "sphere": [0.0, 0.0, 1.0], "hyperbolic": [1.0, 0.0, 0.0]}
+    np.savetxt(a, np.array([point[space]]), delimiter=",")
+    assert main(["wasserstein", str(a), str(a), "--space", space]) == 0
+    assert main(["wasserstein", str(a), str(a), "--space", space, opt]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("space,opt", [("sphere", "--radius"), ("hyperbolic", "--curvature")])

@@ -1,10 +1,15 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
+from ctlab import transport
 from ctlab.comparison import comp_s
-from ctlab.geometry import Euclidean, Sphere
+from ctlab.geometry import Euclidean, Hyperbolic, Sphere
 from ctlab.transport import (
     ComparisonCost,
     EmpiricalMeasure,
@@ -215,6 +220,169 @@ def test_empirical_convergence_sanity():
     est = block_cost_estimate(sp, xs, ys, PthPowerDistance(2.0),
                               block_size=1000, seed=3)
     assert est.value < 0.1
+
+
+# ---------------------------------------------------------------------------
+# concurrent block solves
+
+
+def _serial_block_estimate(space, xs, ys, cost, transform, block_size, n_boot, seed):
+    """The multi-block estimate with its blocks solved one after another."""
+    tf = transform or (lambda v: v)
+    n = xs.shape[0]
+    n_blocks = n // block_size
+    size = n // n_blocks
+    vals = np.empty(n_blocks)
+    within_var = np.empty(n_blocks)
+    for b in range(n_blocks):
+        C = cost.matrix(space, xs[b * size:(b + 1) * size], ys[b * size:(b + 1) * size])
+        rows, cols = scipy_assignment(C)
+        matched = C[rows, cols]
+        raw = float(matched.mean())
+        vals[b] = tf(raw)
+        se_raw = float(matched.std(ddof=1)) / math.sqrt(matched.size)
+        within_var[b] = (transport._transform_slope(tf, raw) * se_raw) ** 2
+    rng = np.random.default_rng(seed)
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        boots[b] = vals[rng.integers(0, n_blocks, size=n_blocks)].mean()
+    between = float(np.std(boots, ddof=1))
+    within = math.sqrt(float(within_var.sum())) / n_blocks
+    return float(vals.mean()), max(between, within), vals
+
+
+def _cloud(space, n, rng):
+    if space.kind == "sphere":
+        v = rng.normal(size=(n, 3))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+    if space.kind == "hyperbolic":
+        s = 0.7 * rng.normal(size=(n, 2))
+        return np.column_stack([np.sqrt(1.0 + (s * s).sum(axis=1)), s])
+    return rng.normal(size=(n, 2))
+
+
+def _block_clouds(space, n_blocks, block_size=30, seed=0):
+    # a few points past the last block, which the estimate leaves unused
+    rng = np.random.default_rng(seed)
+    n = n_blocks * block_size + 7
+    return _cloud(space, n, rng), _cloud(space, n, rng)
+
+
+class _Recording(PthPowerDistance):
+    """W2 cost that keeps every matrix it builds, in build order."""
+
+    def __init__(self):
+        super().__init__(2.0)
+        self.built = []
+
+    def matrix(self, space, xs, ys):
+        C = super().matrix(space, xs, ys)
+        self.built.append(C)
+        return C
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+def test_solver_threads_is_the_cpus_available():
+    assert transport._solver_threads() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2)],
+                         ids=["S2", "H2", "E2"])
+@pytest.mark.parametrize("n_blocks", [2, 5, 9])
+@pytest.mark.parametrize("transform", [None, lambda c: c ** 0.75], ids=["plain", "power"])
+def test_concurrent_blocks_match_serial_reference(monkeypatch, space, n_blocks, transform):
+    # four solver threads, whatever the host has, so that solves overlap
+    monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
+    xs, ys = _block_clouds(space, n_blocks)
+    est = block_cost_estimate(space, xs, ys, PthPowerDistance(2.0), transform,
+                              block_size=30, n_boot=60, seed=5)
+    value, stderr, vals = _serial_block_estimate(space, xs, ys, PthPowerDistance(2.0),
+                                                 transform, 30, 60, 5)
+    assert est.n_blocks == n_blocks
+    assert est.value.hex() == value.hex()
+    assert est.stderr.hex() == stderr.hex()
+    assert est.block_values.tobytes() == vals.tobytes()
+
+
+def test_blocks_solved_out_of_order_keep_block_order(monkeypatch):
+    monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
+    cost = _Recording()
+    finished = []
+
+    def slow_on_early_blocks(C):
+        index = next(i for i, M in enumerate(cost.built) if M is C)
+        time.sleep(0.04 * (5 - index))
+        result = scipy_assignment(C)
+        finished.append(index)
+        return result
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", slow_on_early_blocks)
+    sp = Sphere(2)
+    xs, ys = _block_clouds(sp, 5)
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=30, n_boot=60, seed=5)
+    value, stderr, vals = _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0),
+                                                 None, 30, 60, 5)
+    assert sorted(finished) == list(range(5))
+    assert finished != sorted(finished)
+    assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+    assert est.block_values.tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_assignments_hold_at_most_workers_plus_one_matrices(monkeypatch, workers):
+    monkeypatch.setattr(transport, "_solver_threads", lambda: workers)
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda C: (time.sleep(0.01), scipy_assignment(C))[1])
+    rng = np.random.default_rng(3)
+    built = yielded = outstanding = 0
+    matrices = [rng.random((20, 20)) for _ in range(12)]
+
+    def build():
+        nonlocal built, outstanding
+        for C in matrices:
+            built += 1
+            outstanding = max(outstanding, built - yielded)
+            yield C
+
+    for C, rows, cols in transport._assignments(build()):
+        assert C is matrices[yielded]
+        assert np.array_equal(cols, scipy_assignment(C)[1])
+        yielded += 1
+    assert yielded == 12
+    assert outstanding == workers + 1
+
+
+def test_solver_error_in_a_block_raises_as_serial_and_joins_threads(monkeypatch):
+    monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
+    sp = Euclidean(2)
+    xs, ys = _block_clouds(sp, 5)
+    xs[2 * 30 + 4] = np.nan  # a NaN cost row in the third block
+    before = threading.active_count()
+    with pytest.raises(ValueError) as concurrent:
+        block_cost_estimate(sp, xs, ys, PthPowerDistance(2.0), block_size=30, seed=5)
+    with pytest.raises(ValueError) as serial:
+        _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0), None, 30, 200, 5)
+    assert str(concurrent.value) == str(serial.value)
+    assert threading.active_count() == before
+
+
+def test_block_layout_uses_equal_blocks_and_drops_the_remainder(monkeypatch):
+    # n = 2999 with block_size 1000: 2 blocks of 1499 points, 1 point unused
+    monkeypatch.setattr(transport, "linear_sum_assignment",
+                        lambda C: (np.arange(C.shape[0]), np.arange(C.shape[1])))
+    sp = Euclidean(2)
+    rng = np.random.default_rng(4)
+    xs = rng.normal(size=(2999, 2))
+    ys = rng.normal(size=(2999, 2))
+    cost = _Recording()
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=1)
+    assert est.n_blocks == 2
+    assert [C.shape for C in cost.built] == [(1499, 1499)] * 2
+    assert np.array_equal(cost.built[1], PthPowerDistance(2.0).matrix(sp, xs[1499:2998],
+                                                                      ys[1499:2998]))
+    xs[2998] += 100.0
+    moved = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=1)
+    assert (moved.value, moved.stderr) == (est.value, est.stderr)
 
 
 def test_weights_must_normalize():
