@@ -61,6 +61,8 @@ __all__ = [
     "CHECKS",
     "run_check",
     "run_suite",
+    "REQUIRED_FIELDS",
+    "require_fields",
     "named_field",
     "default_grid",
 ]
@@ -244,9 +246,7 @@ def named_field(space: ModelSpace, name: str):
 def _resolve_field(spec: CheckSpec):
     if callable(spec.f):
         return spec.f, spec.extra.get("grad_f")
-    if isinstance(spec.f, str):
-        return named_field(spec.space, spec.f)
-    raise ValueError(f"check {spec.check_id!r} requires a test function f")
+    return named_field(spec.space, spec.f)
 
 
 def default_grid(space: ModelSpace, n: int) -> np.ndarray:
@@ -288,12 +288,14 @@ def _resolve_grad_norm(spec: CheckSpec, f, grad_f):
 # sampling helpers
 
 
-def _starts(measure: Optional[EmpiricalMeasure], point, n: int, seed: int):
-    """Per-trajectory start points from a Dirac point or an empirical measure."""
-    if measure is None:
-        if point is None:
-            raise ValueError("either a point or a measure is required")
-        return np.asarray(point, dtype=float)
+def _measures(spec: CheckSpec) -> tuple[EmpiricalMeasure, EmpiricalMeasure]:
+    """The start and end measures: mu0 and mu1, or Diracs at x and y."""
+    return (spec.mu0 if spec.mu0 is not None else EmpiricalMeasure.dirac(spec.x),
+            spec.mu1 if spec.mu1 is not None else EmpiricalMeasure.dirac(spec.y))
+
+
+def _starts(measure: EmpiricalMeasure, n: int, seed: int):
+    """Per-trajectory start points from an empirical measure."""
     if measure.size == 1:
         return measure.points[0]
     rng = np.random.default_rng(seed)
@@ -312,8 +314,8 @@ def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
     separate seeds.
     """
     n = spec.n_trajectories
-    xa = _starts(spec.mu0, spec.x, n, spec.seed + 3)
-    xb = _starts(spec.mu1, spec.y, n, spec.seed + 4)
+    mu0, mu1 = _measures(spec)
+    xa, xb = _starts(mu0, n, spec.seed + 3), _starts(mu1, n, spec.seed + 4)
     times = tuple(t for pair in pairs for t in pair)
     cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 1)
     if spec.share_noise:
@@ -326,16 +328,8 @@ def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
 
 
 def _exact_base(spec: CheckSpec, cost) -> float:
-    mu0 = spec.mu0 if spec.mu0 is not None else EmpiricalMeasure.dirac(spec.x)
-    mu1 = spec.mu1 if spec.mu1 is not None else EmpiricalMeasure.dirac(spec.y)
-    value, _ = exact_cost(spec.space, mu0, mu1, cost)
+    value, _ = exact_cost(spec.space, *_measures(spec), cost)
     return value
-
-
-def _require(spec: CheckSpec, *names) -> None:
-    for name in names:
-        if getattr(spec, name) is None:
-            raise ValueError(f"check {spec.check_id!r} requires {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +362,13 @@ def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> Ve
 def check_w2_control(spec: CheckSpec) -> VerificationReport:
     """Space-time Wasserstein control:
     W_p(P_s mu0, P_t mu1)^beta <= A(s,t)^beta W_p(mu0, mu1)^beta + J([s,t])^beta."""
-    _require(spec, "s", "t")
-    if not 0 <= spec.s < spec.t:
-        raise ValueError("need 0 <= s < t")
     cd = spec.resolved_cd()
     p, beta = spec.exponents.p, spec.exponents.beta
+    A = coeff_A(cd, spec.s, spec.t)  # raises before any walk unless 0 <= s < t, N < inf
+    J = j_measure(cd, spec.s, spec.t)
 
     def rhs(base):
         W0 = base ** (1.0 / p)
-        A = coeff_A(cd, spec.s, spec.t)
-        J = j_measure(cd, spec.s, spec.t)
         return A**beta * W0**beta + J**beta, dict(coeff_A=A, j_mass=J, W0=W0)
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
@@ -386,7 +377,6 @@ def check_w2_control(spec: CheckSpec) -> VerificationReport:
 
 def check_swc(spec: CheckSpec) -> VerificationReport:
     """Comparison-function control of W2 at two times."""
-    _require(spec, "s", "t")
     if not 0 <= spec.s <= spec.t:
         raise ValueError("need 0 <= s <= t")
     cd = spec.resolved_cd()
@@ -412,18 +402,15 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
 
 def check_wp(spec: CheckSpec) -> VerificationReport:
     """L^p control: W_p(P_s mu0, P_t mu1)^2 against the (K, N+p-2) coefficients."""
-    _require(spec, "s", "t")
     if spec.exponents.p < 2:
         raise ValueError("the L^p control requires p >= 2")
-    if not 0 <= spec.s < spec.t:
-        raise ValueError("need 0 <= s < t")
     p = spec.exponents.p
     cdp = spec.resolved_cd().shifted(p)
+    A = coeff_A(cdp, spec.s, spec.t)  # raises before any walk unless 0 <= s < t, N < inf
+    J = j_measure(cdp, spec.s, spec.t)
 
     def rhs(base):
         W0 = base ** (1.0 / p)
-        A = coeff_A(cdp, spec.s, spec.t)
-        J = j_measure(cdp, spec.s, spec.t)
         return A**2 * W0**2 + J**2, dict(coeff_A=A, j_mass=J, W0=W0)
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
@@ -432,15 +419,14 @@ def check_wp(spec: CheckSpec) -> VerificationReport:
 
 def check_lp2(spec: CheckSpec) -> VerificationReport:
     """Transport-cost contraction for the comparison cost s_{K*}(d/2)^p."""
-    _require(spec, "tau1", "tau2")
     p = spec.exponents.p
     if p < 2:
         raise ValueError("requires p >= 2")
     cd = spec.resolved_cd()
+    theta = theta_exponent(spec.tau1, spec.tau2, cd, p)  # raises before any walk
+    coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
 
     def rhs(base):
-        theta = theta_exponent(spec.tau1, spec.tau2, cd, p)
-        coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
         value = math.exp(-theta) * base ** (2.0 / p) + (cd.N + p - 2.0) * coef * (
             math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
         return value, dict(theta=theta, base_cost=base)
@@ -456,11 +442,18 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     The coupled walk realizes an admissible coupling, so the empirical
     moment dominates W_p^2 and the check is on the stronger quantity.
     """
-    _require(spec, "x", "y", "tau1", "tau2")
     p = spec.exponents.p
     if p < 2:
         raise ValueError("requires p >= 2")
     cd = spec.resolved_cd()
+    if not cd.finite:
+        raise ValueError("requires finite N")
+    ts = tau_star(spec.tau1, spec.tau2, cd.K)
+    d0 = float(spec.space.distance(np.asarray(spec.x, float), np.asarray(spec.y, float)))
+    arg = 2.0 * cd.K * ts
+    coef = -math.expm1(-arg) / (cd.K * ts) if abs(arg) > 1e-12 else 2.0
+    rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * coef * (
+        math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
     cfg = WalkConfig(k=spec.k, n_trajectories=spec.n_trajectories, seed=spec.seed + 1)
     path = run_coupled(spec.space, spec.x, spec.y, spec.tau1, spec.tau2, cfg)
     vals = path.terminal_distances**p
@@ -468,14 +461,6 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     lhs = mean ** (2.0 / p)
     se_lhs = (2.0 / p) * mean ** (2.0 / p - 1.0) * se if mean > 0 else se
-    ts = tau_star(spec.tau1, spec.tau2, cd.K)
-    d0 = float(spec.space.distance(np.asarray(spec.x, float), np.asarray(spec.y, float)))
-    arg = 2.0 * cd.K * ts
-    coef = -math.expm1(-arg) / (cd.K * ts) if abs(arg) > 1e-12 else 2.0
-    if not cd.finite:
-        raise ValueError("requires finite N")
-    rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * coef * (
-        math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
     return _base_report(spec, lhs, rhs, se_lhs, 0.0,
                         tau_star=ts, d0=d0, near_cut_events=path.near_cut_events)
 
@@ -490,7 +475,6 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     exact geodesic equation theta'' = -(K w^2 / 2N) s_{K/N}(2 theta)
     at h in {1e-2, 1e-3}.
     """
-    _require(spec, "t")
     u = spec.t
     du = spec.extra.get("du", 1e-2)
     lam = spec.lam
@@ -499,16 +483,7 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     kap = cd.kappa
 
-    # one walk for both u: the difference quotient uses common noise
-    u1 = u + du
-    g0, g1 = _sampled_estimates(spec, ((u / lam, u * lam), (u1 / lam, u1 * lam)),
-                                PthPowerDistance(2.0), _swc_transform(kap))
-    deriv = (g1.value - g0.value) / du
-    se_deriv = math.hypot(g0.stderr, g1.stderr) / du
-    rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
-    se_rhs = abs(cd.K) * (lam + 1.0 / lam) * g0.stderr
-
-    # ODE residual of the linearized time change
+    # ODE residual of the linearized time change, before any walk (raises for N = inf)
     w = _exact_base(spec, PthPowerDistance(2.0)) ** 0.5
     residuals = {}
     for h in (1e-2, 1e-3):
@@ -521,6 +496,15 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
         ode_rhs = -(cd.K * w**2 / (2.0 * cd.N)) * comp_s(kap, 2 * th)
         residuals[h] = float(np.max(np.abs(d2 - ode_rhs)))
     ratio = residuals[1e-2] / residuals[1e-3] if residuals[1e-3] > 0 else math.inf
+
+    # one walk for both u: the difference quotient uses common noise
+    u1 = u + du
+    g0, g1 = _sampled_estimates(spec, ((u / lam, u * lam), (u1 / lam, u1 * lam)),
+                                PthPowerDistance(2.0), _swc_transform(kap))
+    deriv = (g1.value - g0.value) / du
+    se_deriv = math.hypot(g0.stderr, g1.stderr) / du
+    rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
+    se_rhs = abs(cd.K) * (lam + 1.0 / lam) * g0.stderr
     return _base_report(spec, deriv, rhs, se_deriv, se_rhs,
                         u=u, du=du, lam=lam, w=w,
                         theta_ode_residuals=residuals, theta_ode_ratio=ratio)
@@ -543,7 +527,6 @@ def _bl_rhs_coef(cd: CurvatureDimension, p: float, t: float) -> float:
 def check_bl(spec: CheckSpec) -> VerificationReport:
     """Pointwise gradient estimate on a deterministic backend:
     |grad P_t f|^2 <= e^{-2Kt} P_t(|grad f|^{p*})^{2/p*} - coef * (L P_t f)^2."""
-    _require(spec, "t")
     cd = spec.resolved_cd()
     ex = spec.exponents
     pstar = ex.p_star
@@ -575,7 +558,6 @@ def check_bl(spec: CheckSpec) -> VerificationReport:
 def check_bl_int(spec: CheckSpec) -> VerificationReport:
     """Integrated gradient estimate along a geodesic:
     |P_t f(gamma(1)) - P_s f(gamma(0))| bounded by the mixed space-time integral."""
-    _require(spec, "x", "y", "s", "t")
     if not 0 < spec.s <= spec.t:
         raise ValueError("need 0 < s <= t")
     cd = spec.resolved_cd()
@@ -689,7 +671,6 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
 
 def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
     """Generator of the distance function against N / t_{K/N}(d)."""
-    _require(spec, "x", "y")
     cd = spec.resolved_cd()
     space = spec.space
     x = np.asarray(spec.x, float)
@@ -731,7 +712,6 @@ def _sectional(space: ModelSpace) -> float:
 def check_mono_app(spec: CheckSpec) -> VerificationReport:
     """Monotonicity under the semigroup:
     P_t((g + delta)^r)^{1/r} - delta >= P_t(g^r)^{1/r} for r in (0,1), g >= 0."""
-    _require(spec, "t")
     backend = default_backend(spec.space, spec.backend_modes)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
@@ -783,10 +763,33 @@ CHECKS: dict[str, Callable[[CheckSpec], VerificationReport]] = {
     "mono_app": check_mono_app,
 }
 
+#: the CheckSpec fields each check cannot run without; "x|mu0" is met by
+#: either field, as a transport check starts from a point or a measure
+REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(("w2_control", "swc", "wp"), ("x|mu0", "y|mu1", "s", "t")),
+    "lp2": ("x|mu0", "y|mu1", "tau1", "tau2"),
+    "wvar_ode": ("x|mu0", "y|mu1", "t"),
+    "prectl": ("x", "y", "tau1", "tau2"),
+    **dict.fromkeys(("bl0", "blp"), ("t", "f")),
+    "bl_int": ("x", "y", "s", "t", "f"),
+    "gamma2": ("f",),
+    "laplacian_comparison": ("x", "y"),
+    "mono_app": ("t",),
+}
+
+
+def require_fields(spec: CheckSpec) -> None:
+    """Raise a ValueError naming each unset field that the spec's check requires."""
+    missing = [need.replace("|", " or ") for need in REQUIRED_FIELDS[spec.check_id]
+               if all(getattr(spec, name) is None for name in need.split("|"))]
+    if missing:
+        raise ValueError(f"check {spec.check_id!r} requires {', '.join(missing)}")
+
 
 def run_check(spec: CheckSpec) -> VerificationReport:
     if spec.check_id not in CHECKS:
         raise KeyError(f"unknown inequality id {spec.check_id!r}")
+    require_fields(spec)
     return CHECKS[spec.check_id](spec)
 
 

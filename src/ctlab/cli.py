@@ -5,6 +5,10 @@ simulate (dump coupled-walk trajectories), wasserstein (exact transport
 between point-cloud CSVs), hopflax (inf-convolution on a grid) and
 report (re-validate and summarize an emitted JSON report).
 
+A suite's check keys and their JSON types come from CheckSpec (SUITE_KEYS),
+and each check's required fields from checks.REQUIRED_FIELDS; verify exits 2
+on any other key, a value of the wrong type or a missing field before any check runs.
+
 Exit codes: 0 all pass, 1 any fail (or check error), 2 configuration or
 input error, 3 inconclusive results without any failure.  The log level
 comes from the CTL_LOG_LEVEL environment variable.
@@ -19,11 +23,12 @@ import logging
 import math
 import os
 import sys
+import typing
 from importlib import resources
 
 import numpy as np
 
-from .checks import CHECKS, CheckSpec, VerificationReport, run_suite
+from .checks import CHECKS, CheckSpec, VerificationReport, require_fields, run_suite
 from .comparison import CurvatureDimension, ExponentPair
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 from .hopflax import FiniteMetricSpace, hopf_lax
@@ -52,6 +57,35 @@ class ConfigError(ValueError):
 # config parsing
 
 
+#: the JSON value each suite type takes
+_JSON_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", dict: "an object", np.ndarray: "a list of numbers"}
+
+
+def _typed(value, typ, label: str):
+    """value as the suite type typ: a float from any JSON number, an int
+    from an integral one, an array from a list of numbers, and a bool, str
+    or dict from itself; a ConfigError naming label for any other value."""
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if typ is np.ndarray:
+        ok = isinstance(value, list) and all(map(number, value))
+    elif typ in (int, float):
+        ok = number(value) and (typ is float or isinstance(value, int) or value.is_integer())
+    else:
+        ok = isinstance(value, typ)
+    if not ok:
+        raise ConfigError(f"{label} must be {_JSON_NAMES[typ]}, got {value!r}")
+    return np.asarray(value, dtype=float) if typ is np.ndarray else typ(value)
+
+
+def _config(label: str, fn, *args):
+    """fn(*args), with a ValueError raised as a ConfigError naming label."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
 #: each space kind: its class and the one geometry key it takes (with
 #: that key's default); besides "kind" and "dim", any other key is an error
 _SPACES = {
@@ -72,68 +106,52 @@ def build_space(obj) -> ModelSpace:
     extra = set(obj) - {"kind", "dim", key}
     if extra:
         raise ConfigError(f"keys not taken by a {kind} space: {sorted(extra)}")
-    dim = int(obj.get("dim", 2))
-    if key is None:
-        return cls(dim)
-    return cls(dim, float(obj.get(key, default)))
+    args = [_typed(obj.get("dim", 2), int, f"{kind} space 'dim'")]
+    if key is not None:
+        args.append(_typed(obj.get(key, default), float, f"{kind} space {key!r}"))
+    return _config(f"{kind} space", cls, *args)
 
 
-_CHECK_KEYS = {
-    "id", "space", "K", "N", "k_prime_factor", "p", "beta", "x", "y",
-    "s", "t", "tau1", "tau2", "n_trajectories", "k", "seed", "block_size",
-    "f", "lam", "backend_modes", "grid_n", "h", "dt", "delta", "z", "eps",
-    "share_noise", "extra",
-}
+#: suite keys that are not CheckSpec fields of the same name, with their type
+_DERIVED_KEYS = {"id": str, "space": dict, "K": float, "N": float,
+                 "k_prime_factor": float, "p": float, "beta": float}
+#: CheckSpec fields a suite does not set by name
+_LIBRARY_ONLY = {"check_id", "space", "cd", "exponents", "mu0", "mu1"}
+#: every key a suite check may hold, with its type.  A field's type is its
+#: annotation, with Optional[X] read as X and a callable-or-name as the name.
+SUITE_KEYS = {**_DERIVED_KEYS, **{
+    name: next(t for t in typing.get_args(hint) or (hint,) if t in _JSON_NAMES)
+    for name, hint in typing.get_type_hints(CheckSpec).items() if name not in _LIBRARY_ONLY}}
 
 
 def build_check(obj, global_seed: int, index: int) -> CheckSpec:
+    """One suite entry as a CheckSpec, or a ConfigError naming what is wrong."""
     if not isinstance(obj, dict):
         raise ConfigError("each check must be an object")
-    if "id" not in obj:
-        raise ConfigError("check is missing 'id'")
-    if obj["id"] not in CHECKS:
-        raise ConfigError(f"unknown inequality id {obj['id']!r}")
-    unknown = set(obj) - _CHECK_KEYS
+    label = f"check {index} ({obj.get('id')!r})"
+    unknown = set(obj) - set(SUITE_KEYS)
     if unknown:
-        raise ConfigError(f"unknown keys in check {obj['id']!r}: {sorted(unknown)}")
-    if "space" not in obj:
-        raise ConfigError(f"check {obj['id']!r} is missing 'space'")
-    space = build_space(obj["space"])
-
+        raise ConfigError(f"unknown keys in {label}: {sorted(unknown)}")
+    missing = {"id", "space"} - set(obj)
+    if missing:
+        raise ConfigError(f"{label} is missing {sorted(missing)}")
+    given = {key: _typed(value, SUITE_KEYS[key], f"{label} {key!r}")
+             for key, value in obj.items()}
+    check_id = given.pop("id")
+    if check_id not in CHECKS:
+        raise ConfigError(f"unknown inequality id {check_id!r}")
+    space = build_space(given.pop("space"))
     cd = None
-    native = space.cd
-    if "K" in obj or "N" in obj:
-        cd = CurvatureDimension(float(obj.get("K", native.K)),
-                                float(obj.get("N", native.N)))
-    if "k_prime_factor" in obj:
-        base = cd if cd is not None else native
-        cd = CurvatureDimension(base.K * float(obj["k_prime_factor"]), base.N)
-
-    p = float(obj.get("p", 2.0))
-    beta = float(obj.get("beta", min(2.0, p)))
-    kwargs = {}
-    for key in ("s", "t", "tau1", "tau2", "lam", "block_size", "h", "dt",
-                "delta", "z", "eps", "backend_modes", "grid_n",
-                "n_trajectories", "k"):
-        if key in obj:
-            cast = int if key in ("block_size", "backend_modes", "grid_n",
-                                  "n_trajectories", "k") else float
-            kwargs[key] = cast(obj[key])
-    if "x" in obj:
-        kwargs["x"] = np.asarray(obj["x"], dtype=float)
-    if "y" in obj:
-        kwargs["y"] = np.asarray(obj["y"], dtype=float)
-    if "f" in obj:
-        kwargs["f"] = obj["f"]
-    if "share_noise" in obj:
-        kwargs["share_noise"] = bool(obj["share_noise"])
-    if "extra" in obj:
-        if not isinstance(obj["extra"], dict):
-            raise ConfigError("'extra' must be an object")
-        kwargs["extra"] = obj["extra"]
-    seed = int(obj.get("seed", global_seed + index))
-    return CheckSpec(check_id=obj["id"], space=space, cd=cd,
-                     exponents=ExponentPair(p, beta), seed=seed, **kwargs)
+    if given.keys() & {"K", "N", "k_prime_factor"}:
+        native = space.cd
+        K = given.pop("K", native.K) * given.pop("k_prime_factor", 1.0)
+        cd = _config(f"{label} 'N'", CurvatureDimension, K, given.pop("N", native.N))
+    p = given.pop("p", 2.0)
+    exponents = _config(f"{label} 'p', 'beta'", ExponentPair, p, given.pop("beta", min(2.0, p)))
+    given.setdefault("seed", global_seed + index)
+    spec = CheckSpec(check_id=check_id, space=space, cd=cd, exponents=exponents, **given)
+    _config(f"check {index}", require_fields, spec)
+    return spec
 
 
 def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
@@ -147,7 +165,7 @@ def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
     unknown = set(doc) - {"schema", "seed", "checks"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    seed = int(doc.get("seed", 0)) if seed_override is None else seed_override
+    seed = _typed(doc.get("seed", 0), int, "'seed'") if seed_override is None else seed_override
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("'checks' must be a list")

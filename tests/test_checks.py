@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ctlab.checks
 from ctlab.checks import (
     CheckSpec,
     DiameterError,
@@ -253,6 +254,31 @@ def test_two_sided_samples_seeds(share):
         want_b = run_single(S2, y, tb, WalkConfig(k=4, n_trajectories=30, seed=seed_b))
         assert np.array_equal(xs, want_a.terminal)
         assert np.array_equal(ys, want_b.terminal)
+
+
+@pytest.mark.parametrize("check_id,params", [
+    ("prectl", dict(tau1=0.2, tau2=0.4)),
+    ("w2_control", dict(s=0.25, t=1.0)),
+    ("wp", dict(s=0.25, t=1.0, exponents=ExponentPair(3.0, 2.0))),
+    ("wvar_ode", dict(t=0.3)),
+])
+def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
+    monkeypatch.setattr(ctlab.checks, "run_coupled", no_walk)
+    spec = CheckSpec(check_id=check_id, space=EuclideanOU(1, 1.0), x=np.zeros(1),
+                     y=np.ones(1), n_trajectories=2000, k=30, **params)
+    with pytest.raises(ValueError, match="finite N"):
+        run_check(spec)
+
+
+def test_missing_required_fields_are_named_before_the_check_runs():
+    with pytest.raises(ValueError, match=r"requires x or mu0, t$"):
+        run_check(CheckSpec(check_id="w2_control", space=S2, y=NORTH, s=0.1))
+    with pytest.raises(ValueError, match=r"requires f$"):
+        run_check(CheckSpec(check_id="bl0", space=S2, t=0.5))
 
 
 def test_unknown_check_id_rejected():

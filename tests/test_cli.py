@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import ctlab.checks
+from ctlab.checks import CHECKS, REQUIRED_FIELDS, require_fields
 from ctlab.cli import (
     ConfigError,
     build_check,
@@ -115,6 +119,65 @@ def test_bundled_configs_parse():
     for name in ("acceptance.json", "deterministic.json", "negative_control.json"):
         specs = load_suite(bundled_config(name))
         assert specs
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_bundled_and_benchmark_suites_load_with_every_required_field(tmp_path):
+    assert set(REQUIRED_FIELDS) == set(CHECKS)
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    paths = [bundled_config(n) for n in ("acceptance.json", "deterministic.json",
+                                         "negative_control.json")]
+    for name in names:
+        for seed in (1, 2, 3):
+            doc = workloads.generate(name, seed, str(ROOT / "src"))
+            paths.append(write_json(tmp_path / f"{name}-{seed}.json", doc))
+    for path in paths:
+        specs = load_suite(path)
+        assert len(specs) == len(json.loads(pathlib.Path(path).read_text())["checks"])
+        for check in specs:
+            require_fields(check)
+
+
+_W2 = {"id": "w2_control", "space": {"kind": "sphere", "dim": 2},
+       "x": [0.0, 0.0, 1.0], "y": [1.0, 0.0, 0.0], "s": 0.1, "t": 0.4}
+_DROP = object()
+
+
+@pytest.mark.parametrize("change,top,named", [
+    ({"s": None}, {}, "'s'"),
+    ({"s": "abc"}, {}, "'s'"),
+    ({"p": 0.5}, {}, "'p'"),
+    ({"N": -1}, {}, "'N'"),
+    ({"space": {"kind": "sphere", "dim": 2, "radius": -1}}, {}, "radius"),
+    ({"space": {"kind": "sphere", "dim": 2.5}}, {}, "'dim'"),
+    ({"share_noise": "false"}, {}, "'share_noise'"),
+    ({"k": 2.7}, {}, "'k'"),
+    ({"n_trajectories": 99.9}, {}, "'n_trajectories'"),
+    ({"seed": 1.5}, {}, "'seed'"),
+    ({"f": 3}, {}, "'f'"),
+    ({"x": [0.0, "a", 1.0]}, {}, "'x'"),
+    ({"extra": [1]}, {}, "'extra'"),
+    ({}, {"seed": 1.5}, "'seed'"),
+    ({"t": _DROP}, {}, "requires t"),
+    ({"x": _DROP}, {}, "requires x or mu0"),
+])
+def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch,
+                                                    change, top, named):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran")
+
+    monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
+    monkeypatch.setattr(ctlab.checks, "run_coupled", no_walk)
+    check = {k: v for k, v in {**_W2, **change}.items() if v is not _DROP}
+    cfg = write_json(tmp_path / "bad.json", {"schema": "ctl-suite/1", "checks": [check], **top})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_simulate_deterministic_and_shape(tmp_path):
