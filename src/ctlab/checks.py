@@ -191,11 +191,18 @@ def _spec_fields(spec: CheckSpec) -> dict:
 
 
 def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> VerificationReport:
+    """The check's report; a NaN margin or sigma makes it an error row,
+    since no verdict can be read from it."""
     rep = VerificationReport(
         lhs=float(lhs), rhs=float(rhs),
         stderr_lhs=float(se_lhs), stderr_rhs=float(se_rhs), verdict="",
         metadata=dict(meta, k=spec.k, n_trajectories=spec.n_trajectories),
         **_spec_fields(spec))
+    nan = [f"{name} is nan" for name, v in (("margin", rep.margin), ("sigma", rep.sigma))
+           if math.isnan(v)]
+    if nan:
+        rep.error = (f"{', '.join(nan)} (lhs={rep.lhs!r}, rhs={rep.rhs!r}, "
+                     f"stderr_lhs={rep.stderr_lhs!r}, stderr_rhs={rep.stderr_rhs!r})")
     rep.verdict = rep.recompute_verdict()
     return rep
 
@@ -423,6 +430,8 @@ def check_lp2(spec: CheckSpec) -> VerificationReport:
     if p < 2:
         raise ValueError("requires p >= 2")
     cd = spec.resolved_cd()
+    if not cd.finite:
+        raise ValueError("requires finite N")
     theta = theta_exponent(spec.tau1, spec.tau2, cd, p)  # raises before any walk
     coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
 

@@ -116,7 +116,14 @@ class CouplingMatrix:
 
 
 class CostSpec:
-    """Ground cost c(x, y) built from the geodesic distance."""
+    """Ground cost c(x, y) built from the geodesic distance.
+
+    matrix(space, xs, ys) is entrywise: entry (i, j) depends on the pair
+    (xs[i], ys[j]) alone, reduced only over the embedding axis, so any
+    row and column selection of a built matrix equals, bit for bit, the
+    matrix of the selected points.  block_cost_estimate's bootstrap
+    relies on this; a subclass must keep it.
+    """
 
     p: float
 
@@ -378,7 +385,11 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     matched pair costs (delta method through the transform); with few
     blocks the between-block spread alone can badly understate the
     noise.  Smaller inputs form a single block of all n points and fall
-    back to bootstrap resampling of the points themselves.
+    back to bootstrap resampling of the points themselves: each
+    resample's cost matrix is gathered from the full-sample matrix,
+    which is built once, and its assignment is solved again.  Since
+    CostSpec.matrix is entrywise, a gathered matrix is bit for bit the
+    one a rebuild from the resampled points would give.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -397,7 +408,7 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
         for b in range(n_boot):
             ii = rng.integers(0, n, size=n)
             jj = rng.integers(0, n, size=n)
-            Cb = cost.matrix(space, xs[ii], ys[jj])
+            Cb = C[np.ix_(ii, jj)]
             rr, cc = linear_sum_assignment(Cb)
             boots[b] = tf(float(Cb[rr, cc].mean()))
         return BlockEstimate(value=value, stderr=float(np.std(boots, ddof=1)),

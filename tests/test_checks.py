@@ -16,7 +16,7 @@ from ctlab.checks import (
 )
 from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
-from ctlab.transport import EmpiricalMeasure
+from ctlab.transport import BlockEstimate, EmpiricalMeasure
 from ctlab.walk import WalkConfig, run_single
 
 S2 = Sphere(2)
@@ -261,6 +261,8 @@ def test_two_sided_samples_seeds(share):
     ("w2_control", dict(s=0.25, t=1.0)),
     ("wp", dict(s=0.25, t=1.0, exponents=ExponentPair(3.0, 2.0))),
     ("wvar_ode", dict(t=0.3)),
+    ("lp2", dict(tau1=0.2, tau2=0.4)),
+    ("lp2", dict(tau1=0.3, tau2=0.3)),
 ])
 def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
     def no_walk(*args, **kwargs):
@@ -272,6 +274,25 @@ def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
                      y=np.ones(1), n_trajectories=2000, k=30, **params)
     with pytest.raises(ValueError, match="finite N"):
         run_check(spec)
+
+
+@pytest.mark.parametrize("value,stderr,named", [
+    (math.nan, 0.1, "margin is nan"),
+    (1.0, math.nan, "sigma is nan"),
+    (math.nan, math.nan, "margin is nan, sigma is nan"),
+])
+def test_nan_margin_or_sigma_is_an_error_row(monkeypatch, value, stderr, named):
+    # every comparison in the verdict rule is false for NaN, so none can be read from it
+    monkeypatch.setattr(ctlab.checks, "block_cost_estimate",
+                        lambda *a, **kw: BlockEstimate(value, stderr, np.array([value])))
+    spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=NORTH, s=0.25, t=1.0,
+                     n_trajectories=20, k=2)
+    rep = run_check(spec)
+    assert rep.verdict == "error"
+    assert rep.error.startswith(named + " (")
+    assert rep.recompute_verdict() == "error"
+    (row,) = run_suite([spec])
+    assert (row.verdict, row.error) == ("error", rep.error)
 
 
 def test_missing_required_fields_are_named_before_the_check_runs():

@@ -1,7 +1,8 @@
 """Bitwise regression guard for the Monte Carlo checks.
 
 tests/data/golden_margins.json pins float.hex of the margin and sigma of
-a tiny Monte Carlo suite (n = 64, k = 3).  A change that is meant to
+a tiny Monte Carlo suite (n = 64 in two blocks, and n = 48 in one
+bootstrapped block; k = 3).  A change that is meant to
 leave every output unchanged (a faster walk, a refactor) must reproduce
 these bits; a change that is meant to move them must re-record the file
 and say why.  The values depend on the numpy and scipy builds, so the
@@ -43,8 +44,17 @@ _PARAMS = {
 }
 
 
+_SINGLE_BLOCK = {
+    "S2": ("w2_control", dict(s=0.25, t=1.0)),
+    "H2": ("lp2", dict(tau1=0.2, tau2=0.4)),
+    "E2": ("wp", dict(s=0.25, t=1.0, exponents=ExponentPair(3.0, 2.0))),
+}
+
+
 def cases():
-    """(name, spec) for every pinned check: n = 64, k = 3, two 32-point blocks."""
+    """(name, spec) for every pinned check: n = 64, k = 3, two 32-point
+    blocks; and n = 48, k = 3 in one block, whose error bar comes from
+    the bootstrap over resampled points."""
     out = []
     for label, (space, x, y) in _pairs().items():
         for i, (check, params) in enumerate(_PARAMS.items()):
@@ -55,6 +65,11 @@ def cases():
     out.append(("w2_control_separate_noise/S2", CheckSpec(
         check_id="w2_control", space=space, x=x, y=y, s=0.25, t=1.0, n_trajectories=64,
         k=3, block_size=32, seed=100, share_noise=False)))
+    for i, (label, (check, params)) in enumerate(_SINGLE_BLOCK.items()):
+        space, x, y = _pairs()[label]
+        out.append((f"{check}_single_block/{label}", CheckSpec(
+            check_id=check, space=space, x=x, y=y, n_trajectories=48, k=3,
+            block_size=1000, seed=200 + i, **params)))
     return out
 
 

@@ -385,6 +385,81 @@ def test_block_layout_uses_equal_blocks_and_drops_the_remainder(monkeypatch):
     assert (moved.value, moved.stderr) == (est.value, est.stderr)
 
 
+# ---------------------------------------------------------------------------
+# single-block bootstrap
+
+
+def _single_block_reference(space, xs, ys, cost, transform, n_boot, seed):
+    """The single-block estimate with each resample's matrix rebuilt from
+    the resampled points."""
+    tf = transform or (lambda v: v)
+    n = xs.shape[0]
+    rng = np.random.default_rng(seed)
+    C = cost.matrix(space, xs, ys)
+    rows, cols = scipy_assignment(C)
+    value = tf(float(C[rows, cols].mean()))
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        ii = rng.integers(0, n, size=n)
+        jj = rng.integers(0, n, size=n)
+        Cb = cost.matrix(space, xs[ii], ys[jj])
+        rr, cc = scipy_assignment(Cb)
+        boots[b] = tf(float(Cb[rr, cc].mean()))
+    return value, float(np.std(boots, ddof=1)), np.array([value])
+
+
+_COSTS = {
+    "p2": lambda space: PthPowerDistance(2.0),
+    "p3": lambda space: PthPowerDistance(3.0),
+    # s_{K*} at the space's own sectional curvature
+    "comparison": lambda space: ComparisonCost(
+        2.0, kstar={"sphere": 1.0, "hyperbolic": -1.0}.get(space.kind, 0.0)),
+}
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2)],
+                         ids=["S2", "H2", "E2"])
+@pytest.mark.parametrize("cost_name", list(_COSTS))
+@pytest.mark.parametrize("transform", [None, lambda c: c ** 0.75], ids=["plain", "power"])
+@pytest.mark.parametrize("n", [7, 48, 199])
+def test_single_block_bootstrap_matches_rebuilt_reference(space, cost_name, transform, n):
+    cost = _COSTS[cost_name](space)
+    rng = np.random.default_rng(n)
+    xs, ys = _cloud(space, n, rng), _cloud(space, n, rng)
+    est = block_cost_estimate(space, xs, ys, cost, transform, block_size=1000,
+                              n_boot=40, seed=11)
+    value, stderr, vals = _single_block_reference(space, xs, ys, cost, transform, 40, 11)
+    assert est.n_blocks == 1
+    assert est.value.hex() == value.hex()
+    assert est.stderr.hex() == stderr.hex()
+    assert est.block_values.tobytes() == vals.tobytes()
+
+
+def test_single_block_builds_one_cost_matrix():
+    sp = Sphere(2)
+    rng = np.random.default_rng(12)
+    xs, ys = _cloud(sp, 48, rng), _cloud(sp, 48, rng)
+    cost = _Recording()
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=50, seed=3)
+    assert est.n_blocks == 1 and est.stderr > 0
+    assert [C.shape for C in cost.built] == [(48, 48)]
+
+
+def test_single_block_out_of_domain_comparison_cost_raises_as_before():
+    # pairs more than 2 pi / sqrt(K*) apart leave the domain of s_{K*}(d / 2)
+    sp = Euclidean(2)
+    rng = np.random.default_rng(13)
+    xs, ys = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+    xs[5] += 20.0
+    cost = ComparisonCost(2.0, kstar=1.0)
+    with pytest.raises(ValueError) as gathered:
+        block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=4)
+    with pytest.raises(ValueError) as rebuilt:
+        _single_block_reference(sp, xs, ys, cost, None, 20, 4)
+    assert str(gathered.value) == str(rebuilt.value)
+    assert "exceeds pi/sqrt(kappa)" in str(gathered.value)
+
+
 def test_weights_must_normalize():
     with pytest.raises(ValueError):
         EmpiricalMeasure(points=[[0.0], [1.0]], weights=[0.5, 0.6])
