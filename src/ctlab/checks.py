@@ -37,7 +37,7 @@ from .comparison import (
     tau_star,
     theta_exponent,
 )
-from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
+from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
 from .heat import (
     HeatBackend,
     default_backend,
@@ -183,7 +183,7 @@ def _spec_fields(spec: CheckSpec) -> dict:
         cd = None
     opt = lambda v: math.nan if v is None else v
     return dict(
-        check_id=spec.check_id, space=_space_label(spec.space),
+        check_id=spec.check_id, space=spec.space.label,
         K=cd.K if cd else math.nan, N=cd.N if cd else math.nan,
         p=spec.exponents.p, beta=spec.exponents.beta,
         s=opt(spec.s), t=opt(spec.t), tau1=opt(spec.tau1), tau2=opt(spec.tau2),
@@ -205,16 +205,6 @@ def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> Verificat
                      f"stderr_lhs={rep.stderr_lhs!r}, stderr_rhs={rep.stderr_rhs!r})")
     rep.verdict = rep.recompute_verdict()
     return rep
-
-
-def _space_label(space: ModelSpace) -> str:
-    if isinstance(space, Sphere):
-        return f"sphere{space.dim}(r={space.radius:g})"
-    if isinstance(space, EuclideanOU):
-        return f"euclidean_ou{space.dim}(lam={space.lam:g})"
-    if isinstance(space, Hyperbolic):
-        return f"hyperbolic{space.dim}(c={space.curvature:g})"
-    return f"{space.kind}{space.dim}"
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +237,7 @@ def named_field(space: ModelSpace, name: str):
             return (lambda p: p[..., 0] ** 2, lambda p: 2 * np.abs(p[..., 0]))
         if name == "gaussian_bump":
             return (lambda p: np.exp(-0.5 * np.sum(p**2, axis=-1)), None)
-    raise KeyError(f"no field named {name!r} on {_space_label(space)}")
+    raise KeyError(f"no field named {name!r} on {space.label}")
 
 
 def _resolve_field(spec: CheckSpec):
@@ -270,7 +260,7 @@ def default_grid(space: ModelSpace, n: int) -> np.ndarray:
         out = np.zeros((n, space.dim))
         out[:, 0] = xs
         return out
-    raise ValueError(f"no default grid for {_space_label(space)}")
+    raise ValueError(f"no default grid for {space.label}")
 
 
 def _resolve_grad_norm(spec: CheckSpec, f, grad_f):
@@ -706,16 +696,9 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
     if not cd.finite:
         raise ValueError("comparison requires finite N")
     rhs = cd.N / float(comp_t(cd.kappa, d))
-    closed = (space.dim - 1) / float(comp_t(_sectional(space), d)) if space.dim > 1 else 0.0
+    closed = ((space.dim - 1) / float(comp_t(space.sectional_curvature, d))
+              if space.dim > 1 else 0.0)
     return _base_report(spec, lhs, rhs, 0.0, 0.0, distance=d, closed_form_lhs=closed)
-
-
-def _sectional(space: ModelSpace) -> float:
-    if isinstance(space, Sphere):
-        return 1.0 / space.radius**2
-    if isinstance(space, Hyperbolic):
-        return space.curvature
-    return 0.0
 
 
 def check_mono_app(spec: CheckSpec) -> VerificationReport:

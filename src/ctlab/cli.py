@@ -293,8 +293,14 @@ def cmd_simulate(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"bad geometry arguments: {exc}", file=sys.stderr)
         return 2
-    cfg = WalkConfig(k=args.k, n_trajectories=args.n, seed=args.seed,
-                     retain_every=args.retain_every)
+    try:
+        if args.tau1 < 0 or args.tau2 < 0:
+            raise ValueError("time scales must be nonnegative")
+        cfg = WalkConfig(k=args.k, n_trajectories=args.n, seed=args.seed,
+                         retain_every=args.retain_every)
+    except ValueError as exc:
+        print(f"bad walk arguments: {exc}", file=sys.stderr)
+        return 2
     path = run_coupled(space, x, y, args.tau1, args.tau2, cfg)
     with open(args.out, "w") as fh:
         write_path_csv(path, space, fh)
@@ -337,12 +343,12 @@ def cmd_hopflax(args) -> int:
     try:
         kind, _, n_str = args.grid.partition(":")
         n = int(n_str)
-        if kind == "circle":
-            grid = FiniteMetricSpace.circle_grid(n, args.length or 2 * math.pi)
-        elif kind == "interval":
-            grid = FiniteMetricSpace.interval_grid(n, args.length or 1.0)
-        else:
+        build = {"circle": FiniteMetricSpace.circle_grid,
+                 "interval": FiniteMetricSpace.interval_grid}.get(kind)
+        if build is None:
             raise ConfigError(f"unknown grid kind {kind!r} (use circle:N or interval:N)")
+        # a given length is passed on, zero included, for the grid to reject
+        grid = build(n) if args.length is None else build(n, args.length)
         coords = grid.coords[:, 0]
         fields = {
             "sin": np.sin(coords),

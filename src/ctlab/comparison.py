@@ -276,18 +276,6 @@ def _j_series(K: float, N: float, s: float, t: float) -> float:
     )
 
 
-def _g_series(K: float, N: float, s: float, t: float) -> float:
-    # same for the e^{Kr}-weighted integral: expansion of e^{w/2} sqrt(w/(e^w-1))
-    d = lambda q: t**q - s**q
-    return math.sqrt(2.0 * N) * (
-        d(0.5)
-        + K * d(1.5) / 6.0
-        + K**2 * d(2.5) / 120.0
-        - K**3 * d(3.5) / 336.0
-        - K**4 * d(4.5) / 5760.0
-    )
-
-
 def j_measure(cd: CurvatureDimension, s: float, t: float) -> float:
     """Mass J_N([s, t]) of the coefficient measure, by closed form.
 
@@ -324,7 +312,8 @@ def exp_weighted_j(cd: CurvatureDimension, s: float, t: float) -> float:
         raise ValueError("exp_weighted_j requires finite N")
     K, N = cd.K, cd.N
     if abs(K) * t < _J_SERIES_THRESHOLD:
-        return _g_series(K, N, s, t)
+        # e^{Kr} times the J_N density at K is the J_N density at -K
+        return _j_series(-K, N, s, t)
     if K > 0:
         return math.sqrt(N / K) * (
             math.acosh(math.exp(K * t)) - math.acosh(math.exp(K * s))

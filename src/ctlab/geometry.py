@@ -10,6 +10,14 @@ embedding, with any number of leading batch axes:
 * Hyperbolic(m, c):         shape (..., m+1) on the upper hyperboloid
   sheet of Minkowski space, <x, x> = 1/c, x[..., 0] > 0
 
+The sphere and the hyperboloid share one constant-curvature
+implementation of the exp map, parallel transport, the two projections
+and the tangent frame, written once on ModelSpace in terms of each
+model's inner product (Euclidean or Minkowski), scale (rho or R), sign
+of <x, x>, trigonometric pair (cos, sin or cosh, sinh) and frame axes;
+the flat spaces override it.  The log map and the distance stay per
+model: the sphere's carries the antipodal tie-break.
+
 All operations broadcast over batch axes; embedding constraints are
 renormalized after every move so accumulated drift stays below 1e-12.
 """
@@ -41,19 +49,40 @@ class UnsupportedParameterError(ValueError):
 
 
 class ModelSpace(ABC):
-    """A model Riemannian manifold with an optional drift field."""
+    """A model Riemannian manifold with an optional drift field.
+
+    The metric operations written here are the constant-curvature
+    formulas shared by the sphere and the hyperboloid; the flat spaces
+    override them.  A curved model supplies its inner product `_inner`,
+    its scale `_scale` (rho or R), the sign `_sign` of <x, x> =
+    _sign * _scale^2, its trigonometric pair `_trig` (cos, sin or cosh,
+    sinh) and the first embedding axis `_frame_start` of its frame.
+    """
 
     #: intrinsic dimension m
     dim: int
     #: dimension of the embedding coordinates
     emb_dim: int
     kind: str = "abstract"
+    #: the native Ricci lower bound K and the sectional curvature
+    _K: float
+    sectional_curvature: float
+    #: the space's name in reports, formatted with kind and the attributes
+    _label = "{kind}{dim}"
 
     # -- curvature-dimension -------------------------------------------------
 
-    @abstractmethod
+    @property
+    def label(self) -> str:
+        return self._label.format(kind=self.kind, **vars(self))
+
     def curvature_dimension(self, N: float | None = None) -> CurvatureDimension:
-        """The (K, N) bound this space satisfies; N=None picks the native one."""
+        """The (K, N) bound this space satisfies; N=None picks the native N = m."""
+        if N is None:
+            return CurvatureDimension(self._K, float(self.dim))
+        if N < self.dim:
+            raise UnsupportedParameterError(f"N must be >= m = {self.dim}")
+        return CurvatureDimension(self._K, float(N))
 
     @property
     def cd(self) -> CurvatureDimension:
@@ -61,21 +90,47 @@ class ModelSpace(ABC):
 
     # -- metric operations ---------------------------------------------------
 
+    def _norm(self, v):
+        """sqrt(<v, v>) over the last axis, kept as a unit axis."""
+        return np.sqrt(np.maximum(self._inner(v, v), 0.0))[..., None]
+
     @abstractmethod
     def distance(self, x, y):
         ...
 
-    @abstractmethod
     def exp_map(self, x, v):
-        ...
+        x = np.asarray(x, float)
+        v = np.asarray(v, float)
+        nv = self._norm(v)
+        theta = nv / self._scale
+        small = nv < 1e-300
+        unit = np.where(small, 0.0, v / np.where(small, 1.0, nv))
+        cos, sin = self._trig
+        y = cos(theta) * x + self._scale * sin(theta) * unit
+        return self.project_point(y)
 
     @abstractmethod
     def log_map(self, x, y):
         ...
 
-    @abstractmethod
     def parallel_transport(self, x, y, v):
-        ...
+        """Transport along the minimal geodesic: the component of v along
+        the geodesic turns from its direction at x to its direction at y,
+        the rest is carried over unchanged."""
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        v = np.asarray(v, float)
+        u = self.log_map(x, y)
+        d = self._norm(u)
+        tiny = d < 1e-300
+        uhat = np.where(tiny, 0.0, u / np.where(tiny, 1.0, d))
+        w = -self.log_map(y, x)
+        dw = self._norm(w)
+        what = np.where(tiny, 0.0, w / np.where(dw < 1e-300, 1.0, dw))
+        alpha = self._inner(v, uhat)[..., None]
+        out = v - alpha * uhat + alpha * what
+        out = np.where(tiny, v, out)
+        return self.project_tangent(y, out)
 
     def geodesic_point(self, x, y, r: float):
         """The point at parameter r on the minimal geodesic from x to y."""
@@ -91,17 +146,47 @@ class ModelSpace(ABC):
         """The vector field Z of the generator (Laplacian + Z); zero by default."""
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    @abstractmethod
     def frame(self, x):
-        """A deterministic orthonormal tangent frame, shape (..., m, emb)."""
+        """A deterministic orthonormal tangent frame, shape (..., m, emb).
 
-    @abstractmethod
+        Gram-Schmidt on the tangential projections of the embedding axes
+        from `_frame_start` on, skipping an axis that degenerates at the
+        point.  A batch in which only some points degenerate on an axis
+        is framed point by point, so no point's frame depends on the rest
+        of its batch."""
+        x = np.asarray(x, float)
+        batch = x.shape[:-1]
+        vecs = []
+        for j in range(self._frame_start, self.emb_dim):
+            e = np.zeros(self.emb_dim)
+            e[j] = 1.0
+            w = np.broadcast_to(e, batch + (self.emb_dim,)).astype(float).copy()
+            w = self.project_tangent(x, w)
+            for prev in vecs:
+                w = w - self._inner(w, prev)[..., None] * prev
+            n = self._norm(w)
+            ok = n > 1e-8
+            if ok.all():
+                vecs.append(w / n)
+            elif batch and ok.any():
+                rows = [self.frame(p) for p in x.reshape(-1, self.emb_dim)]
+                return np.stack(rows).reshape(batch + (self.dim, self.emb_dim))
+            if len(vecs) == self.dim:
+                break
+        if len(vecs) < self.dim:
+            raise RuntimeError("frame construction failed")  # pragma: no cover
+        return np.stack(vecs, axis=-2)
+
     def project_point(self, x):
         """Renormalize embedding constraints."""
+        x = np.asarray(x, dtype=float)
+        return x * (self._scale / np.sqrt(self._sign * self._inner(x, x))[..., None])
 
     def project_tangent(self, x, v):
-        """Project v onto the tangent space at x (identity on flat spaces)."""
-        return np.asarray(v, dtype=float)
+        """Project v onto the tangent space at x."""
+        x = np.asarray(x, float)
+        v = np.asarray(v, float)
+        return v - (self._inner(x, v) / (self._sign * self._scale**2))[..., None] * x
 
     def is_near_cut(self, x, y):
         """Whether (x, y) is within the tie-break neighbourhood of the cut locus."""
@@ -131,19 +216,13 @@ class Euclidean(ModelSpace):
     """Flat R^m with the drift-free generator; K = 0, N = m."""
 
     kind = "euclidean"
+    _K = sectional_curvature = 0.0
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
         self.emb_dim = dim
-
-    def curvature_dimension(self, N=None) -> CurvatureDimension:
-        if N is None:
-            return CurvatureDimension(0.0, float(self.dim))
-        if N < self.dim:
-            raise UnsupportedParameterError(f"N must be >= m = {self.dim}")
-        return CurvatureDimension(0.0, float(N))
 
     def distance(self, x, y):
         return np.linalg.norm(np.asarray(y, float) - np.asarray(x, float), axis=-1)
@@ -167,6 +246,9 @@ class Euclidean(ModelSpace):
     def project_point(self, x):
         return np.asarray(x, dtype=float)
 
+    def project_tangent(self, x, v):
+        return np.asarray(v, dtype=float)
+
 
 class EuclideanOU(Euclidean):
     """R^m with the linear confining drift Z(x) = -lam * x.
@@ -178,6 +260,7 @@ class EuclideanOU(Euclidean):
     """
 
     kind = "euclidean_ou"
+    _label = "{kind}{dim}(lam={lam:g})"
 
     def __init__(self, dim: int, lam: float):
         super().__init__(dim)
@@ -202,6 +285,10 @@ class Sphere(ModelSpace):
     """Round sphere of radius rho in R^{m+1}; K = (m-1)/rho^2, N = m."""
 
     kind = "sphere"
+    _label = "{kind}{dim}(r={radius:g})"
+    _sign = 1
+    _trig = (np.cos, np.sin)
+    _frame_start = 0
 
     def __init__(self, dim: int, radius: float = 1.0):
         if dim < 1:
@@ -210,15 +297,14 @@ class Sphere(ModelSpace):
             raise ValueError("radius must be positive")
         self.dim = dim
         self.emb_dim = dim + 1
-        self.radius = radius
+        self.radius = self._scale = radius
+        self.sectional_curvature = 1.0 / radius**2
+        self._K = (dim - 1) / radius**2  # not (dim - 1) * (1 / rho^2): rounds differently
 
-    def curvature_dimension(self, N=None) -> CurvatureDimension:
-        K = (self.dim - 1) / self.radius**2
-        if N is None:
-            return CurvatureDimension(K, float(self.dim))
-        if N < self.dim:
-            raise UnsupportedParameterError(f"N must be >= m = {self.dim}")
-        return CurvatureDimension(K, float(N))
+    @staticmethod
+    def _inner(u, v):
+        # np.sum without its Python wrapper, as np.linalg.norm reduces
+        return np.add.reduce(u * v, axis=-1)
 
     @property
     def diameter(self) -> float:
@@ -238,15 +324,6 @@ class Sphere(ModelSpace):
     def _constraint_error(self, x):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
 
-    def project_point(self, x):
-        x = np.asarray(x, dtype=float)
-        return x * (self.radius / np.linalg.norm(x, axis=-1, keepdims=True))
-
-    def project_tangent(self, x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        return v - (np.sum(x * v, axis=-1, keepdims=True) / self.radius**2) * x
-
     def distance(self, x, y):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
@@ -255,16 +332,6 @@ class Sphere(ModelSpace):
         u = y - c[..., None] * x
         s = np.linalg.norm(u, axis=-1) / self.radius
         return self.radius * np.arctan2(s, c)
-
-    def exp_map(self, x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        theta = nv / self.radius
-        small = nv < 1e-300
-        unit = np.where(small, 0.0, v / np.where(small, 1.0, nv))
-        y = np.cos(theta) * x + self.radius * np.sin(theta) * unit
-        return self.project_point(y)
 
     def _tiebreak_direction(self, x):
         """Deterministic unit tangent at x used at antipodal pairs: the
@@ -307,50 +374,6 @@ class Sphere(ModelSpace):
         c = np.sum(np.asarray(x, float) * np.asarray(y, float), axis=-1) / self.radius**2
         return c < -_NEAR_ANTIPODAL_COS
 
-    def parallel_transport(self, x, y, v):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        u = self.log_map(x, y)
-        d = np.linalg.norm(u, axis=-1, keepdims=True)
-        tiny = d < 1e-300
-        uhat = np.where(tiny, 0.0, u / np.where(tiny, 1.0, d))
-        w = -self.log_map(y, x)
-        dw = np.linalg.norm(w, axis=-1, keepdims=True)
-        what = np.where(tiny, 0.0, w / np.where(dw < 1e-300, 1.0, dw))
-        alpha = np.sum(v * uhat, axis=-1, keepdims=True)
-        out = v - alpha * uhat + alpha * what
-        out = np.where(tiny, v, out)
-        return self.project_tangent(y, out)
-
-    def frame(self, x):
-        """Gram-Schmidt on the tangential projections of the coordinate
-        axes, skipping an axis that degenerates at the point.  A batch in
-        which only some points degenerate on an axis is framed point by
-        point, so no point's frame depends on the rest of its batch."""
-        x = np.asarray(x, float)
-        batch = x.shape[:-1]
-        vecs = []
-        for j in range(self.emb_dim):
-            e = np.zeros(self.emb_dim)
-            e[j] = 1.0
-            w = np.broadcast_to(e, batch + (self.emb_dim,)).astype(float).copy()
-            w = self.project_tangent(x, w)
-            for prev in vecs:
-                w = w - np.sum(w * prev, axis=-1, keepdims=True) * prev
-            n = np.linalg.norm(w, axis=-1, keepdims=True)
-            ok = n > 1e-8
-            if np.all(ok):
-                vecs.append(w / n)
-            elif batch and np.any(ok):
-                rows = [self.frame(p) for p in x.reshape(-1, self.emb_dim)]
-                return np.stack(rows).reshape(batch + (self.dim, self.emb_dim))
-            if len(vecs) == self.dim:
-                break
-        if len(vecs) < self.dim:
-            raise RuntimeError("frame construction failed")  # pragma: no cover
-        return np.stack(vecs, axis=-2)
-
 
 # ---------------------------------------------------------------------------
 
@@ -365,6 +388,11 @@ class Hyperbolic(ModelSpace):
     hyperboloid sheet <x, x> = 1/c, x0 > 0; K = c (m-1), N = m."""
 
     kind = "hyperbolic"
+    _label = "{kind}{dim}(c={curvature:g})"
+    _inner = staticmethod(_mink)
+    _sign = -1
+    _trig = (np.cosh, np.sinh)
+    _frame_start = 1
 
     def __init__(self, dim: int, curvature: float = -1.0):
         if dim < 1:
@@ -373,16 +401,9 @@ class Hyperbolic(ModelSpace):
             raise ValueError("curvature must be negative")
         self.dim = dim
         self.emb_dim = dim + 1
-        self.curvature = curvature
-        self.R = 1.0 / math.sqrt(-curvature)
-
-    def curvature_dimension(self, N=None) -> CurvatureDimension:
-        K = self.curvature * (self.dim - 1)
-        if N is None:
-            return CurvatureDimension(K, float(self.dim))
-        if N < self.dim:
-            raise UnsupportedParameterError(f"N must be >= m = {self.dim}")
-        return CurvatureDimension(K, float(N))
+        self.curvature = self.sectional_curvature = curvature
+        self._K = curvature * (dim - 1)
+        self.R = self._scale = 1.0 / math.sqrt(-curvature)
 
     def origin(self):
         x = np.zeros(self.emb_dim)
@@ -401,31 +422,9 @@ class Hyperbolic(ModelSpace):
         scale = np.maximum(1.0, np.sum(np.asarray(x) ** 2, axis=-1))
         return np.abs(_mink(x, x) + self.R**2) / scale
 
-    def project_point(self, x):
-        x = np.asarray(x, dtype=float)
-        scale = self.R / np.sqrt(-_mink(x, x))[..., None]
-        return x * scale
-
-    def project_tangent(self, x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        return v + (_mink(x, v) / self.R**2)[..., None] * x
-
     def distance(self, x, y):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
         u = self.log_map(x, y)
         return np.sqrt(np.maximum(_mink(u, u), 0.0))
-
-    def exp_map(self, x, v):
-        x = np.asarray(x, float)
-        v = np.asarray(v, float)
-        nv = np.sqrt(np.maximum(_mink(v, v), 0.0))[..., None]
-        theta = nv / self.R
-        small = nv < 1e-300
-        unit = np.where(small, 0.0, v / np.where(small, 1.0, nv))
-        y = np.cosh(theta) * x + self.R * np.sinh(theta) * unit
-        return self.project_point(y)
 
     def log_map(self, x, y):
         x = np.asarray(x, float)
@@ -436,34 +435,3 @@ class Hyperbolic(ModelSpace):
         tiny = nu < 1e-300
         return np.where(tiny[..., None], 0.0,
                         (d / np.where(tiny, 1.0, nu))[..., None] * u)
-
-    def parallel_transport(self, x, y, v):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        u = self.log_map(x, y)
-        d = np.sqrt(np.maximum(_mink(u, u), 0.0))[..., None]
-        tiny = d < 1e-300
-        uhat = np.where(tiny, 0.0, u / np.where(tiny, 1.0, d))
-        w = -self.log_map(y, x)
-        dw = np.sqrt(np.maximum(_mink(w, w), 0.0))[..., None]
-        what = np.where(tiny, 0.0, w / np.where(dw < 1e-300, 1.0, dw))
-        alpha = _mink(v, uhat)[..., None]
-        out = v - alpha * uhat + alpha * what
-        out = np.where(tiny, v, out)
-        return self.project_tangent(y, out)
-
-    def frame(self, x):
-        x = np.asarray(x, float)
-        batch = x.shape[:-1]
-        vecs = []
-        for j in range(1, self.emb_dim):
-            e = np.zeros(self.emb_dim)
-            e[j] = 1.0
-            w = np.broadcast_to(e, batch + (self.emb_dim,)).astype(float).copy()
-            w = self.project_tangent(x, w)
-            for prev in vecs:
-                w = w - _mink(w, prev)[..., None] * prev
-            n = np.sqrt(np.maximum(_mink(w, w), 0.0))[..., None]
-            vecs.append(w / n)
-        return np.stack(vecs, axis=-2)

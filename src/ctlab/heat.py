@@ -60,12 +60,12 @@ class BackendMismatch(TypeError):
 
 
 class HeatBackend:
-    deterministic = True
-
     def applies_to(self, space: ModelSpace) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     def apply(self, space, f, t, x) -> HeatValue:  # pragma: no cover
+        """P_t f(x) for t > 0, x a float array and a space the backend
+        applies to; heat_apply checks all three."""
         raise NotImplementedError
 
 
@@ -87,11 +87,6 @@ class GaussHermite(HeatBackend):
         return isinstance(space, Euclidean) and space.dim <= 2
 
     def apply(self, space, f, t, x):
-        if not self.applies_to(space):
-            raise BackendMismatch("GaussHermite needs a Euclidean or linear-drift space, m <= 2")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return HeatValue(float(f(x)))
         if isinstance(space, EuclideanOU):
             lam = space.lam
             mean = math.exp(-lam * t) * x
@@ -123,11 +118,6 @@ class CircleFourier(HeatBackend):
         return space.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
     def apply(self, space, f, t, x):
-        if not self.applies_to(space):
-            raise BackendMismatch("CircleFourier needs a 1-sphere")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return HeatValue(float(f(x)))
         n = 2 * self.n_modes
         theta = 2.0 * math.pi * np.arange(n) / n
         vals = np.asarray(f(self._embed(space, theta)), dtype=float)
@@ -193,11 +183,6 @@ class SphereZonal(HeatBackend):
         return (2 * ls + 1) / 2.0 * (self._P * (self._w * vals)[None, :]).sum(axis=1)
 
     def apply(self, space, f, t, x):
-        if not self.applies_to(space):
-            raise BackendMismatch("SphereZonal needs a 2-sphere")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return HeatValue(float(f(x)))
         coeff = self._coefficients(space, f)
         ls = np.arange(self.n_modes)
         decay = np.exp(-ls * (ls + 1) * t / space.radius**2)
@@ -216,8 +201,6 @@ class SphereZonal(HeatBackend):
 class MonteCarlo(HeatBackend):
     """Walk-based backend; works on every model space."""
 
-    deterministic = False
-
     def __init__(self, cfg: WalkConfig):
         self.cfg = cfg
 
@@ -225,8 +208,6 @@ class MonteCarlo(HeatBackend):
         return True
 
     def apply(self, space, f, t, x):
-        if t == 0:
-            return HeatValue(float(f(np.asarray(x, dtype=float))))
         result = run_single(space, x, t, self.cfg)
         vals = np.asarray(f(result.terminal), dtype=float)
         n = vals.size
@@ -251,6 +232,9 @@ def heat_apply(space: ModelSpace, backend: HeatBackend, f, t: float, x) -> HeatV
         raise ValueError("t must be nonnegative")
     if not backend.applies_to(space):
         raise BackendMismatch(f"{type(backend).__name__} does not model {space!r}")
+    x = np.asarray(x, dtype=float)
+    if t == 0:
+        return HeatValue(float(f(x)))
     return backend.apply(space, f, t, x)
 
 
@@ -300,7 +284,6 @@ def heat_sample(space: ModelSpace, t: float, x, n: int, cfg: WalkConfig) -> Empi
     x = np.asarray(x, dtype=float)
     if t == 0:
         return EmpiricalMeasure.uniform(np.broadcast_to(x, (n, x.shape[-1])).copy())
-    cfg = WalkConfig(k=cfg.k, n_trajectories=n, seed=cfg.seed,
-                     horizon=cfg.horizon, retain_every=None)
+    cfg = WalkConfig(k=cfg.k, n_trajectories=n, seed=cfg.seed)
     result = run_single(space, x, t, cfg)
     return EmpiricalMeasure.uniform(result.terminal)

@@ -78,6 +78,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def interval_grid(cls, n: int, length: float = 1.0) -> "FiniteMetricSpace":
+        _check_grid(n, length)
         xs = np.linspace(0.0, length, n)
         D = np.abs(xs[:, None] - xs[None, :])
         nb = np.stack([np.maximum(np.arange(n) - 1, 0),
@@ -87,6 +88,7 @@ class FiniteMetricSpace:
 
     @classmethod
     def circle_grid(cls, n: int, circumference: float = 2 * math.pi) -> "FiniteMetricSpace":
+        _check_grid(n, circumference)
         idx = np.arange(n)
         gap = np.abs(idx[:, None] - idx[None, :])
         gap = np.minimum(gap, n - gap)
@@ -94,6 +96,13 @@ class FiniteMetricSpace:
         nb = np.stack([(idx - 1) % n, (idx + 1) % n], axis=1)
         return cls(D=gap * h, coords=(idx * h)[:, None], h=h, circular=True,
                    neighbors=nb)
+
+
+def _check_grid(n: int, length: float) -> None:
+    if n < 2:
+        raise ValueError(f"a grid needs at least 2 points, got {n}")
+    if not length > 0:
+        raise ValueError(f"grid length must be positive, got {length}")
 
 
 def hopf_lax(space: FiniteMetricSpace, f: np.ndarray, s: float, p: float) -> np.ndarray:

@@ -84,9 +84,6 @@ class EmpiricalMeasure:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def is_uniform(self) -> bool:
-        return bool(np.allclose(self.weights, 1.0 / self.size, atol=1e-14))
-
 
 @dataclass
 class CouplingMatrix:

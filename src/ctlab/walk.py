@@ -86,7 +86,6 @@ class WalkConfig:
     k: int = 20
     n_trajectories: int = 1000
     seed: int = 0
-    horizon: float = 1.0
     retain_every: Optional[int] = None  # keep every j-th step (plus endpoints)
 
     def __post_init__(self):
@@ -94,12 +93,12 @@ class WalkConfig:
             raise ValueError("k must be >= 1")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if self.retain_every is not None and self.retain_every < 1:
+            raise ValueError("retain_every must be >= 1")
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.k**2 * self.horizon))
+        return self.k**2
 
 
 @dataclass
@@ -262,7 +261,7 @@ def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step,
             out[:, lo:hi] = p
         term_frame[:, lo:hi] = fr
 
-    dt = cfg.horizon / steps
+    dt = 1.0 / steps
     snapshots = [Snapshot(s, s * dt, *(np.concatenate(w, axis=1) for w in zip(*parts)))
                  for s, parts in retained.items()]
     return terminal, term_frame, snapshots

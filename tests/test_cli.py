@@ -219,6 +219,28 @@ def test_simulate_zero_geometry_argument_exits_two(tmp_path, capsys, space, x, y
     assert "bad geometry arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [["-k", "0"], ["-n", "0"], ["--tau1=-1"],
+                                 ["--retain-every", "0"]])
+def test_simulate_bad_walk_argument_exits_two(tmp_path, capsys, bad):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--space", "sphere", "--dim", "2", "--x=0,0,1", "--y=1,0,0",
+            "--tau1", "0.1", "--tau2", "0.1", "--out", str(out)]
+    assert main(argv + bad) == 2
+    assert "bad walk arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [["--grid", "interval:1"], ["--grid", "circle:0"],
+                                 ["--length", "0"], ["--length=-3"]])
+def test_hopflax_bad_grid_exits_two(tmp_path, capsys, bad):
+    out = tmp_path / "q.csv"
+    argv = ["hopflax", "--grid", "interval:16", "--f", "linear", "--s", "0.2",
+            "--out", str(out)]
+    assert main(argv + bad) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_geometry_argument_of_another_kind_exits_two(tmp_path, capsys):
     argv = ["simulate", "--space", "euclidean", "--x=0,0", "--y=1,0",
             "--tau1", "0.1", "--tau2", "0.1", "--out", str(tmp_path / "e.csv")]

@@ -341,7 +341,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(n_trajectories=0)
     with pytest.raises(ValueError):
-        WalkConfig(horizon=0.0)
+        WalkConfig(retain_every=0)
 
 
 def test_near_cut_counting():
