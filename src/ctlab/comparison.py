@@ -342,8 +342,11 @@ def coeff_A(cd: CurvatureDimension, s: float, t: float) -> float:
 def psi(tau1: float, tau2: float, cd: CurvatureDimension, r) -> float:
     """Second-variation bound (N-1)[(t1+t2)/t_{K*}(r) - 2 sqrt(t1 t2)/s_{K*}(r)].
 
-    Evaluated as (N-1)[(t1+t2) c(r) - 2 sqrt(t1 t2)] / s(r) so that it is
-    finite wherever s_{K*}(r) > 0, including points where c vanishes.
+    Evaluated as (N-1)[c(r) (sqrt(t2)-sqrt(t1))^2 - 4 sqrt(t1 t2) K* s(r/2)^2] / s(r)
+    so that it is finite wherever s_{K*}(r) > 0, including points where c
+    vanishes. The half-angle form 1 - c(r) = 2 K* s(r/2)^2 avoids the
+    cancellation in (t1+t2) c - 2 sqrt(t1 t2) near K* r^2 = 0, so at K = 0
+    psi equals the flat closed form (N-1)(sqrt(t2)-sqrt(t1))^2 / r exactly.
     """
     if tau1 <= 0 or tau2 <= 0:
         raise ValueError("time scales must be positive")
@@ -357,7 +360,10 @@ def psi(tau1: float, tau2: float, cd: CurvatureDimension, r) -> float:
     ks = cd.k_star
     s = comp_s(ks, r)
     c = comp_c(ks, r)
-    return (cd.N - 1.0) * ((tau1 + tau2) * c - 2.0 * math.sqrt(tau1 * tau2)) / s
+    h = comp_s(ks, r / 2.0)
+    return (cd.N - 1.0) * (
+        c * (math.sqrt(tau2) - math.sqrt(tau1)) ** 2 - 4.0 * math.sqrt(tau1 * tau2) * ks * h * h
+    ) / s
 
 
 def psi_upper_bound(tau1: float, tau2: float, cd: CurvatureDimension, r) -> float:
