@@ -8,14 +8,19 @@ per model space, including a point on a coordinate axis and an antipodal
 pair, and each space's curvature-dimension bound.  A change that is meant to
 leave every output unchanged (a faster walk, a refactor) must reproduce
 these bits; a change that is meant to move them must re-record the files
-and say why.  The values depend on the numpy and scipy builds, so the
-tests skip under versions other than the recorded ones.
+and say why.  tests/data/golden_gradient.json pins float.hex of the margin
+and the verdict of every deterministic gradient-side check on S^2, S^1,
+E^1, E^2, OU, H^2 and E^3, including the fields whose gradient comes from
+geodesic finite differences (smooth_mix, gaussian_bump).  The values depend
+on the numpy and scipy builds, so the tests skip under versions other than
+the recorded ones.
 
-Re-record both with:  PYTHONPATH=src python tests/test_golden.py
+Re-record all three with:  PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import math
 import pathlib
 import sys
 
@@ -29,6 +34,7 @@ from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere, Unsupport
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_margins.json"
 GEOMETRY_DATA = pathlib.Path(__file__).parent / "data" / "golden_geometry.json"
+GRADIENT_DATA = pathlib.Path(__file__).parent / "data" / "golden_gradient.json"
 
 
 def _pairs():
@@ -84,6 +90,74 @@ def measure() -> dict:
         rep = run_check(spec)
         values[name] = {"margin": float(rep.margin).hex(), "sigma": float(rep.sigma).hex(),
                         "verdict": rep.verdict}
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "values": values}
+
+
+def gradient_cases():
+    """(name, spec) for the deterministic gradient-side checks: small grids
+    and few mono_app cases, so the whole set runs in about a second."""
+    s2, s2_r2, s1, s1_r = Sphere(2), Sphere(2, radius=2.0), Sphere(1), Sphere(1, radius=1.5)
+    e1, e2, e3, ou1, ou2 = (Euclidean(1), Euclidean(2), Euclidean(3),
+                            EuclideanOU(1, 1.0), EuclideanOU(2, 0.7))
+    h2 = Hyperbolic(2)
+    north, east = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    p3 = dict(exponents=ExponentPair(3.0, 2.0))
+    c1 = lambda a: np.array([math.cos(a), math.sin(a)])
+    few = dict(extra={"n_cases": 12})
+    table = [
+        ("bl0", "S2", s2, dict(t=0.3, f="cos_theta")),
+        ("blp", "S2", s2, dict(t=0.3, f="cos_theta", **p3)),
+        ("bl0", "S2_r2", s2_r2, dict(t=0.4, f="cos_theta")),
+        ("bl_int", "S2", s2, dict(x=north, y=east, s=0.2, t=0.5, f="cos_theta")),
+        ("gamma2", "S2", s2, dict(f="cos_theta", delta=0.1)),
+        ("gamma2", "S2_p3", s2, dict(f="cos_theta", delta=0.1, **p3)),
+        ("gamma2", "S2_r2", s2_r2, dict(f="cos_theta", delta=0.1)),
+        ("laplacian_comparison", "S2", s2, dict(x=north, y=s2.exp_map(north, 0.9 * east))),
+        ("mono_app", "S2", s2, dict(t=0.3, **few)),
+        ("bl0", "S1", s1, dict(t=0.3, f="sin")),
+        ("blp", "S1", s1, dict(t=0.3, f="sin", **p3)),
+        ("bl0", "S1_smooth_mix", s1, dict(t=0.3, f="smooth_mix")),
+        ("blp", "S1_r1.5_smooth_mix", s1_r, dict(t=0.3, f="smooth_mix", **p3)),
+        ("bl_int", "S1", s1, dict(x=c1(0.3), y=c1(1.4), s=0.2, t=0.5, f="sin")),
+        ("bl_int", "S1_smooth_mix", s1, dict(x=c1(0.3), y=c1(1.4), s=0.2, t=0.5,
+                                             f="smooth_mix")),
+        ("gamma2", "S1_p3", s1, dict(f="sin", delta=0.05, **p3)),
+        ("gamma2", "S1_r1.5_smooth_mix", s1_r, dict(f="smooth_mix", delta=0.05)),
+        ("laplacian_comparison", "S1", s1, dict(x=c1(0.3), y=c1(1.4))),
+        ("mono_app", "S1", s1, dict(t=0.3, **few)),
+        ("bl0", "E1", e1, dict(t=0.3, f="sin")),
+        ("blp", "E1", e1, dict(t=0.3, f="quadratic", **p3)),
+        ("bl_int", "E1", e1, dict(x=np.array([-0.4]), y=np.array([0.7]), s=0.2, t=0.5,
+                                  f="sin")),
+        ("gamma2", "E1", e1, dict(f="sin", delta=0.1)),
+        ("gamma2", "E1_p3", e1, dict(f="quadratic", delta=0.1, **p3)),
+        ("laplacian_comparison", "E1", e1, dict(x=np.array([-0.4]), y=np.array([0.7]))),
+        ("mono_app", "E1", e1, dict(t=0.3, **few)),
+        ("bl0", "E2", e2, dict(t=0.3, f="coordinate")),
+        ("bl0", "E2_gaussian_bump", e2, dict(t=0.3, f="gaussian_bump")),
+        ("blp", "E2_gaussian_bump", e2, dict(t=0.3, f="gaussian_bump", **p3)),
+        ("bl_int", "E2_gaussian_bump", e2, dict(x=np.array([-0.4, 0.2]), y=np.array([0.7, -0.1]),
+                                                s=0.2, t=0.5, f="gaussian_bump")),
+        ("laplacian_comparison", "E2", e2, dict(x=np.zeros(2), y=np.array([0.6, 0.8]))),
+        ("mono_app", "E2", e2, dict(t=0.3, **few)),
+        ("bl0", "OU1", ou1, dict(t=0.5, f="sin")),
+        ("blp", "OU1", ou1, dict(t=0.5, f="sin", **p3)),
+        ("bl0", "OU2_gaussian_bump", ou2, dict(t=0.5, f="gaussian_bump")),
+        ("mono_app", "OU1", ou1, dict(t=0.3, **few)),
+        ("laplacian_comparison", "H2", h2,
+         dict(x=h2.origin(), y=h2.exp_map(h2.origin(), np.array([0.0, 1.5, 0.0])))),
+        ("laplacian_comparison", "E3", e3, dict(x=np.zeros(3), y=np.array([0.3, -0.4, 1.2]))),
+    ]
+    return [(f"{check}/{label}", CheckSpec(check_id=check, space=space, grid_n=16,
+                                           seed=400 + i, **params))
+            for i, (check, label, space, params) in enumerate(table)]
+
+
+def measure_gradient() -> dict:
+    values = {}
+    for name, spec in gradient_cases():
+        rep = run_check(spec)
+        values[name] = {"margin": float(rep.margin).hex(), "verdict": rep.verdict}
     return {"numpy": np.__version__, "scipy": scipy.__version__, "values": values}
 
 
@@ -173,8 +247,18 @@ def test_geometry_is_bitwise_pinned():
         assert have[label] == row, label
 
 
+def test_gradient_side_is_bitwise_pinned():
+    golden = json.loads(GRADIENT_DATA.read_text())
+    _skip_unless_recorded_versions(golden)
+    have = measure_gradient()["values"]
+    assert have.keys() == golden["values"].keys()
+    for name, row in golden["values"].items():
+        assert have[name] == row, name
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(measure(), indent=1) + "\n")
     GEOMETRY_DATA.write_text(json.dumps(measure_geometry(), indent=1) + "\n")
+    GRADIENT_DATA.write_text(json.dumps(measure_gradient(), indent=1) + "\n")
     sys.exit(0)
