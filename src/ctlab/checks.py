@@ -39,11 +39,12 @@ from .comparison import (
 )
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
 from .heat import (
-    HeatBackend,
     default_backend,
+    frame_stencil,
     generator_heat,
     grad_heat,
     heat_apply,
+    slice_chart,
 )
 from .transport import (
     ComparisonCost,
@@ -246,39 +247,20 @@ def _resolve_field(spec: CheckSpec):
     return named_field(spec.space, spec.f)
 
 
-def default_grid(space: ModelSpace, n: int) -> np.ndarray:
-    """Deterministic evaluation points for pointwise checks."""
+def _slice_params(space: ModelSpace, n: int, pole_gap: float = 0.0) -> np.ndarray:
+    """n parameters of heat.slice_chart: the meridian from pole to pole less
+    pole_gap at each end, the whole circle, or [-2, 2]."""
     if isinstance(space, Sphere) and space.dim == 2:
-        theta = np.linspace(0.0, math.pi, n)
-        return space.radius * np.stack(
-            [np.sin(theta), np.zeros(n), np.cos(theta)], axis=-1)
-    if isinstance(space, Sphere) and space.dim == 1:
-        theta = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-        return space.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    if isinstance(space, Euclidean):
-        xs = np.linspace(-2.0, 2.0, n)
-        out = np.zeros((n, space.dim))
-        out[:, 0] = xs
-        return out
-    raise ValueError(f"no default grid for {space.label}")
+        return np.linspace(pole_gap, math.pi - pole_gap, n)
+    if isinstance(space, Sphere):
+        return np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+    return np.linspace(-2.0, 2.0, n)
 
 
-def _resolve_grad_norm(spec: CheckSpec, f, grad_f):
-    """|grad f| as a callable: analytic when registered, else geodesic FD."""
-    if grad_f is not None:
-        return grad_f
-    space, h = spec.space, spec.h
-
-    def fd_grad(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        frame = space.frame(pts)
-        comps = []
-        for i in range(space.dim):
-            e = frame[..., i, :]
-            comps.append((f(space.exp_map(pts, h * e)) - f(space.exp_map(pts, -h * e))) / (2 * h))
-        return np.sqrt(np.sum(np.stack(comps, axis=-1) ** 2, axis=-1))
-
-    return fd_grad
+def default_grid(space: ModelSpace, n: int) -> np.ndarray:
+    """Deterministic evaluation points for pointwise checks: n points of
+    the slice heat.slice_chart."""
+    return slice_chart(space, _slice_params(space, n))
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +505,35 @@ def _bl_rhs_coef(cd: CurvatureDimension, p: float, t: float) -> float:
     return -math.expm1(-2.0 * cd.K * t) / (denom * cd.K)
 
 
+def _field_and_backend(spec: CheckSpec):
+    """(f, |grad f|^{p*} as a batched callable, the deterministic backend).
+    |grad f| is the registered one, else geodesic central differences."""
+    f, grad_f = _resolve_field(spec)
+    space, h, pstar = spec.space, spec.h, spec.exponents.p_star
+    if grad_f is None:
+        def grad_f(pts):
+            pts = np.atleast_2d(np.asarray(pts, dtype=float))
+            _, plus, minus = frame_stencil(space, f, pts, h)
+            comps = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
+            return np.sqrt(np.sum(np.stack(comps, axis=-1) ** 2, axis=-1))
+    backend = default_backend(space, spec.backend_modes)
+    return f, lambda pts: np.asarray(grad_f(pts), dtype=float) ** pstar, backend
+
+
 def check_bl(spec: CheckSpec) -> VerificationReport:
     """Pointwise gradient estimate on a deterministic backend:
     |grad P_t f|^2 <= e^{-2Kt} P_t(|grad f|^{p*})^{2/p*} - coef * (L P_t f)^2."""
     cd = spec.resolved_cd()
     ex = spec.exponents
     pstar = ex.p_star
-    f, grad_f = _resolve_field(spec)
-    grad_norm = _resolve_grad_norm(spec, f, grad_f)
-    backend = default_backend(spec.space, spec.backend_modes)
+    f, g_pow, backend = _field_and_backend(spec)
     grid = spec.extra.get("grid")
     if grid is None:
         grid = default_grid(spec.space, spec.grid_n)
+    else:
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        spec.space.check_point(grid)
     coef = _bl_rhs_coef(cd, ex.p, spec.t)
-    g_pow = lambda pts: np.asarray(grad_norm(pts), dtype=float) ** pstar
 
     lhs_all = np.empty(grid.shape[0])
     rhs_all = np.empty(grid.shape[0])
@@ -562,14 +559,11 @@ def check_bl_int(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     ex = spec.exponents
     beta, pstar = ex.beta, ex.p_star
-    f, grad_f = _resolve_field(spec)
-    grad_norm = _resolve_grad_norm(spec, f, grad_f)
-    backend = default_backend(spec.space, spec.backend_modes)
+    f, g_pow, backend = _field_and_backend(spec)
     fam = bakry_ledoux(cd)
     x = np.asarray(spec.x, float)
     y = np.asarray(spec.y, float)
     d = float(spec.space.distance(x, y))
-    g_pow = lambda pts: np.asarray(grad_norm(pts), dtype=float) ** pstar
 
     lhs = abs(heat_apply(spec.space, backend, f, spec.t, y).value
               - heat_apply(spec.space, backend, f, spec.s, x).value)
@@ -599,52 +593,26 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     p, delta, h = spec.exponents.p, spec.delta, spec.h
     space = spec.space
-
-    if isinstance(space, Sphere) and space.dim == 2:
-        f, _ = _resolve_field(spec)
-        rho = space.radius
-
-        def F(theta):
-            pts = rho * np.stack(
-                [np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
-            return np.asarray(f(pts), dtype=float)
-
-        def lap(g):  # spherical zonal Laplacian in arclength u = rho*theta
-            def out(th):
-                gpp = (g(th + h) - 2 * g(th) + g(th - h)) / h**2
-                gp = (g(th + h) - g(th - h)) / (2 * h)
-                return (gpp + gp / np.tan(th)) / rho**2
-            return out
-
-        def deriv(g):  # arclength derivative
-            return lambda th: (g(th + h) - g(th - h)) / (2 * h) / rho
-
-        thetas = np.linspace(0.3, math.pi - 0.3, spec.grid_n)
-    elif (isinstance(space, Sphere) and space.dim == 1) or \
-            (isinstance(space, Euclidean) and space.dim == 1 and not isinstance(space, EuclideanOU)):
-        f, _ = _resolve_field(spec)
-        if isinstance(space, Sphere):
-            rho = space.radius
-
-            def F(theta):
-                pts = rho * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-                return np.asarray(f(pts), dtype=float)
-
-            scale = rho
-            thetas = np.linspace(0.0, 2 * math.pi, spec.grid_n, endpoint=False)
-        else:
-            F = lambda xs: np.asarray(f(xs[..., None]), dtype=float)
-            scale = 1.0
-            thetas = np.linspace(-2.0, 2.0, spec.grid_n)
-
-        def lap(g):
-            return lambda th: (g(th + h) - 2 * g(th) + g(th - h)) / h**2 / scale**2
-
-        def deriv(g):
-            return lambda th: (g(th + h) - g(th - h)) / (2 * h) / scale
-    else:
+    if not (isinstance(space, Sphere) and space.dim <= 2 or isinstance(space, Euclidean)
+            and space.dim == 1 and not isinstance(space, EuclideanOU)):
         raise ValueError("pointwise condition check supports E^1, circles and zonal 2-spheres")
+    f, _ = _resolve_field(spec)
+    zonal = space.dim == 2
+    scale = space.radius if isinstance(space, Sphere) else 1.0
+    F = lambda th: np.asarray(f(slice_chart(space, th)), dtype=float)
 
+    d1 = lambda g, th: (g(th + h) - g(th - h)) / (2 * h)           # d/dtheta
+    d2 = lambda g, th: (g(th + h) - 2 * g(th) + g(th - h)) / h**2  # d^2/dtheta^2
+
+    def deriv(g):  # arclength derivative
+        return lambda th: d1(g, th) / scale
+
+    def lap(g):  # arclength Laplacian; for a zonal field on S^2 it adds cot(theta) d/dtheta
+        if zonal:
+            return lambda th: (d2(g, th) + d1(g, th) / np.tan(th)) / scale**2
+        return lambda th: d2(g, th) / scale**2
+
+    thetas = _slice_params(space, spec.grid_n, pole_gap=0.3)
     Fp = deriv(F)
     grad2 = lambda th: Fp(th) ** 2
     lap_f = lap(F)
@@ -679,22 +647,15 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
         raise ValueError("need x != y")
     if isinstance(space, Sphere) and d > 0.9 * space.diameter:
         raise ValueError("pair too close to the cut locus")
-    h = spec.h
-    g = lambda pts: space.distance(np.broadcast_to(y, np.shape(pts)), pts)
-    frame = space.frame(x)
-    lap = 0.0
-    grad = np.zeros(space.dim)
-    for i in range(space.dim):
-        e = frame[i]
-        gp = float(g(space.exp_map(x, h * e)))
-        gm = float(g(space.exp_map(x, -h * e)))
-        lap += (gp - 2 * d + gm) / h**2
-        grad[i] = (gp - gm) / (2 * h)
-    Z = space.drift(x)
-    drift_term = float(sum(float(Z @ frame[i]) * grad[i] for i in range(space.dim)))
-    lhs = lap + drift_term
     if not cd.finite:
         raise ValueError("comparison requires finite N")
+    h = spec.h
+    g = lambda pts: float(space.distance(np.broadcast_to(y, np.shape(pts)), pts))
+    frame, plus, minus = frame_stencil(space, g, x, h)
+    lap = sum((gp - 2 * d + gm) / h**2 for gp, gm in zip(plus, minus))
+    Z = space.drift(x)
+    lhs = lap + float(sum(float(Z @ e) * ((gp - gm) / (2 * h))
+                          for e, gp, gm in zip(frame, plus, minus)))
     rhs = cd.N / float(comp_t(cd.kappa, d))
     closed = ((space.dim - 1) / float(comp_t(space.sectional_curvature, d))
               if space.dim > 1 else 0.0)

@@ -231,6 +231,8 @@ def load_report(path: str) -> list[dict]:
     if not isinstance(rows, list):
         raise ConfigError("'reports' must be a list")
     for row in rows:
+        if not isinstance(row, dict):
+            raise ConfigError(f"each report row must be an object, got {row!r}")
         missing = _REQUIRED_REPORT_KEYS - set(row)
         if missing:
             raise ConfigError(f"report row missing keys: {sorted(missing)}")
@@ -323,6 +325,8 @@ def cmd_wasserstein(args) -> int:
         b = _read_cloud(args.file_b)
         space = build_space({"kind": args.space, "dim": args.dim,
                              **_given(args, "radius", "curvature")})
+        for path, cloud in ((args.file_a, a), (args.file_b, b)):
+            _config(f"point cloud {path}", space.check_point, cloud)
         mu = EmpiricalMeasure.uniform(a)
         nu = EmpiricalMeasure.uniform(b)
         if args.cost == "comparison":

@@ -11,9 +11,13 @@ at time t has covariance 2tI.  Deterministic backends:
 * SphereZonal       - zonal functions on 2-spheres, Legendre multiplier
   e^{-l(l+1) t / rho^2}
 
-plus a MonteCarlo backend that reuses the geodesic walk.  Gradients are
-geodesic central differences combined over an orthonormal frame;
-generator values are central differences in time.
+plus a MonteCarlo backend that reuses the geodesic walk; default_backend
+picks the first deterministic one whose applies_to holds.  slice_chart is
+the 1-D slice the gradient checks evaluate on (a 2-sphere's meridian, the
+circle, the first axis of E^m).  frame_stencil evaluates a function at
+exp_x(+-h e_i) over the orthonormal frame e_i at x: gradients, in grad_heat
+and in the checks, are its geodesic central differences.  Generator values
+are central differences in time.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ __all__ = [
     "SphereZonal",
     "MonteCarlo",
     "default_backend",
+    "slice_chart",
+    "frame_stencil",
     "heat_apply",
     "grad_heat",
     "generator_heat",
@@ -60,7 +66,8 @@ class BackendMismatch(TypeError):
 
 
 class HeatBackend:
-    def applies_to(self, space: ModelSpace) -> bool:  # pragma: no cover
+    @classmethod
+    def applies_to(cls, space: ModelSpace) -> bool:  # pragma: no cover
         raise NotImplementedError
 
     def apply(self, space, f, t, x) -> HeatValue:  # pragma: no cover
@@ -83,7 +90,8 @@ class GaussHermite(HeatBackend):
         self._offs2 = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
         self._w2 = np.outer(self._w, self._w).ravel()
 
-    def applies_to(self, space):
+    @classmethod
+    def applies_to(cls, space):
         return isinstance(space, Euclidean) and space.dim <= 2
 
     def apply(self, space, f, t, x):
@@ -111,16 +119,14 @@ class CircleFourier(HeatBackend):
             raise ValueError("need at least 8 modes")
         self.n_modes = n_modes
 
-    def applies_to(self, space):
+    @classmethod
+    def applies_to(cls, space):
         return isinstance(space, Sphere) and space.dim == 1
-
-    def _embed(self, space, theta):
-        return space.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
 
     def apply(self, space, f, t, x):
         n = 2 * self.n_modes
         theta = 2.0 * math.pi * np.arange(n) / n
-        vals = np.asarray(f(self._embed(space, theta)), dtype=float)
+        vals = np.asarray(f(slice_chart(space, theta)), dtype=float)
         coeff = np.fft.rfft(vals) / n
         ks = np.arange(coeff.size)
         decay = np.exp(-((ks / space.radius) ** 2) * t)
@@ -170,7 +176,8 @@ class SphereZonal(HeatBackend):
             P[l + 1] = ((2 * l + 1) * self._u * P[l] - l * P[l - 1]) / (l + 1)
         self._P = P
 
-    def applies_to(self, space):
+    @classmethod
+    def applies_to(cls, space):
         return isinstance(space, Sphere) and space.dim == 2
 
     def _coefficients(self, space, f):
@@ -204,7 +211,8 @@ class MonteCarlo(HeatBackend):
     def __init__(self, cfg: WalkConfig):
         self.cfg = cfg
 
-    def applies_to(self, space):
+    @classmethod
+    def applies_to(cls, space):
         return True
 
     def apply(self, space, f, t, x):
@@ -216,14 +224,30 @@ class MonteCarlo(HeatBackend):
 
 
 def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:
-    """The natural deterministic backend for a space, if one exists."""
-    if isinstance(space, Euclidean):
-        return GaussHermite(n_modes)
-    if isinstance(space, Sphere) and space.dim == 1:
-        return CircleFourier(n_modes)
-    if isinstance(space, Sphere) and space.dim == 2:
-        return SphereZonal(n_modes)
+    """The first deterministic backend that models the space, with n_modes
+    nodes or modes."""
+    for backend in (GaussHermite, CircleFourier, SphereZonal):
+        if backend.applies_to(space):
+            return backend(n_modes)
     raise BackendMismatch(f"no deterministic backend for {space!r}; use MonteCarlo")
+
+
+def slice_chart(space: ModelSpace, theta) -> np.ndarray:
+    """The points of the 1-D slice at parameters theta (an array):
+    rho (sin theta, 0, cos theta) on a 2-sphere, rho (cos theta, sin theta)
+    on a circle and theta e_0 on E^m, where E^1 takes a view of theta."""
+    if isinstance(space, Sphere) and space.dim == 2:
+        return space.radius * np.stack(
+            [np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    if isinstance(space, Sphere) and space.dim == 1:
+        return space.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    if isinstance(space, Euclidean):
+        if space.dim == 1:
+            return theta[..., None]
+        pts = np.zeros(theta.shape + (space.dim,))
+        pts[..., 0] = theta
+        return pts
+    raise ValueError(f"no 1-D slice of {space.label}")
 
 
 def heat_apply(space: ModelSpace, backend: HeatBackend, f, t: float, x) -> HeatValue:
@@ -238,27 +262,33 @@ def heat_apply(space: ModelSpace, backend: HeatBackend, f, t: float, x) -> HeatV
     return backend.apply(space, f, t, x)
 
 
+def frame_stencil(space: ModelSpace, g, x, h: float):
+    """(frame, plus, minus): the orthonormal frame at x (a point or a batch)
+    and, for each frame vector e_i, g(exp_x(h e_i)) in plus and
+    g(exp_x(-h e_i)) in minus."""
+    frame = space.frame(x)
+    plus, minus = [], []
+    for i in range(space.dim):
+        step = h * frame[..., i, :]
+        plus.append(g(space.exp_map(x, step)))
+        minus.append(g(space.exp_map(x, -step)))
+    return frame, plus, minus
+
+
 def grad_heat(space: ModelSpace, backend: HeatBackend, f, t: float, x,
               h: float = 1e-3) -> HeatValue:
     """|grad P_t f|(x) from central geodesic differences.
 
-    The directional derivative along each vector of an orthonormal
-    frame is estimated by a symmetric difference over geodesics, and
-    the gradient norm is the Euclidean norm of the components (exact
-    for smooth fields up to O(h^2) bias).
+    The directional derivative along each frame vector is the symmetric
+    difference of frame_stencil, and the gradient norm is the Euclidean
+    norm of the components (exact for smooth fields up to O(h^2) bias).
     """
     if h <= 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)
-    frame = space.frame(x)
-    comps = np.empty(space.dim)
-    errs = np.empty(space.dim)
-    for i in range(space.dim):
-        e = frame[..., i, :]
-        plus = heat_apply(space, backend, f, t, space.exp_map(x, h * e))
-        minus = heat_apply(space, backend, f, t, space.exp_map(x, -h * e))
-        comps[i] = (plus.value - minus.value) / (2 * h)
-        errs[i] = math.hypot(plus.stderr, minus.stderr) / (2 * h)
+    _, plus, minus = frame_stencil(space, lambda p: heat_apply(space, backend, f, t, p), x, h)
+    comps = np.array([(a.value - b.value) / (2 * h) for a, b in zip(plus, minus)])
+    errs = np.array([math.hypot(a.stderr, b.stderr) / (2 * h) for a, b in zip(plus, minus)])
     norm = float(np.linalg.norm(comps))
     if norm == 0.0:
         return HeatValue(0.0, float(np.linalg.norm(errs)))

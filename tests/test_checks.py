@@ -9,8 +9,10 @@ from ctlab.checks import (
     CheckSpec,
     DiameterError,
     VerificationReport,
+    _field_and_backend,
     _two_sided_samples,
     _verdict,
+    named_field,
     run_check,
     run_suite,
 )
@@ -380,6 +382,58 @@ def test_laplacian_comparison_flat():
     assert rep.lhs == pytest.approx(2.0, abs=1e-4)
     assert rep.rhs == pytest.approx(3.0, rel=1e-12)
     assert rep.verdict == "pass"
+
+
+def test_laplacian_comparison_rejects_infinite_n_before_its_differences(monkeypatch):
+    ou = EuclideanOU(2, 1.0)
+
+    def no_step(*args):
+        raise AssertionError("a geodesic step ran")
+
+    monkeypatch.setattr(ou, "exp_map", no_step)
+    with pytest.raises(ValueError, match="finite N"):
+        run_check(CheckSpec(check_id="laplacian_comparison", space=ou,
+                            x=np.zeros(2), y=np.array([1.0, 0.0])))
+
+
+def _circle_mix_grad(radius):
+    def grad(p):  # |d/du (sin th + 0.3 cos 2 th)| in arclength u = radius * th
+        th = np.arctan2(p[..., 1], p[..., 0])
+        return np.abs(np.cos(th) - 0.6 * np.sin(2 * th)) / radius
+    return grad
+
+
+@pytest.mark.parametrize("space,name,exact,pts", [
+    (Sphere(1, radius=1.5), "smooth_mix", _circle_mix_grad(1.5),
+     1.5 * np.stack([np.cos(np.arange(40) * 0.157), np.sin(np.arange(40) * 0.157)], -1)),
+    (Euclidean(2), "gaussian_bump",
+     lambda p: np.linalg.norm(p, axis=-1) * np.exp(-0.5 * np.sum(p**2, -1)),
+     np.random.default_rng(5).uniform(-2.0, 2.0, size=(40, 2))),
+])
+def test_fd_gradient_fallback_matches_the_analytic_gradient(space, name, exact, pts):
+    # the central difference is off by h^2/6 times a third derivative, at
+    # most 3.4 / 6 on the circle field and below 2 / 6 per component on
+    # the bump: an h^2 budget, and a tenfold smaller h cuts the error ~100x.
+    # At p = 2, p* = 2 and the helper returns |grad f|^2.
+    assert named_field(space, name)[1] is None
+    errs = []
+    for h in (1e-2, 1e-3):
+        _, grad_sq, _ = _field_and_backend(CheckSpec(check_id="bl0", space=space, f=name, h=h))
+        errs.append(float(np.max(np.abs(np.sqrt(grad_sq(pts)) - exact(pts)))))
+        assert errs[-1] <= h**2
+    assert errs[0] / errs[1] > 50
+
+
+def test_bl_grid_from_a_list_matches_the_array_and_is_checked_on_the_space():
+    pts = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    spec = lambda grid: CheckSpec(check_id="bl0", space=S2, t=0.5, f="cos_theta",
+                                  extra={"grid": grid})
+    from_list, from_array = run_check(spec(pts)), run_check(spec(np.array(pts)))
+    assert from_list.margin == from_array.margin
+    assert from_list.metadata["grid_points"] == 2
+    (off,) = run_suite([spec([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])])
+    assert off.verdict == "error"
+    assert "embedding constraint" in off.error
 
 
 def test_wvar_ode_lambda_one_flat():

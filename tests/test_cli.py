@@ -302,6 +302,33 @@ def test_wasserstein_cli(tmp_path, capsys):
     assert main(["wasserstein", str(tmp_path / "nope.csv"), str(b)]) == 2
 
 
+def test_wasserstein_rejects_clouds_off_the_manifold(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("3,4\n1,0\n")
+    b.write_text("0,5\n2,2\n")
+    argv = ["wasserstein", str(a), str(b), "--space", "sphere", "--dim", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cost=" not in captured.out
+    assert f"point cloud {a}" in captured.err and "embedding constraint" in captured.err
+    a.write_text("0.6,0.8\n1,0\n")
+    b.write_text("0,1\n-1,0\n")
+    assert main(argv) == 0
+
+
+def test_bl_grid_from_a_suite_file(tmp_path):
+    grid = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    cfg = write_json(tmp_path / "c.json", {
+        "schema": "ctl-suite/1",
+        "checks": [{"id": "bl0", "space": {"kind": "sphere", "dim": 2}, "t": 0.5,
+                    "f": "cos_theta", "extra": {"grid": grid}}]})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    (row,) = load_report(str(tmp_path / "report.json"))
+    direct = ctlab.checks.run_check(ctlab.checks.CheckSpec(
+        check_id="bl0", space=Sphere(2), t=0.5, f="cos_theta", extra={"grid": np.array(grid)}))
+    assert row["margin"] == direct.margin
+
+
 def test_hopflax_cli(tmp_path, capsys):
     assert main(["hopflax", "--grid", "circle:128", "--f", "sin", "--s", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -328,3 +355,12 @@ def test_report_validation_rejects_tampering(tmp_path):
     doc2 = json.loads((out / "report.json").read_text())
     doc2["schema"] = "wrong"
     assert main(["report", "--in", write_json(tmp_path / "t2.json", doc2)]) == 2
+
+
+@pytest.mark.parametrize("row", [1, None, "pass", ["check_id", "verdict"]])
+def test_report_row_that_is_not_an_object_exits_two(tmp_path, capsys, row):
+    path = write_json(tmp_path / "r.json", {"schema": "ctl-report/1", "reports": [row]})
+    with pytest.raises(ConfigError, match="must be an object"):
+        load_report(path)
+    assert main(["report", "--in", path]) == 2
+    assert "report error" in capsys.readouterr().err

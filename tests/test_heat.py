@@ -10,10 +10,12 @@ from ctlab.heat import (
     MonteCarlo,
     SphereZonal,
     default_backend,
+    frame_stencil,
     generator_heat,
     grad_heat,
     heat_apply,
     heat_sample,
+    slice_chart,
 )
 from ctlab.walk import WalkConfig
 
@@ -176,6 +178,39 @@ def test_backend_space_mismatch():
         heat_apply(Euclidean(2), CircleFourier(), lambda p: p[..., 0], 0.5, np.zeros(2))
     with pytest.raises(TypeError):
         default_backend(Hyperbolic(2))
+
+
+def test_default_backend_is_the_first_that_applies():
+    for space, backend in ((Euclidean(1), GaussHermite), (EuclideanOU(2, 0.5), GaussHermite),
+                           (Sphere(1), CircleFourier), (Sphere(2), SphereZonal)):
+        be = default_backend(space, 16)
+        assert type(be) is backend and be.applies_to(space)
+    for space in (Euclidean(3), Sphere(3), Hyperbolic(2)):
+        with pytest.raises(TypeError, match="no deterministic backend"):
+            default_backend(space)
+
+
+def test_slice_chart():
+    theta = np.linspace(-1.0, 2.0, 5)
+    assert np.allclose(slice_chart(Sphere(2, radius=2.0), theta),
+                       2.0 * np.stack([np.sin(theta), 0 * theta, np.cos(theta)], -1))
+    assert np.allclose(slice_chart(Sphere(1), theta), np.stack([np.cos(theta), np.sin(theta)], -1))
+    on_line = slice_chart(Euclidean(1), theta)
+    assert on_line.shape == (5, 1) and np.shares_memory(on_line, theta)
+    assert np.array_equal(slice_chart(EuclideanOU(3, 1.0), theta)[:, 0], theta)
+    assert not slice_chart(EuclideanOU(3, 1.0), theta)[:, 1:].any()
+    with pytest.raises(ValueError):
+        slice_chart(Hyperbolic(2), theta)
+
+
+def test_frame_stencil_steps_along_geodesics():
+    s2 = Sphere(2)
+    x = np.array([0.0, 0.0, 1.0])
+    frame, plus, minus = frame_stencil(s2, lambda p: p, x, 0.1)
+    assert frame.shape == (2, 3)
+    for e, p, m in zip(frame, plus, minus):
+        assert np.allclose(p, math.cos(0.1) * x + math.sin(0.1) * e)
+        assert np.allclose(m, math.cos(0.1) * x - math.sin(0.1) * e)
 
 
 def test_mode_floor():
