@@ -218,6 +218,7 @@ def write_reports(reports: list[VerificationReport], out_dir: str) -> tuple[str,
 
 
 _VERDICTS = {"pass", "fail", "inconclusive", "error"}
+_REPORT_STRINGS = ("check_id", "space", "verdict")
 _REQUIRED_REPORT_KEYS = set(CSV_COLUMNS) | {"stderr_lhs", "stderr_rhs", "metadata", "error"}
 
 
@@ -236,6 +237,11 @@ def load_report(path: str) -> list[dict]:
         missing = _REQUIRED_REPORT_KEYS - set(row)
         if missing:
             raise ConfigError(f"report row missing keys: {sorted(missing)}")
+        for key in sorted(_REQUIRED_REPORT_KEYS - {"metadata", "error"}):
+            value = row[key]  # a string, or a number (null when not finite)
+            number = value is None or isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (isinstance(value, str) if key in _REPORT_STRINGS else number):
+                raise ConfigError(f"report field {key!r} has the wrong type: {value!r}")
         if row["verdict"] not in _VERDICTS:
             raise ConfigError(f"invalid verdict {row['verdict']!r}")
         if row["error"] is None:

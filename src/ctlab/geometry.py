@@ -11,12 +11,14 @@ embedding, with any number of leading batch axes:
   sheet of Minkowski space, <x, x> = 1/c, x[..., 0] > 0
 
 The sphere and the hyperboloid share one constant-curvature
-implementation of the exp map, parallel transport, the two projections
-and the tangent frame, written once on ModelSpace in terms of each
-model's inner product (Euclidean or Minkowski), scale (rho or R), sign
-of <x, x>, trigonometric pair (cos, sin or cosh, sinh) and frame axes;
-the flat spaces override it.  The log map and the distance stay per
-model: the sphere's carries the antipodal tie-break.
+implementation of the exp map with the transport along its geodesic
+(exp_transport: exp_map is its first half, parallel_transport it along
+the one log map), the two projections and the tangent frame, written
+once on ModelSpace in terms of each model's inner product (Euclidean or
+Minkowski), scale (rho or R), sign of <x, x>, trigonometric pair (cos,
+sin or cosh, sinh) and frame axes; the flat spaces override it.  The log
+map and the distance stay per model: the sphere's carries the antipodal
+tie-break.
 
 All operations broadcast over batch axes; embedding constraints are
 renormalized after every move so accumulated drift stays below 1e-12.
@@ -53,10 +55,10 @@ class ModelSpace(ABC):
 
     The metric operations written here are the constant-curvature
     formulas shared by the sphere and the hyperboloid; the flat spaces
-    override them.  A curved model supplies its inner product `_inner`,
-    its scale `_scale` (rho or R), the sign `_sign` of <x, x> =
-    _sign * _scale^2, its trigonometric pair `_trig` (cos, sin or cosh,
-    sinh) and the first embedding axis `_frame_start` of its frame.
+    override them.  A curved model supplies its inner product `_inner`
+    (Euclidean by default), its scale `_scale` (rho or R), the sign
+    `_sign` of <x, x> = _sign * _scale^2, its trigonometric pair `_trig`
+    (cos, sin or cosh, sinh) and the first axis `_frame_start` of its frame.
     """
 
     #: intrinsic dimension m
@@ -90,6 +92,11 @@ class ModelSpace(ABC):
 
     # -- metric operations ---------------------------------------------------
 
+    @staticmethod
+    def _inner(u, v):
+        # np.sum without its Python wrapper, as np.linalg.norm reduces
+        return np.add.reduce(u * v, axis=-1)
+
     def _norm(self, v):
         """sqrt(<v, v>) over the last axis, kept as a unit axis."""
         return np.sqrt(np.maximum(self._inner(v, v), 0.0))[..., None]
@@ -99,6 +106,15 @@ class ModelSpace(ABC):
         ...
 
     def exp_map(self, x, v):
+        return self.exp_transport(x, v, None)[0]
+
+    def exp_transport(self, x, v, w):
+        """exp_x(v), and the tangents w at x transported along the same
+        geodesic t -> exp_x(t v) (None for w = None).  With theta = |v| /
+        scale and v^ = v / |v|, the part of w along v^ turns toward x:
+
+            PT(w) = w + <w, v^> ((cos theta - 1) v^ - sign sin theta x / scale)
+        """
         x = np.asarray(x, float)
         v = np.asarray(v, float)
         nv = self._norm(v)
@@ -106,39 +122,25 @@ class ModelSpace(ABC):
         small = nv < 1e-300
         unit = np.where(small, 0.0, v / np.where(small, 1.0, nv))
         cos, sin = self._trig
-        y = cos(theta) * x + self._scale * sin(theta) * unit
-        return self.project_point(y)
+        c, s = cos(theta), sin(theta)
+        y = self.project_point(c * x + self._scale * s * unit)
+        if w is None:
+            return y, None
+        turn = (c - 1.0) * unit - (self._sign * s / self._scale) * x
+        return y, self.project_tangent(y, w + self._inner(w, unit)[..., None] * turn)
 
     @abstractmethod
     def log_map(self, x, y):
         ...
 
     def parallel_transport(self, x, y, v):
-        """Transport along the minimal geodesic: the component of v along
-        the geodesic turns from its direction at x to its direction at y,
-        the rest is carried over unchanged."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        v = np.asarray(v, float)
-        u = self.log_map(x, y)
-        d = self._norm(u)
-        tiny = d < 1e-300
-        uhat = np.where(tiny, 0.0, u / np.where(tiny, 1.0, d))
-        w = -self.log_map(y, x)
-        dw = self._norm(w)
-        what = np.where(tiny, 0.0, w / np.where(dw < 1e-300, 1.0, dw))
-        alpha = self._inner(v, uhat)[..., None]
-        out = v - alpha * uhat + alpha * what
-        out = np.where(tiny, v, out)
-        return self.project_tangent(y, out)
+        """Transport along the minimal geodesic from x to y: one log map,
+        then the transport of exp_transport along it."""
+        return self.project_tangent(y, self.exp_transport(x, self.log_map(x, y), v)[1])
 
     def geodesic_point(self, x, y, r: float):
         """The point at parameter r on the minimal geodesic from x to y."""
         return self.exp_map(x, r * self.log_map(x, y))
-
-    def transport_frame(self, x, y, frame):
-        """Parallel transport of a frame, one row per basis vector."""
-        return self.parallel_transport(x[..., None, :], y[..., None, :], frame)
 
     # -- drift, frames, bookkeeping -------------------------------------------
 
@@ -227,16 +229,11 @@ class Euclidean(ModelSpace):
     def distance(self, x, y):
         return np.linalg.norm(np.asarray(y, float) - np.asarray(x, float), axis=-1)
 
-    def exp_map(self, x, v):
-        return np.asarray(x, float) + np.asarray(v, float)
+    def exp_transport(self, x, v, w):
+        return np.asarray(x, float) + np.asarray(v, float), w
 
     def log_map(self, x, y):
         return np.asarray(y, float) - np.asarray(x, float)
-
-    def parallel_transport(self, x, y, v):
-        out = np.asarray(v, dtype=float)
-        shape = np.broadcast(np.asarray(x), np.asarray(y), out).shape
-        return np.broadcast_to(out, shape).copy() if out.shape != shape else out
 
     def frame(self, x):
         x = np.asarray(x, dtype=float)
@@ -300,11 +297,6 @@ class Sphere(ModelSpace):
         self.radius = self._scale = radius
         self.sectional_curvature = 1.0 / radius**2
         self._K = (dim - 1) / radius**2  # not (dim - 1) * (1 / rho^2): rounds differently
-
-    @staticmethod
-    def _inner(u, v):
-        # np.sum without its Python wrapper, as np.linalg.norm reduces
-        return np.add.reduce(u * v, axis=-1)
 
     @property
     def diameter(self) -> float:
@@ -423,8 +415,7 @@ class Hyperbolic(ModelSpace):
         return np.abs(_mink(x, x) + self.R**2) / scale
 
     def distance(self, x, y):
-        u = self.log_map(x, y)
-        return np.sqrt(np.maximum(_mink(u, u), 0.0))
+        return self._norm(self.log_map(x, y))[..., 0]
 
     def log_map(self, x, y):
         x = np.asarray(x, float)

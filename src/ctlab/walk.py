@@ -7,12 +7,12 @@ orthonormal frame as zeta_tilde = sqrt(2(m+2)) * Phi zeta, and moves
 
     x <- exp_x( sqrt(tau)/k * zeta_tilde + tau/k^2 * Z(x) ).
 
-The coupled variant drives the second walker with the parallel
-transport of the first walker's noise along the connecting minimal
-geodesic (identity transport when the pair sits on the diagonal), each
-component with its own time scale tau_i.  The frame is transported
-along the first walker's step, which realizes a horizontal lift of the
-driving noise.
+The frame rides the step's own geodesic: one exp_transport call moves
+the point and transports the frame along it, which realizes a
+horizontal lift of the driving noise.  The coupled variant drives the
+second walker with the first walker's noise transported along the
+connecting minimal geodesic, from one log map (identity transport when
+the pair sits on the diagonal), each with its own time scale tau_i.
 
 Reproducibility: trajectory j draws from its own counter-based Philox
 stream keyed by (seed, j), so results are bit-identical for any chunk
@@ -153,33 +153,33 @@ def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return scale * lifted.reshape(frame.shape[:-2] + (emb,))
 
 
-def _advance(space, x, zt, tau, k):
-    """exp_x(sqrt(tau)/k * zt + tau/k^2 * Z(x)), the velocity projected first.
+def _velocity(space, x, zt, tau, k):
+    """sqrt(tau)/k * zt + tau/k^2 * Z(x), projected onto the tangent space at x.
 
     tau is a number or an array that broadcasts against x (one time
     scale per side)."""
     inv_k = 1.0 / k
     inv_k2 = inv_k * inv_k
     v = np.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(x)
-    return space.exp_map(x, space.project_tangent(x, v))
+    return space.project_tangent(x, v)
 
 
 def _step_single(space, x, frame, zeta, tau, k):
     """One step of a lone walker: the new point, the frame transported
-    along the step, and the lifted noise that drove it."""
+    along the step's own geodesic, and the lifted noise that drove it."""
     zt = _lift(frame, zeta)
-    new_x = _advance(space, x, zt, tau, k)
-    return new_x, space.transport_frame(x, new_x, frame), zt
+    v = _velocity(space, x, zt, tau, k)[..., None, :]
+    new_x, new_frame = space.exp_transport(x[..., None, :], v, frame)
+    return new_x[..., 0, :], new_frame, zt
 
 
 def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
     """One update of the coupled chain on batched state arrays."""
     new_x1, new_frame, zt1 = _step_single(space, x1, frame1, zeta, tau1, k)
-    diag = space.distance(x1, x2) < _DIAGONAL_TOL
-    zt2 = space.parallel_transport(x1, x2, zt1)
-    if np.any(diag):
-        zt2 = np.where(diag[..., None], zt1, zt2)
-    return new_x1, _advance(space, x2, zt2, tau2, k), new_frame
+    u = space.log_map(x1, x2)
+    diag = space._norm(u) < _DIAGONAL_TOL
+    zt2 = np.where(diag, zt1, space.exp_transport(x1, u, zt1)[1])
+    return new_x1, space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
 
 
 def step_coupled(space: ModelSpace, state: CoupledState, tau1: float, tau2: float,

@@ -357,6 +357,26 @@ def test_report_validation_rejects_tampering(tmp_path):
     assert main(["report", "--in", write_json(tmp_path / "t2.json", doc2)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lhs", "1"), ("margin", "x"), ("sigma", True), ("seed", [1]), ("stderr_lhs", {}),
+    ("check_id", 3), ("space", None), ("verdict", ["pass"])])
+def test_report_field_of_the_wrong_type_exits_two(tmp_path, capsys, key, value):
+    cfg = write_json(tmp_path / "c.json", {
+        "schema": "ctl-suite/1",
+        "checks": [{"id": "laplacian_comparison",
+                    "space": {"kind": "euclidean", "dim": 3},
+                    "x": [0.0, 0.0, 0.0], "y": [1.0, 0.0, 0.0]}]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    doc["reports"][0][key] = value
+    path = write_json(tmp_path / "t.json", doc)
+    with pytest.raises(ConfigError, match=f"report field '{key}'"):
+        load_report(path)
+    assert main(["report", "--in", path]) == 2
+    assert "report error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", [1, None, "pass", ["check_id", "verdict"]])
 def test_report_row_that_is_not_an_object_exits_two(tmp_path, capsys, row):
     path = write_json(tmp_path / "r.json", {"schema": "ctl-report/1", "reports": [row]})

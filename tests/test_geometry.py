@@ -134,6 +134,57 @@ def test_transport_maps_geodesic_tangent(space):
     assert np.max(np.abs(tv - (-space.log_map(y, x)))) < 1e-9
 
 
+CURVED = [Sphere(2), Sphere(2, radius=2.0), Sphere(3), Hyperbolic(2),
+          Hyperbolic(3, curvature=-0.5)]
+
+
+def _inner(space, a, b):
+    if isinstance(space, Hyperbolic):
+        return np.sum(a[..., 1:] * b[..., 1:], axis=-1) - a[..., 0] * b[..., 0]
+    return np.sum(a * b, axis=-1)
+
+
+@pytest.mark.parametrize("space", CURVED, ids=lambda s: repr(s))
+def test_transport_from_a_point_to_itself_is_the_identity(space):
+    # log_x(x) is a rounding-level vector with a noise direction; the
+    # transport along it must not turn v
+    rng = np.random.default_rng(11)
+    x = random_points(space, 2000, rng)
+    v = 3.0 * random_tangents(space, x, rng)
+    err = np.max(np.abs(space.parallel_transport(x, x, v) - v), axis=-1)
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=-1))
+    assert np.all(err <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("space", CURVED, ids=lambda s: repr(s))
+def test_exp_transport_moves_along_the_step_geodesic(space):
+    # steps of length up to 1.5 in random directions
+    rng = np.random.default_rng(12)
+    x = random_points(space, 200, rng)
+    v = random_tangents(space, x, rng)
+    v *= rng.uniform(0.0, 1.5, (200, 1)) / np.sqrt(_inner(space, v, v))[:, None]
+    fr = space.frame(x)
+    y, moved = space.exp_transport(x[:, None], v[:, None], fr)
+    assert np.array_equal(y[:, 0], space.exp_map(x, v))
+    # the same vectors as the transport to the step's end point
+    via_log = space.parallel_transport(x[:, None], y, fr)
+    assert np.max(np.abs(moved - via_log)) <= 1e-12
+    # an isometry onto the tangent space at the end point
+    gram = _inner(space, moved[:, :, None], moved[:, None, :])
+    assert np.max(np.abs(gram - np.eye(space.dim))) <= 1e-12
+    assert np.max(np.abs(_inner(space, moved, y))) <= 1e-12
+    # the step's own velocity arrives as the geodesic's final velocity
+    _, end_velocity = space.exp_transport(x, v, v)
+    assert np.max(np.abs(end_velocity + space.log_map(y[:, 0], x))) <= 1e-12
+
+
+def test_flat_exp_transport_carries_vectors_unchanged():
+    e2 = Euclidean(2)
+    x, v, w = np.array([0.5, -1.0]), np.array([2.0, 3.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
+    y, moved = e2.exp_transport(x, v, w)
+    assert np.array_equal(y, x + v) and moved is w
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_frames_orthonormal(space):
     rng = np.random.default_rng(8)

@@ -206,7 +206,7 @@ def measure_geometry() -> dict:
             "log_map": space.log_map(x, y),
             "distance": space.distance(x, y),
             "parallel_transport": space.parallel_transport(x, y, v),
-            "transport_frame": space.transport_frame(x, y, frame),
+            "exp_transport": space.exp_transport(x[:, None], v[:, None], frame)[1],
             "frame": frame,
             "frame_one_point": space.frame(x[1]),
             "project_point": space.project_point(raw),

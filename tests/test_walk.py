@@ -363,3 +363,43 @@ def test_coupled_marginal_ou_mean():
     m1 = path.terminal.x1.mean()
     se = path.terminal.x1.std() / math.sqrt(cfg.n_trajectories)
     assert abs(m1 - math.exp(-0.5)) < 3 * se
+
+
+def _minkowski_or_dot(space, a, b):
+    if isinstance(space, Hyperbolic):
+        return np.sum(a[..., 1:] * b[..., 1:], axis=-1) - a[..., 0] * b[..., 0]
+    return np.sum(a * b, axis=-1)
+
+
+def _start_pair(space):
+    if isinstance(space, Hyperbolic):
+        x = space.origin()
+        return x, space.exp_map(x, np.array([0.0, 1.0, 0.0]))
+    x = np.array([0.0, 0.0, 1.0])
+    return x, space.exp_map(x, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("space, gram_tol", [(Sphere(2), 5e-14), (Hyperbolic(2), 2e-11)],
+                         ids=["S2", "H2"])
+def test_frame_stays_orthonormal_along_a_long_walk(space, gram_tol):
+    # 900 coupled steps: the frame rides each step's own geodesic, so its
+    # Gram matrix stays the identity to rounding and its rows tangent
+    x, y = _start_pair(space)
+    path = run_coupled(space, x, y, 1.0, 1.0, WalkConfig(k=30, n_trajectories=500, seed=1))
+    fr, x1 = path.terminal.frame1, path.terminal.x1
+    gram = _minkowski_or_dot(space, fr[:, :, None], fr[:, None, :])
+    assert np.max(np.abs(gram - np.eye(space.dim))) <= gram_tol
+    assert np.max(np.abs(_minkowski_or_dot(space, fr, x1[:, None]))) <= 1e-12
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)], ids=["S2", "H2"])
+def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
+    x, y = _start_pair(space)
+    calls = []
+    log_map = space.log_map
+    monkeypatch.setattr(space, "log_map", lambda a, b: calls.append(1) or log_map(a, b))
+    run_single(space, x, 0.5, WalkConfig(k=1, n_trajectories=4))
+    assert calls == []
+    step_coupled(space, CoupledState(x1=x, x2=y, frame1=space.frame(x)), 0.5, 0.5, 3,
+                 trajectory_rng(0, 0))
+    assert len(calls) == 1
