@@ -15,7 +15,6 @@ from .comparison import (
     CurvatureDimension,
     ExponentPair,
     TimeReparam,
-    addition_identities_check,
     bakry_ledoux,
     coeff_A,
     comp_c,
@@ -24,7 +23,6 @@ from .comparison import (
     duality_reparam,
     exp_weighted_j,
     j_measure,
-    phi_weight,
     psi,
     psi_upper_bound,
     swc_reparam,
@@ -47,7 +45,6 @@ from .walk import (
     run_coupled,
     run_single,
     sample_unit_ball,
-    step_coupled,
     trajectory_rng,
 )
 from .transport import (
@@ -79,7 +76,6 @@ from .heat import (
     generator_heat,
     grad_heat,
     heat_apply,
-    heat_sample,
 )
 from .checks import (
     CHECKS,

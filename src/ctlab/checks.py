@@ -3,12 +3,16 @@
 Each check compares an explicitly computed left-hand side against an
 explicitly computed right-hand side and reports a margin = rhs - lhs
 together with the Monte Carlo standard error when sampling is
-involved.  Verdicts:
+involved.  Verdicts, at the fixed levels Z and EPS:
 
-* deterministic checks: pass iff margin >= -eps;
-* statistical checks: fail iff margin < -z*sigma, inconclusive iff the
+* deterministic checks: pass iff margin >= -EPS;
+* statistical checks: fail iff margin < -Z*sigma, inconclusive iff the
   margin is negative but smaller than one combined sigma (noise could
   explain it either way), pass otherwise.
+
+The verdict levels, the difference steps and the heat backends'
+resolution are module constants, not spec fields, so no spec can
+redefine what "pass" means.
 
 Seeds, discretization parameters and sampling plans are recorded in
 every report, so each number is reproducible bit for bit.
@@ -71,6 +75,19 @@ __all__ = [
 
 log = logging.getLogger("ctl")
 
+#: verdict levels: a statistical check fails below -Z sigma, a
+#: deterministic one below -EPS
+Z = 3.0
+EPS = 1e-5
+H = 1e-3              # space step of geodesic central differences
+DT = 1e-4             # time step of the generator estimate
+BACKEND_MODES = 64    # nodes or modes of the deterministic heat backends
+DU = 1e-2             # step in u of wvar_ode's difference quotient
+
+#: the least value of each sample size; a two-sample standard error needs
+#: at least two trajectories
+_LEAST = {"n_trajectories": 2, "k": 1, "block_size": 1, "grid_n": 1}
+
 
 class DiameterError(ValueError):
     """The strict diameter hypothesis of the comparison-function control
@@ -103,15 +120,15 @@ class CheckSpec:
     block_size: int = 1000
     f: Optional[Callable | str] = None
     lam: float = 2.0                 # lambda of the two-sided time change
-    backend_modes: int = 64
     grid_n: int = 64
-    h: float = 1e-3                  # space step of finite differences
-    dt: float = 1e-4                 # time step of the generator estimate
     delta: float = 0.1               # regularizer of the pointwise condition
-    z: float = 3.0                   # statistical verdict level
-    eps: float = 1e-5                # deterministic margin budget
     share_noise: bool = True         # common random numbers across the two sides
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name!r} must be at least {least}, got {getattr(self, name)}")
 
     def resolved_cd(self) -> CurvatureDimension:
         return self.cd if self.cd is not None else self.space.cd
@@ -137,8 +154,6 @@ class VerificationReport:
     tau1: float = math.nan
     tau2: float = math.nan
     seed: int = 0
-    z: float = 3.0
-    eps: float = 1e-5
     metadata: dict = field(default_factory=dict)
     error: Optional[str] = None
 
@@ -153,7 +168,7 @@ class VerificationReport:
     def recompute_verdict(self) -> str:
         if self.error is not None:
             return "error"
-        return _verdict(self.margin, self.sigma, self.z, self.eps)
+        return _verdict(self.margin, self.sigma)
 
     def to_row(self) -> dict:
         return {
@@ -165,10 +180,10 @@ class VerificationReport:
         }
 
 
-def _verdict(margin: float, sigma: float, z: float, eps: float) -> str:
+def _verdict(margin: float, sigma: float) -> str:
     if sigma == 0.0:
-        return "pass" if margin >= -eps else "fail"
-    if margin < -z * sigma:
+        return "pass" if margin >= -EPS else "fail"
+    if margin < -Z * sigma:
         return "fail"
     if margin < 0 and sigma > abs(margin):
         return "inconclusive"
@@ -177,7 +192,7 @@ def _verdict(margin: float, sigma: float, z: float, eps: float) -> str:
 
 def _spec_fields(spec: CheckSpec) -> dict:
     """The report fields that label a spec: ids, curvature-dimension bound,
-    exponents, times, seed and verdict levels (nan where unset)."""
+    exponents, times and seed (nan where unset)."""
     try:
         cd = spec.resolved_cd()
     except Exception:  # noqa: BLE001 - the spec's own error is reported instead
@@ -188,7 +203,7 @@ def _spec_fields(spec: CheckSpec) -> dict:
         K=cd.K if cd else math.nan, N=cd.N if cd else math.nan,
         p=spec.exponents.p, beta=spec.exponents.beta,
         s=opt(spec.s), t=opt(spec.t), tau1=opt(spec.tau1), tau2=opt(spec.tau2),
-        seed=spec.seed, z=spec.z, eps=spec.eps)
+        seed=spec.seed)
 
 
 def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> VerificationReport:
@@ -340,9 +355,16 @@ def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> Ve
 
 def check_w2_control(spec: CheckSpec) -> VerificationReport:
     """Space-time Wasserstein control:
-    W_p(P_s mu0, P_t mu1)^beta <= A(s,t)^beta W_p(mu0, mu1)^beta + J([s,t])^beta."""
-    cd = spec.resolved_cd()
-    p, beta = spec.exponents.p, spec.exponents.beta
+    W_p(P_s mu0, P_t mu1)^beta <= A(s,t)^beta W_p(mu0, mu1)^beta + J([s,t])^beta.
+
+    As "wp" it is the L^p control: beta = 2 and the (K, N+p-2) coefficients."""
+    p = spec.exponents.p
+    if spec.check_id == "wp":
+        if p < 2:
+            raise ValueError("the L^p control requires p >= 2")
+        cd, beta = spec.resolved_cd().shifted(p), 2.0
+    else:
+        cd, beta = spec.resolved_cd(), spec.exponents.beta
     A = coeff_A(cd, spec.s, spec.t)  # raises before any walk unless 0 <= s < t, N < inf
     J = j_measure(cd, spec.s, spec.t)
 
@@ -377,23 +399,6 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(2.0),
                              _swc_transform(kap), rhs)
-
-
-def check_wp(spec: CheckSpec) -> VerificationReport:
-    """L^p control: W_p(P_s mu0, P_t mu1)^2 against the (K, N+p-2) coefficients."""
-    if spec.exponents.p < 2:
-        raise ValueError("the L^p control requires p >= 2")
-    p = spec.exponents.p
-    cdp = spec.resolved_cd().shifted(p)
-    A = coeff_A(cdp, spec.s, spec.t)  # raises before any walk unless 0 <= s < t, N < inf
-    J = j_measure(cdp, spec.s, spec.t)
-
-    def rhs(base):
-        W0 = base ** (1.0 / p)
-        return A**2 * W0**2 + J**2, dict(coeff_A=A, j_mass=J, W0=W0)
-
-    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
-                             lambda c: c ** (2.0 / p), rhs)
 
 
 def check_lp2(spec: CheckSpec) -> VerificationReport:
@@ -457,7 +462,6 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     at h in {1e-2, 1e-3}.
     """
     u = spec.t
-    du = spec.extra.get("du", 1e-2)
     lam = spec.lam
     if lam < 1:
         raise ValueError("lambda must be >= 1")
@@ -479,15 +483,15 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     ratio = residuals[1e-2] / residuals[1e-3] if residuals[1e-3] > 0 else math.inf
 
     # one walk for both u: the difference quotient uses common noise
-    u1 = u + du
+    u1 = u + DU
     g0, g1 = _sampled_estimates(spec, ((u / lam, u * lam), (u1 / lam, u1 * lam)),
                                 PthPowerDistance(2.0), _swc_transform(kap))
-    deriv = (g1.value - g0.value) / du
-    se_deriv = math.hypot(g0.stderr, g1.stderr) / du
+    deriv = (g1.value - g0.value) / DU
+    se_deriv = math.hypot(g0.stderr, g1.stderr) / DU
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
     se_rhs = abs(cd.K) * (lam + 1.0 / lam) * g0.stderr
     return _base_report(spec, deriv, rhs, se_deriv, se_rhs,
-                        u=u, du=du, lam=lam, w=w,
+                        u=u, du=DU, lam=lam, w=w,
                         theta_ode_residuals=residuals, theta_ode_ratio=ratio)
 
 
@@ -505,18 +509,19 @@ def _bl_rhs_coef(cd: CurvatureDimension, p: float, t: float) -> float:
     return -math.expm1(-2.0 * cd.K * t) / (denom * cd.K)
 
 
-def _field_and_backend(spec: CheckSpec):
+def _field_and_backend(spec: CheckSpec, h: float = H):
     """(f, |grad f|^{p*} as a batched callable, the deterministic backend).
-    |grad f| is the registered one, else geodesic central differences."""
+    |grad f| is the registered one, else geodesic central differences of
+    step h."""
     f, grad_f = _resolve_field(spec)
-    space, h, pstar = spec.space, spec.h, spec.exponents.p_star
+    space, pstar = spec.space, spec.exponents.p_star
     if grad_f is None:
         def grad_f(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             _, plus, minus = frame_stencil(space, f, pts, h)
             comps = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
             return np.sqrt(np.sum(np.stack(comps, axis=-1) ** 2, axis=-1))
-    backend = default_backend(space, spec.backend_modes)
+    backend = default_backend(space, BACKEND_MODES)
     return f, lambda pts: np.asarray(grad_f(pts), dtype=float) ** pstar, backend
 
 
@@ -538,9 +543,9 @@ def check_bl(spec: CheckSpec) -> VerificationReport:
     lhs_all = np.empty(grid.shape[0])
     rhs_all = np.empty(grid.shape[0])
     for i, pt in enumerate(grid):
-        lhs_all[i] = grad_heat(spec.space, backend, f, spec.t, pt, h=spec.h).value ** 2
+        lhs_all[i] = grad_heat(spec.space, backend, f, spec.t, pt, h=H).value ** 2
         pt_term = heat_apply(spec.space, backend, g_pow, spec.t, pt).value
-        gen = generator_heat(spec.space, backend, f, spec.t, pt, dt=spec.dt).value
+        gen = generator_heat(spec.space, backend, f, spec.t, pt, dt=DT).value
         rhs_all[i] = math.exp(-2 * cd.K * spec.t) * max(pt_term, 0.0) ** (2.0 / pstar) \
             - coef * gen**2
     margins = rhs_all - lhs_all
@@ -591,7 +596,7 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
     on Euclidean lines, circles, and zonal fields on 2-spheres.
     """
     cd = spec.resolved_cd()
-    p, delta, h = spec.exponents.p, spec.delta, spec.h
+    p, delta = spec.exponents.p, spec.delta
     space = spec.space
     if not (isinstance(space, Sphere) and space.dim <= 2 or isinstance(space, Euclidean)
             and space.dim == 1 and not isinstance(space, EuclideanOU)):
@@ -601,8 +606,8 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
     scale = space.radius if isinstance(space, Sphere) else 1.0
     F = lambda th: np.asarray(f(slice_chart(space, th)), dtype=float)
 
-    d1 = lambda g, th: (g(th + h) - g(th - h)) / (2 * h)           # d/dtheta
-    d2 = lambda g, th: (g(th + h) - 2 * g(th) + g(th - h)) / h**2  # d^2/dtheta^2
+    d1 = lambda g, th: (g(th + H) - g(th - H)) / (2 * H)           # d/dtheta
+    d2 = lambda g, th: (g(th + H) - 2 * g(th) + g(th - H)) / H**2  # d^2/dtheta^2
 
     def deriv(g):  # arclength derivative
         return lambda th: d1(g, th) / scale
@@ -649,12 +654,11 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
         raise ValueError("pair too close to the cut locus")
     if not cd.finite:
         raise ValueError("comparison requires finite N")
-    h = spec.h
     g = lambda pts: float(space.distance(np.broadcast_to(y, np.shape(pts)), pts))
-    frame, plus, minus = frame_stencil(space, g, x, h)
-    lap = sum((gp - 2 * d + gm) / h**2 for gp, gm in zip(plus, minus))
+    frame, plus, minus = frame_stencil(space, g, x, H)
+    lap = sum((gp - 2 * d + gm) / H**2 for gp, gm in zip(plus, minus))
     Z = space.drift(x)
-    lhs = lap + float(sum(float(Z @ e) * ((gp - gm) / (2 * h))
+    lhs = lap + float(sum(float(Z @ e) * ((gp - gm) / (2 * H))
                           for e, gp, gm in zip(frame, plus, minus)))
     rhs = cd.N / float(comp_t(cd.kappa, d))
     closed = ((space.dim - 1) / float(comp_t(space.sectional_curvature, d))
@@ -665,7 +669,7 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
 def check_mono_app(spec: CheckSpec) -> VerificationReport:
     """Monotonicity under the semigroup:
     P_t((g + delta)^r)^{1/r} - delta >= P_t(g^r)^{1/r} for r in (0,1), g >= 0."""
-    backend = default_backend(spec.space, spec.backend_modes)
+    backend = default_backend(spec.space, BACKEND_MODES)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
     grid = default_grid(spec.space, 8)
@@ -704,7 +708,7 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
 CHECKS: dict[str, Callable[[CheckSpec], VerificationReport]] = {
     "w2_control": check_w2_control,
     "swc": check_swc,
-    "wp": check_wp,
+    "wp": check_w2_control,
     "prectl": check_prectl,
     "bl0": check_bl,
     "blp": check_bl,

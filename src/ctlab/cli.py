@@ -7,7 +7,8 @@ report (re-validate and summarize an emitted JSON report).
 
 A suite's check keys and their JSON types come from CheckSpec (SUITE_KEYS),
 and each check's required fields from checks.REQUIRED_FIELDS; verify exits 2
-on any other key, a value of the wrong type or a missing field before any check runs.
+on any other key (in 'extra' too), a value of the wrong type, a sample size
+below its least value or a missing field before any check runs.
 
 Exit codes: 0 all pass, 1 any fail (or check error), 2 configuration or
 input error, 3 inconclusive results without any failure.  The log level
@@ -28,7 +29,15 @@ from importlib import resources
 
 import numpy as np
 
-from .checks import CHECKS, CheckSpec, VerificationReport, require_fields, run_suite
+from .checks import (
+    CHECKS,
+    EPS,
+    Z,
+    CheckSpec,
+    VerificationReport,
+    require_fields,
+    run_suite,
+)
 from .comparison import CurvatureDimension, ExponentPair
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 from .hopflax import FiniteMetricSpace, hopf_lax
@@ -78,10 +87,10 @@ def _typed(value, typ, label: str):
     return np.asarray(value, dtype=float) if typ is np.ndarray else typ(value)
 
 
-def _config(label: str, fn, *args):
-    """fn(*args), with a ValueError raised as a ConfigError naming label."""
+def _config(label: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError raised as a ConfigError naming label."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
 
@@ -117,6 +126,8 @@ _DERIVED_KEYS = {"id": str, "space": dict, "K": float, "N": float,
                  "k_prime_factor": float, "p": float, "beta": float}
 #: CheckSpec fields a suite does not set by name
 _LIBRARY_ONLY = {"check_id", "space", "cd", "exponents", "mu0", "mu1"}
+#: the keys a suite's 'extra' may hold; grad_f, a callable, is library-only
+_SUITE_EXTRA = {"grid", "n_cases"}
 #: every key a suite check may hold, with its type.  A field's type is its
 #: annotation, with Optional[X] read as X and a callable-or-name as the name.
 SUITE_KEYS = {**_DERIVED_KEYS, **{
@@ -137,6 +148,9 @@ def build_check(obj, global_seed: int, index: int) -> CheckSpec:
         raise ConfigError(f"{label} is missing {sorted(missing)}")
     given = {key: _typed(value, SUITE_KEYS[key], f"{label} {key!r}")
              for key, value in obj.items()}
+    unknown = set(given.get("extra", ())) - _SUITE_EXTRA
+    if unknown:
+        raise ConfigError(f"unknown keys in {label} 'extra': {sorted(unknown)}")
     check_id = given.pop("id")
     if check_id not in CHECKS:
         raise ConfigError(f"unknown inequality id {check_id!r}")
@@ -149,7 +163,8 @@ def build_check(obj, global_seed: int, index: int) -> CheckSpec:
     p = given.pop("p", 2.0)
     exponents = _config(f"{label} 'p', 'beta'", ExponentPair, p, given.pop("beta", min(2.0, p)))
     given.setdefault("seed", global_seed + index)
-    spec = CheckSpec(check_id=check_id, space=space, cd=cd, exponents=exponents, **given)
+    spec = _config(label, CheckSpec, check_id=check_id, space=space, cd=cd,
+                   exponents=exponents, **given)
     _config(f"check {index}", require_fields, spec)
     return spec
 
@@ -195,8 +210,8 @@ def report_to_dict(rep: VerificationReport) -> dict:
     row = _json_safe(rep.to_row())
     row["stderr_lhs"] = _json_safe(rep.stderr_lhs)
     row["stderr_rhs"] = _json_safe(rep.stderr_rhs)
-    row["z"] = rep.z
-    row["eps"] = rep.eps
+    row["z"] = Z
+    row["eps"] = EPS
     row["metadata"] = _json_safe(rep.metadata)
     row["error"] = rep.error
     return row

@@ -33,7 +33,6 @@ __all__ = [
     "comp_c",
     "comp_t",
     "inv_comp_c",
-    "addition_identities_check",
     "j_measure",
     "exp_weighted_j",
     "coeff_A",
@@ -41,7 +40,6 @@ __all__ = [
     "psi_upper_bound",
     "tau_star",
     "theta_exponent",
-    "phi_weight",
     "duality_reparam",
     "swc_reparam",
     "wc_var_rhs",
@@ -234,27 +232,6 @@ def inv_comp_c(kappa: float, y) -> float:
     raise ValueError("inv_comp_c requires kappa != 0")
 
 
-def addition_identities_check(kappa: float, u: float, v: float) -> dict:
-    """Residuals of the addition/Pythagoras/double-argument identities.
-
-    Returns absolute residuals of
-      c(u+v) = c(u)c(v) - k s(u)s(v)
-      s(u+v) = s(u)c(v) + c(u)s(v)
-      c(u)^2 + k s(u)^2 = 1
-      s(2u) = 2 s(u)c(u)
-      c(2u) = c(u)^2 - k s(u)^2
-    """
-    s, c = comp_s(kappa, u), comp_c(kappa, u)
-    sv, cv = comp_s(kappa, v), comp_c(kappa, v)
-    return {
-        "c_addition": abs(comp_c(kappa, u + v) - (c * cv - kappa * s * sv)),
-        "s_addition": abs(comp_s(kappa, u + v) - (s * cv + c * sv)),
-        "pythagoras": abs(c * c + kappa * s * s - 1.0),
-        "s_double": abs(comp_s(kappa, 2 * u) - 2 * s * c),
-        "c_double": abs(comp_c(kappa, 2 * u) - (c * c - kappa * s * s)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # coefficient measure J_N and the contraction coefficient
 
@@ -407,24 +384,6 @@ def theta_exponent(tau1: float, tau2: float, cd: CurvatureDimension, p: float) -
     return cd.K * (tau1 + tau2) + p * cd.k_star * (math.sqrt(tau2) - math.sqrt(tau1)) ** 2 / 2.0
 
 
-def phi_weight(d: float, tau1: float, tau2: float, kstar: float, u) -> float:
-    """Jacobi-field weight sqrt(t2) s(u)/s(d) + sqrt(t1) s(d-u)/s(d).
-
-    Interpolates from sqrt(t1) at u = 0 to sqrt(t2) at u = d; with the
-    comparison curvature K* it is the weight that saturates the index
-    lemma on a geodesic of length d.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < -1e-12) or np.any(u_arr > d + 1e-12):
-        raise ValueError("u must lie in [0, d]")
-    sd = comp_s(kstar, d)
-    out = (
-        math.sqrt(tau2) * comp_s(kstar, u_arr) / sd
-        + math.sqrt(tau1) * comp_s(kstar, np.maximum(d - u_arr, 0.0)) / sd
-    )
-    return float(out) if np.ndim(u) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # coefficient families and space-time reparametrizations
 
@@ -460,16 +419,6 @@ class CoefficientFamily:
         val, _ = quad(
             lambda r: 1.0 / (self.a(r) * self.b(r)), s, t, epsabs=1e-12, epsrel=1e-12
         )
-        return val
-
-    def contraction_coeff(self, s: float, t: float) -> float:
-        return self.j_mass(s, t) / self.weighted_mass(s, t)
-
-    def local_finiteness_check(self, delta: float = 1.0) -> float:
-        """J([0, delta]) by quadrature; raises if not finite."""
-        val, _ = quad(lambda r: 1.0 / self.b(r), 0.0, delta, epsabs=1e-10, epsrel=1e-10)
-        if not math.isfinite(val):
-            raise ValueError("J is not locally finite")
         return val
 
 

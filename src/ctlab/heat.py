@@ -31,7 +31,6 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
-from .transport import EmpiricalMeasure
 from .walk import WalkConfig, run_single
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "heat_apply",
     "grad_heat",
     "generator_heat",
-    "heat_sample",
 ]
 
 
@@ -305,15 +303,3 @@ def generator_heat(space: ModelSpace, backend: HeatBackend, f, t: float, x,
     minus = heat_apply(space, backend, f, t - dt, x)
     return HeatValue((plus.value - minus.value) / (2 * dt),
                      math.hypot(plus.stderr, minus.stderr) / (2 * dt))
-
-
-def heat_sample(space: ModelSpace, t: float, x, n: int, cfg: WalkConfig) -> EmpiricalMeasure:
-    """n samples of the heat distribution at time t started at x."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if t == 0:
-        return EmpiricalMeasure.uniform(np.broadcast_to(x, (n, x.shape[-1])).copy())
-    cfg = WalkConfig(k=cfg.k, n_trajectories=n, seed=cfg.seed)
-    result = run_single(space, x, t, cfg)
-    return EmpiricalMeasure.uniform(result.terminal)

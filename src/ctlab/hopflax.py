@@ -58,14 +58,6 @@ class FiniteMetricSpace:
     def size(self) -> int:
         return self.D.shape[0]
 
-    def check_triangle(self) -> float:
-        """Worst triangle-inequality violation (positive = violated)."""
-        worst = -np.inf
-        for i in range(self.size):
-            # max over (k, j) of d(i,j) - d(i,k) - d(k,j)
-            worst = max(worst, float(np.max(self.D[i][None, :] - self.D[i][:, None] - self.D)))
-        return worst
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod

@@ -101,12 +101,6 @@ class CouplingMatrix:
         if row_err > tol or col_err > tol:
             raise ValueError(f"marginal violation: rows {row_err:.2e}, cols {col_err:.2e}")
 
-    def to_csv(self, fh) -> None:
-        fh.write("i,j,mass\n")
-        rows, cols = np.nonzero(self.matrix > 0)
-        for i, j in zip(rows, cols):
-            fh.write(f"{i},{j},{self.matrix[i, j]:.17g}\n")
-
 
 # ---------------------------------------------------------------------------
 # cost specifications
@@ -393,6 +387,8 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     if xs.shape[0] != ys.shape[0]:
         raise ValueError("samples must have equal size")
     n = xs.shape[0]
+    if n < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     tf = transform or (lambda v: v)
     rng = np.random.default_rng(seed)
 

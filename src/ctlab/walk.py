@@ -40,7 +40,6 @@ __all__ = [
     "SingleWalkResult",
     "trajectory_rng",
     "sample_unit_ball",
-    "step_coupled",
     "run_coupled",
     "run_single",
     "write_path_csv",
@@ -180,15 +179,6 @@ def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
     diag = space._norm(u) < _DIAGONAL_TOL
     zt2 = np.where(diag, zt1, space.exp_transport(x1, u, zt1)[1])
     return new_x1, space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
-
-
-def step_coupled(space: ModelSpace, state: CoupledState, tau1: float, tau2: float,
-                 k: int, rng: np.random.Generator) -> CoupledState:
-    """One step of the coupled walk from a single state."""
-    zeta = sample_unit_ball(space.dim, rng)
-    x1, x2, fr = _step_coupled_arrays(
-        space, state.x1, state.x2, state.frame1, zeta, tau1, tau2, k)
-    return CoupledState(x1=x1, x2=x2, frame1=fr)
 
 
 def _draw_chunk_noise(seed, lo, hi, n_steps, m):

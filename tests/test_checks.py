@@ -34,18 +34,18 @@ def sphere_point(d):
 
 
 def test_verdict_deterministic():
-    assert _verdict(0.5, 0.0, 3.0, 1e-5) == "pass"
-    assert _verdict(-1e-6, 0.0, 3.0, 1e-5) == "pass"
-    assert _verdict(-1e-4, 0.0, 3.0, 1e-5) == "fail"
+    assert _verdict(0.5, 0.0) == "pass"
+    assert _verdict(-1e-6, 0.0) == "pass"
+    assert _verdict(-1e-4, 0.0) == "fail"
 
 
 def test_verdict_statistical():
     # fail beyond z sigma; inconclusive when noise covers a small negative
     # margin; pass otherwise
-    assert _verdict(0.2, 0.1, 3.0, 1e-5) == "pass"
-    assert _verdict(-0.05, 0.1, 3.0, 1e-5) == "inconclusive"
-    assert _verdict(-0.2, 0.1, 3.0, 1e-5) == "pass"
-    assert _verdict(-0.5, 0.1, 3.0, 1e-5) == "fail"
+    assert _verdict(0.2, 0.1) == "pass"
+    assert _verdict(-0.05, 0.1) == "inconclusive"
+    assert _verdict(-0.2, 0.1) == "pass"
+    assert _verdict(-0.5, 0.1) == "fail"
 
 
 def test_report_verdict_recomputable():
@@ -418,7 +418,7 @@ def test_fd_gradient_fallback_matches_the_analytic_gradient(space, name, exact, 
     assert named_field(space, name)[1] is None
     errs = []
     for h in (1e-2, 1e-3):
-        _, grad_sq, _ = _field_and_backend(CheckSpec(check_id="bl0", space=space, f=name, h=h))
+        _, grad_sq, _ = _field_and_backend(CheckSpec(check_id="bl0", space=space, f=name), h=h)
         errs.append(float(np.max(np.abs(np.sqrt(grad_sq(pts)) - exact(pts)))))
         assert errs[-1] <= h**2
     assert errs[0] / errs[1] > 50

@@ -165,6 +165,20 @@ _DROP = object()
     ({}, {"seed": 1.5}, "'seed'"),
     ({"t": _DROP}, {}, "requires t"),
     ({"x": _DROP}, {}, "requires x or mu0"),
+    ({"block_size": 0}, {}, "'block_size'"),
+    ({"block_size": -5}, {}, "'block_size'"),
+    ({"k": 0}, {}, "'k'"),
+    ({"grid_n": 0}, {}, "'grid_n'"),
+    ({"n_trajectories": 1}, {}, "'n_trajectories'"),
+    ({"extra": {"n_case": 5}}, {}, "n_case"),
+    ({"extra": {"grad_f": "cos_theta"}}, {}, "grad_f"),
+    ({"extra": {"du": 0.1}}, {}, "du"),
+    ({"K": 2.0, "z": 100}, {}, "'z'"),
+    ({"z": -1}, {}, "'z'"),
+    ({"eps": 1.0}, {}, "'eps'"),
+    ({"h": 1e-2}, {}, "'h'"),
+    ({"dt": 1e-3}, {}, "'dt'"),
+    ({"backend_modes": 8}, {}, "'backend_modes'"),
 ])
 def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch,
                                                     change, top, named):

@@ -14,10 +14,9 @@ from ctlab.heat import (
     generator_heat,
     grad_heat,
     heat_apply,
-    heat_sample,
     slice_chart,
 )
-from ctlab.walk import WalkConfig
+from ctlab.walk import WalkConfig, run_single
 
 
 def zonal_cos(p):
@@ -228,26 +227,27 @@ def test_sphere_zonal_rejects_non_zonal_field():
         heat_apply(s2, SphereZonal(), lambda p: p[..., 0], 0.5, np.array([1.0, 0.0, 0.0]))
 
 
+# the terminal cloud of a single walk samples the heat distribution
 def test_heat_sample_time_zero():
     e2 = Euclidean(2)
-    m = heat_sample(e2, 0.0, np.array([1.0, 2.0]), 7, WalkConfig(k=5, seed=0))
-    assert m.size == 7
-    assert np.allclose(m.points, [1.0, 2.0])
+    pts = run_single(e2, np.array([1.0, 2.0]), 0.0, WalkConfig(k=5, n_trajectories=7)).terminal
+    assert pts.shape == (7, 2)
+    assert np.allclose(pts, [1.0, 2.0])
 
 
 def test_heat_sample_variance():
     e2 = Euclidean(2)
-    m = heat_sample(e2, 0.5, np.zeros(2), 4000, WalkConfig(k=20, seed=5))
-    var = m.points.var(axis=0, ddof=1)
-    se = np.sqrt(np.var(m.points**2, axis=0) / 4000)
+    pts = run_single(e2, np.zeros(2), 0.5, WalkConfig(k=20, n_trajectories=4000, seed=5)).terminal
+    var = pts.var(axis=0, ddof=1)
+    se = np.sqrt(np.var(pts**2, axis=0) / 4000)
     assert np.all(np.abs(var - 1.0) < 3 * se)
 
 
 def test_heat_sample_ou_mean():
     ou = EuclideanOU(1, 1.0)
-    m = heat_sample(ou, 0.4, np.array([1.0]), 4000, WalkConfig(k=20, seed=6))
-    se = m.points.std() / math.sqrt(4000)
-    assert abs(m.points.mean() - math.exp(-0.4)) < 3 * se
+    pts = run_single(ou, np.array([1.0]), 0.4, WalkConfig(k=20, n_trajectories=4000, seed=6)).terminal
+    se = pts.std() / math.sqrt(4000)
+    assert abs(pts.mean() - math.exp(-0.4)) < 3 * se
 
 
 def test_mono_app_inequality_on_deterministic_backends():

@@ -476,15 +476,11 @@ def test_sinkhorn_nonconvergence_raises():
         sinkhorn_cost(sp, mu, nu, PthPowerDistance(2.0), epsilon=1e-4, max_iter=3)
 
 
-def test_plan_csv_export():
-    import io
-
-    sp = Euclidean(1)
-    mu = EmpiricalMeasure(points=[[0.0], [1.0]], weights=[0.5, 0.5])
-    nu = EmpiricalMeasure.dirac([0.0])
-    _, plan = exact_cost(sp, mu, nu, PthPowerDistance(2.0))
-    buf = io.StringIO()
-    plan.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "i,j,mass"
-    assert len(lines) == 3  # two point masses move
+def test_block_estimate_needs_two_samples():
+    # one sample gives every bootstrap resample the same cost, so no error bar
+    sp = Euclidean(2)
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        block_cost_estimate(sp, np.zeros((1, 2)), np.ones((1, 2)), PthPowerDistance(2.0))
+    est = block_cost_estimate(sp, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]),
+                              PthPowerDistance(2.0), n_boot=20)
+    assert est.value == 1.0

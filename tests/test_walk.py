@@ -8,12 +8,10 @@ from scipy.stats import ks_2samp
 import ctlab.walk as walk_mod
 from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
 from ctlab.walk import (
-    CoupledState,
     WalkConfig,
     run_coupled,
     run_single,
     sample_unit_ball,
-    step_coupled,
     trajectory_rng,
     write_path_csv,
 )
@@ -71,11 +69,11 @@ def test_zero_noise_zero_drift_is_fixed_point():
 
 def test_step_coupled_single_state():
     sp = Euclidean(2)
-    st = CoupledState(x1=np.zeros(2), x2=np.array([1.0, 0.0]),
-                      frame1=np.eye(2))
-    out = step_coupled(sp, st, 0.5, 0.5, 10, trajectory_rng(0, 0))
+    zeta = sample_unit_ball(2, trajectory_rng(0, 0))
+    x1, x2, _ = walk_mod._step_coupled_arrays(sp, np.zeros(2), np.array([1.0, 0.0]),
+                                              np.eye(2), zeta, 0.5, 0.5, 10)
     # equal scales on flat space: identical increments, distance preserved
-    assert sp.distance(out.x1, out.x2) == pytest.approx(1.0, abs=1e-12)
+    assert sp.distance(x1, x2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flat_equal_scales_distance_constant():
@@ -400,6 +398,6 @@ def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
     monkeypatch.setattr(space, "log_map", lambda a, b: calls.append(1) or log_map(a, b))
     run_single(space, x, 0.5, WalkConfig(k=1, n_trajectories=4))
     assert calls == []
-    step_coupled(space, CoupledState(x1=x, x2=y, frame1=space.frame(x)), 0.5, 0.5, 3,
-                 trajectory_rng(0, 0))
+    walk_mod._step_coupled_arrays(space, x, y, space.frame(x),
+                                  sample_unit_ball(space.dim, trajectory_rng(0, 0)), 0.5, 0.5, 3)
     assert len(calls) == 1
