@@ -1,9 +1,11 @@
 """Heat semigroup backends.
 
 Spectral backends give deterministic values (Fourier on circles,
-Legendre for zonal fields on 2-spheres, Gauss-Hermite on flat space,
-the Gaussian transition kernel under linear drift); the Monte Carlo
-backend reuses the geodesic walk and must agree within its noise.
+Legendre for zonal fields on 2-spheres, Gauss-Hermite on flat space and
+under linear drift, where the transition kernel is Gaussian), together
+with the exact gradient norm and generator of P_t f.  The terminal cloud
+of the geodesic walk samples the same heat law and must agree within
+its noise.
 """
 
 import math
@@ -12,13 +14,12 @@ import numpy as np
 
 from ctlab import (
     EuclideanOU,
-    MonteCarlo,
     Sphere,
     WalkConfig,
     default_backend,
-    generator_heat,
-    grad_heat,
     heat_apply,
+    heat_jet,
+    run_single,
 )
 
 sphere = Sphere(2)
@@ -29,26 +30,24 @@ x = np.array([0.0, math.sin(theta), math.cos(theta)])
 
 print("zonal mode on the unit sphere (eigenvalue -2):")
 for t in (0.1, 0.5, 1.0):
-    hv = heat_apply(sphere, be, cos_theta, t, x)
-    print(f"  t={t:3.1f}: P_t cos = {hv.value:+.8f}"
+    value = heat_apply(sphere, be, cos_theta, t, x)
+    print(f"  t={t:3.1f}: P_t cos = {value:+.8f}"
           f"   oracle {math.exp(-2 * t) * math.cos(theta):+.8f}")
 
-gv = grad_heat(sphere, be, cos_theta, 0.5, x)
-lv = generator_heat(sphere, be, cos_theta, 0.5, x)
-print(f"gradient  |grad P_t f| = {gv.value:.8f}"
+_, grad, gen = heat_jet(sphere, be, cos_theta, 0.5, x)
+print(f"gradient  |grad P_t f| = {grad:.8f}"
       f"   oracle {math.exp(-1.0) * math.sin(theta):.8f}")
-print(f"generator  L P_t f     = {lv.value:+.8f}"
+print(f"generator  L P_t f     = {gen:+.8f}"
       f"   oracle {-2 * math.exp(-1.0) * math.cos(theta):+.8f}")
 
-mc = MonteCarlo(WalkConfig(k=15, n_trajectories=3000, seed=5))
-hv = heat_apply(sphere, mc, cos_theta, 0.5, x)
-print(f"Monte Carlo            = {hv.value:+.6f} +- {hv.stderr:.6f}")
+vals = cos_theta(run_single(sphere, x, 0.5, WalkConfig(k=15, n_trajectories=3000, seed=5)).terminal)
+print(f"walk terminal mean     = {vals.mean():+.6f} +- {vals.std(ddof=1) / math.sqrt(vals.size):.6f}")
 
 print("\nlinear drift (rate 1): the transition kernel is Gaussian")
 ou = EuclideanOU(1, 1.0)
 oube = default_backend(ou)
 f = lambda p: np.sin(p[..., 0])
 t = 0.4
-hv = heat_apply(ou, oube, f, t, np.array([0.7]))
+value = heat_apply(ou, oube, f, t, np.array([0.7]))
 oracle = math.sin(math.exp(-t) * 0.7) * math.exp(-(1 - math.exp(-2 * t)) / 2)
-print(f"  P_t sin(0.7) = {hv.value:.10f}   closed form {oracle:.10f}")
+print(f"  P_t sin(0.7) = {value:.10f}   closed form {oracle:.10f}")

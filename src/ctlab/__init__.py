@@ -5,9 +5,9 @@ The package provides closed-form comparison functions and contraction
 coefficients, model geometries (Euclidean, spheres, hyperbolic space,
 linear-drift space), coupled geodesic random walks, exact and entropic
 optimal transport, the inf-convolution semigroup on finite metric
-spaces, deterministic and Monte Carlo heat-semigroup backends, and a
-verification harness that turns each contraction inequality into a
-pass/fail report.
+spaces, deterministic heat-semigroup backends with exact gradients and
+generators, and a verification harness that turns each contraction
+inequality into a pass/fail report.
 """
 
 from .comparison import (
@@ -69,13 +69,10 @@ from .hopflax import (
 from .heat import (
     CircleFourier,
     GaussHermite,
-    HeatValue,
-    MonteCarlo,
     SphereZonal,
     default_backend,
-    generator_heat,
-    grad_heat,
     heat_apply,
+    heat_jet,
 )
 from .checks import (
     CHECKS,

@@ -8,7 +8,8 @@ report (re-validate and summarize an emitted JSON report).
 A suite's check keys and their JSON types come from CheckSpec (SUITE_KEYS),
 and each check's required fields from checks.REQUIRED_FIELDS; verify exits 2
 on any other key (in 'extra' too), a value of the wrong type, a sample size
-below its least value or a missing field before any check runs.
+below its least value, an 'extra' n_cases below 1 or grid that is not a
+non-empty list of points, or a missing field before any check runs.
 
 Exit codes: 0 all pass, 1 any fail (or check error), 2 configuration or
 input error, 3 inconclusive results without any failure.  The log level
@@ -126,13 +127,37 @@ _DERIVED_KEYS = {"id": str, "space": dict, "K": float, "N": float,
                  "k_prime_factor": float, "p": float, "beta": float}
 #: CheckSpec fields a suite does not set by name
 _LIBRARY_ONLY = {"check_id", "space", "cd", "exponents", "mu0", "mu1"}
-#: the keys a suite's 'extra' may hold; grad_f, a callable, is library-only
-_SUITE_EXTRA = {"grid", "n_cases"}
 #: every key a suite check may hold, with its type.  A field's type is its
 #: annotation, with Optional[X] read as X and a callable-or-name as the name.
 SUITE_KEYS = {**_DERIVED_KEYS, **{
     name: next(t for t in typing.get_args(hint) or (hint,) if t in _JSON_NAMES)
     for name, hint in typing.get_type_hints(CheckSpec).items() if name not in _LIBRARY_ONLY}}
+
+
+def _suite_extra(extra: dict, space: ModelSpace, label: str) -> dict:
+    """A suite's 'extra', typed: n_cases an integer of at least 1 and grid a
+    non-empty list of points, each a list of the space's embedding
+    coordinates; any other key is an error (grad_f, a callable, is
+    library-only)."""
+    unknown = set(extra) - {"grid", "n_cases"}
+    if unknown:
+        raise ConfigError(f"unknown keys in {label} 'extra': {sorted(unknown)}")
+    typed = {}
+    if "n_cases" in extra:
+        typed["n_cases"] = _typed(extra["n_cases"], int, f"{label} 'extra' 'n_cases'")
+        if typed["n_cases"] < 1:
+            raise ConfigError(f"{label} 'extra' 'n_cases' must be at least 1, "
+                              f"got {typed['n_cases']}")
+    if "grid" in extra:
+        grid = extra["grid"]
+        name = f"{label} 'extra' 'grid'"
+        if not isinstance(grid, list) or not grid:
+            raise ConfigError(f"{name} must be a non-empty list of points, got {grid!r}")
+        points = [_typed(p, np.ndarray, f"{name} point {i}") for i, p in enumerate(grid)]
+        if any(p.shape != (space.emb_dim,) for p in points):
+            raise ConfigError(f"{name} points must each have {space.emb_dim} coordinates")
+        typed["grid"] = np.stack(points)
+    return typed
 
 
 def build_check(obj, global_seed: int, index: int) -> CheckSpec:
@@ -148,13 +173,12 @@ def build_check(obj, global_seed: int, index: int) -> CheckSpec:
         raise ConfigError(f"{label} is missing {sorted(missing)}")
     given = {key: _typed(value, SUITE_KEYS[key], f"{label} {key!r}")
              for key, value in obj.items()}
-    unknown = set(given.get("extra", ())) - _SUITE_EXTRA
-    if unknown:
-        raise ConfigError(f"unknown keys in {label} 'extra': {sorted(unknown)}")
     check_id = given.pop("id")
     if check_id not in CHECKS:
         raise ConfigError(f"unknown inequality id {check_id!r}")
     space = build_space(given.pop("space"))
+    if "extra" in given:
+        given["extra"] = _suite_extra(given["extra"], space, label)
     cd = None
     if given.keys() & {"K", "N", "k_prime_factor"}:
         native = space.cd

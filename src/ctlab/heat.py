@@ -1,62 +1,54 @@
 """Heat semigroup evaluation on the model spaces.
 
-The generator is Laplacian + drift throughout, so the Euclidean kernel
-at time t has covariance 2tI.  Deterministic backends:
+The generator L is Laplacian + drift throughout, so the Euclidean kernel
+at time t has covariance 2tI.  Each backend takes a field f once and
+evaluates, for points x of shape (..., emb) and times t > 0 (a number or
+an array that broadcasts against x's batch shape), the jet
+(P_t f, |grad P_t f|, L P_t f) in closed form:
 
-* GaussHermite      - Euclidean and linear-drift spaces, tensor Gauss-Hermite
-  quadrature against the Gaussian kernel: mean x and per-coordinate
-  variance 2t on flat space, mean e^{-lam t} x and variance
-  (1-e^{-2 lam t})/lam with drift
-* CircleFourier     - circles (1-spheres), Fourier multiplier e^{-(k/rho)^2 t}
-* SphereZonal       - zonal functions on 2-spheres, Legendre multiplier
-  e^{-l(l+1) t / rho^2}
+* GaussHermite  - Euclidean and linear-drift spaces of dimension <= 2:
+  P_t f(x) = E f(a x + sigma Z) by tensor Gauss-Hermite quadrature, Z with
+  density e^{-|z|^2} / pi^{m/2}, a = e^{-lam t} and
+  sigma^2 = 2 (1 - e^{-2 lam t}) / lam (a = 1 and sigma^2 = 4t when flat).
+  Gaussian integration by parts gives grad P_t f = a E[f 2Z] / sigma and
+  L P_t f = -lam x . grad P_t f + (2 a^2 / sigma^2) E[f (2|Z|^2 - m)].
+* CircleFourier - circles of radius rho: Fourier multipliers e^{-(k/rho)^2 t},
+  ik/rho for the arclength derivative and -(k/rho)^2 for L.
+* SphereZonal   - zonal functions on 2-spheres: the Legendre series
+  sum c_l e^{-l(l+1) t/rho^2} P_l(u) in u = cos(polar angle), with
+  |grad| = sqrt(1 - u^2) |sum c_l e^{..} P_l'(u)| / rho and L the
+  multiplier -l(l+1)/rho^2.
 
-plus a MonteCarlo backend that reuses the geodesic walk; default_backend
-picks the first deterministic one whose applies_to holds.  slice_chart is
-the 1-D slice the gradient checks evaluate on (a 2-sphere's meridian, the
-circle, the first axis of E^m).  frame_stencil evaluates a function at
-exp_x(+-h e_i) over the orthonormal frame e_i at x: gradients, in grad_heat
-and in the checks, are its geodesic central differences.  Generator values
-are central differences in time.
+default_backend picks the first backend whose applies_to holds.  heat_jet
+returns the jet; heat_apply returns the value alone, and f itself at
+t = 0.  slice_chart is the 1-D slice the gradient checks evaluate on (a
+2-sphere's meridian, the circle, the first axis of E^m).  frame_stencil
+evaluates a function at exp_x(+-h e_i) over the orthonormal frame e_i at
+x: the geodesic central differences of fields with no analytic gradient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import legder, leggauss, legvander
+from scipy.special import eval_legendre
 
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
-from .walk import WalkConfig, run_single
 
 __all__ = [
-    "HeatValue",
     "HeatBackend",
     "GaussHermite",
     "CircleFourier",
     "SphereZonal",
-    "MonteCarlo",
     "default_backend",
     "slice_chart",
     "frame_stencil",
+    "heat_jet",
     "heat_apply",
-    "grad_heat",
-    "generator_heat",
 ]
-
-
-@dataclass(frozen=True)
-class HeatValue:
-    value: float
-    stderr: float = 0.0
-
-    def __post_init__(self):
-        if self.stderr < 0:
-            raise ValueError("stderr must be nonnegative")
 
 
 class BackendMismatch(TypeError):
@@ -68,45 +60,53 @@ class HeatBackend:
     def applies_to(cls, space: ModelSpace) -> bool:  # pragma: no cover
         raise NotImplementedError
 
-    def apply(self, space, f, t, x) -> HeatValue:  # pragma: no cover
-        """P_t f(x) for t > 0, x a float array and a space the backend
-        applies to; heat_apply checks all three."""
+    def jet(self, space, f, t, x):  # pragma: no cover
+        """(P_t f, |grad P_t f|, L P_t f) at points x (..., emb), each of
+        the broadcast batch shape of x and t > 0; heat_jet checks the
+        space and the times."""
         raise NotImplementedError
 
 
 class GaussHermite(HeatBackend):
-    """P_t f(x) = E f(mean + scale Z) by tensor Gauss-Hermite quadrature, Z with
-    density e^{-|z|^2} / pi^{m/2}: the Gaussian kernel of the flat or the
-    linear-drift generator."""
+    """P_t f(x) = E f(a x + sigma Z) by tensor Gauss-Hermite quadrature: the
+    Gaussian kernel of the flat or the linear-drift generator."""
 
     def __init__(self, nodes: int = 64):
         if nodes < 8:
             raise ValueError("need at least 8 nodes")
         self.nodes = nodes
-        self._z, self._w = hermgauss(nodes)
-        Z1, Z2 = np.meshgrid(self._z, self._z, indexing="ij")
-        self._offs2 = np.stack([Z1.ravel(), Z2.ravel()], axis=-1)
-        self._w2 = np.outer(self._w, self._w).ravel()
+        z, w = hermgauss(nodes)
+        # per dimension m: the nodes Z (n, m) and, as the columns of one
+        # matrix, the weights of E[f], E[f (2|Z|^2 - m)] and E[f 2Z]
+        self._tables = {}
+        for m in (1, 2):
+            offs = np.stack(np.meshgrid(*(z,) * m, indexing="ij"), axis=-1).reshape(-1, m)
+            wts = np.prod(np.meshgrid(*(w,) * m, indexing="ij"), axis=0).ravel()
+            wts = wts / math.pi ** (m / 2)
+            lap = wts * (2.0 * np.sum(offs**2, axis=-1) - m)
+            self._tables[m] = offs, np.column_stack([wts, lap, 2.0 * wts[:, None] * offs])
 
     @classmethod
     def applies_to(cls, space):
         return isinstance(space, Euclidean) and space.dim <= 2
 
-    def apply(self, space, f, t, x):
-        if isinstance(space, EuclideanOU):
-            lam = space.lam
-            mean = math.exp(-lam * t) * x
-            sd = math.sqrt(-math.expm1(-2.0 * lam * t) / lam)  # sd^2 = (1 - e^{-2 lam t}) / lam
-            scale = math.sqrt(2.0) * sd
+    def jet(self, space, f, t, x):
+        offs, weights = self._tables[space.dim]
+        t = t[..., None]
+        lam = space.lam if isinstance(space, EuclideanOU) else 0.0
+        if lam:
+            a = np.exp(-lam * t)
+            sigma = np.sqrt(-2.0 * np.expm1(-2.0 * lam * t) / lam)
         else:
-            mean, scale = x, 2.0 * math.sqrt(t)
-        if space.dim == 1:
-            pts = mean[None, :] + scale * self._z[:, None]
-            vals = np.asarray(f(pts), dtype=float)
-            return HeatValue(float(vals @ self._w / math.sqrt(math.pi)))
-        pts = mean[None, :] + scale * self._offs2
-        vals = np.asarray(f(pts), dtype=float)
-        return HeatValue(float(vals @ self._w2 / math.pi))
+            a, sigma = 1.0, 2.0 * np.sqrt(t)
+        vals = np.asarray(f((a * x)[..., None, :] + sigma[..., None] * offs), dtype=float)
+        moments = np.einsum("...n,nk->...k", vals, weights)
+        scale = (a / sigma)[..., 0]
+        grad = scale[..., None] * moments[..., 2:]
+        gen = 2.0 * scale**2 * moments[..., 1]
+        if lam:
+            gen = gen - lam * (x * grad).sum(-1)
+        return moments[..., 0], np.sqrt((grad**2).sum(-1)), gen
 
 
 class CircleFourier(HeatBackend):
@@ -116,23 +116,26 @@ class CircleFourier(HeatBackend):
         if n_modes < 8:
             raise ValueError("need at least 8 modes")
         self.n_modes = n_modes
+        n = 2 * n_modes
+        self._unit_circle = slice_chart(Sphere(1), 2.0 * math.pi * np.arange(n) / n)
+        self._ks = ks = np.arange(n_modes + 1)
+        # the real series c_0 + 2 Re sum_{k>=1} c_k e^{ik theta}, its first
+        # and its second theta derivative, as the columns of one matrix
+        twice = np.where(ks == 0, 1.0, 2.0)
+        self._multipliers = np.stack([twice, 1j * ks * twice, -(ks**2) * twice], axis=-1)
 
     @classmethod
     def applies_to(cls, space):
         return isinstance(space, Sphere) and space.dim == 1
 
-    def apply(self, space, f, t, x):
-        n = 2 * self.n_modes
-        theta = 2.0 * math.pi * np.arange(n) / n
-        vals = np.asarray(f(slice_chart(space, theta)), dtype=float)
-        coeff = np.fft.rfft(vals) / n
-        ks = np.arange(coeff.size)
-        decay = np.exp(-((ks / space.radius) ** 2) * t)
-        theta0 = math.atan2(x[1], x[0])
-        phases = np.exp(1j * ks * theta0)
-        val = coeff[0].real * decay[0] + 2.0 * np.sum(
-            (coeff[1:] * phases[1:]).real * decay[1:])
-        return HeatValue(float(val))
+    def jet(self, space, f, t, x):
+        rho, ks = space.radius, self._ks
+        vals = np.asarray(f(rho * self._unit_circle), dtype=float)
+        coeff = np.fft.rfft(vals) / vals.size
+        theta0 = np.arctan2(x[..., 1], x[..., 0])
+        terms = coeff * np.exp(-(ks / rho) ** 2 * t[..., None] + 1j * ks * theta0[..., None])
+        out = np.einsum("...n,nk->...k", terms, self._multipliers).real
+        return out[..., 0], np.abs(out[..., 1]) / rho, out[..., 2] / rho**2
 
 
 class SphereZonal(HeatBackend):
@@ -151,7 +154,7 @@ class SphereZonal(HeatBackend):
         self.n_modes = n_modes
         axis = np.asarray(axis, dtype=float)
         self.axis = a = axis / np.linalg.norm(axis)
-        self._u, self._w = leggauss(2 * n_modes)
+        u, w = leggauss(2 * n_modes)
         # deterministic orthogonal direction: smallest-component axis trick
         helper = np.zeros(3)
         helper[np.argmin(np.abs(a))] = 1.0
@@ -162,17 +165,15 @@ class SphereZonal(HeatBackend):
         # that is not zonal about the axis differs from the meridian
         turned = [math.cos(phi) * perp + math.sin(phi) * np.cross(a, perp)
                   for phi in (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
-        u = self._u[..., None]
-        self._rings = np.stack([u * a + np.sqrt(np.maximum(1 - u**2, 0.0)) * d
+        u_col = u[:, None]
+        self._rings = np.stack([u_col * a + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
                                 for d in (perp, *turned)])
-        # P_l(u) on the quadrature nodes via the recurrence
-        P = np.zeros((n_modes, self._u.size))
-        P[0] = 1.0
-        if n_modes > 1:
-            P[1] = self._u
-        for l in range(1, n_modes - 1):
-            P[l + 1] = ((2 * l + 1) * self._u * P[l] - l * P[l - 1]) / (l + 1)
-        self._P = P
+        self._ls = ls = np.arange(n_modes)
+        self._eig = -ls * (ls + 1.0)
+        # c_l = (2l+1)/2 sum_j w_j f(u_j) P_l(u_j)
+        self._project = legvander(u, n_modes - 1) * (w[:, None] * (ls + 0.5))
+        # series coefficients -> those of the derivative series (the last is 0)
+        self._deriv = np.vstack([legder(np.eye(n_modes)), np.zeros(n_modes)]).T
 
     @classmethod
     def applies_to(cls, space):
@@ -184,41 +185,18 @@ class SphereZonal(HeatBackend):
         others = np.asarray(f(turned.reshape(-1, 3)), dtype=float).reshape(2, -1)
         if np.any(np.abs(others - vals) > 1e-9 * np.max(np.abs(vals))):
             raise ValueError("SphereZonal needs a field rotationally symmetric about its axis")
-        ls = np.arange(self.n_modes)
-        return (2 * ls + 1) / 2.0 * (self._P * (self._w * vals)[None, :]).sum(axis=1)
+        return vals @ self._project
 
-    def apply(self, space, f, t, x):
-        coeff = self._coefficients(space, f)
-        ls = np.arange(self.n_modes)
-        decay = np.exp(-ls * (ls + 1) * t / space.radius**2)
-        u0 = float(x @ self.axis) / space.radius
-        u0 = min(1.0, max(-1.0, u0))
-        # evaluate Legendre polynomials at u0
-        vals = np.zeros(self.n_modes)
-        vals[0] = 1.0
-        if self.n_modes > 1:
-            vals[1] = u0
-        for l in range(1, self.n_modes - 1):
-            vals[l + 1] = ((2 * l + 1) * u0 * vals[l] - l * vals[l - 1]) / (l + 1)
-        return HeatValue(float(np.sum(coeff * decay * vals)))
-
-
-class MonteCarlo(HeatBackend):
-    """Walk-based backend; works on every model space."""
-
-    def __init__(self, cfg: WalkConfig):
-        self.cfg = cfg
-
-    @classmethod
-    def applies_to(cls, space):
-        return True
-
-    def apply(self, space, f, t, x):
-        result = run_single(space, x, t, self.cfg)
-        vals = np.asarray(f(result.terminal), dtype=float)
-        n = vals.size
-        return HeatValue(float(vals.mean()),
-                         float(vals.std(ddof=1) / math.sqrt(n)))
+    def jet(self, space, f, t, x):
+        rho = space.radius
+        series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
+        u0 = np.clip(x @ self.axis / rho, -1.0, 1.0)
+        # P_l(u0) in one call: legvander's per-degree loop costs far more
+        # per point, and mono_app evaluates point by point
+        P = eval_legendre(self._ls, u0[..., None])
+        slope = (np.einsum("...n,nk->...k", series, self._deriv) * P).sum(-1)
+        return ((series * P).sum(-1), np.sqrt(1.0 - u0**2) * np.abs(slope) / rho,
+                (series * self._eig * P).sum(-1) / rho**2)
 
 
 def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:
@@ -227,7 +205,7 @@ def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:
     for backend in (GaussHermite, CircleFourier, SphereZonal):
         if backend.applies_to(space):
             return backend(n_modes)
-    raise BackendMismatch(f"no deterministic backend for {space!r}; use MonteCarlo")
+    raise BackendMismatch(f"no deterministic backend for {space!r}")
 
 
 def slice_chart(space: ModelSpace, theta) -> np.ndarray:
@@ -248,16 +226,28 @@ def slice_chart(space: ModelSpace, theta) -> np.ndarray:
     raise ValueError(f"no 1-D slice of {space.label}")
 
 
-def heat_apply(space: ModelSpace, backend: HeatBackend, f, t: float, x) -> HeatValue:
-    """P_t f(x)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+def _check_backend(space: ModelSpace, backend: HeatBackend) -> None:
     if not backend.applies_to(space):
         raise BackendMismatch(f"{type(backend).__name__} does not model {space!r}")
-    x = np.asarray(x, dtype=float)
-    if t == 0:
-        return HeatValue(float(f(x)))
-    return backend.apply(space, f, t, x)
+
+
+def heat_jet(space: ModelSpace, backend: HeatBackend, f, t, x):
+    """(P_t f, |grad P_t f|, L P_t f) at points x (..., emb) and times t > 0,
+    a number or an array that broadcasts against x's batch shape."""
+    _check_backend(space, backend)
+    t = np.asarray(t, dtype=float)
+    if not (t > 0).all():
+        raise ValueError("the heat jet needs t > 0")
+    return backend.jet(space, f, t, np.asarray(x, dtype=float))
+
+
+def heat_apply(space: ModelSpace, backend: HeatBackend, f, t, x):
+    """P_t f(x) at points x (..., emb): f(x) itself when t is the number 0,
+    else the value of heat_jet."""
+    if np.ndim(t) == 0 and t == 0:
+        _check_backend(space, backend)
+        return np.asarray(f(np.asarray(x, dtype=float)), dtype=float)[()]
+    return heat_jet(space, backend, f, t, x)[0][()]
 
 
 def frame_stencil(space: ModelSpace, g, x, h: float):
@@ -271,35 +261,3 @@ def frame_stencil(space: ModelSpace, g, x, h: float):
         plus.append(g(space.exp_map(x, step)))
         minus.append(g(space.exp_map(x, -step)))
     return frame, plus, minus
-
-
-def grad_heat(space: ModelSpace, backend: HeatBackend, f, t: float, x,
-              h: float = 1e-3) -> HeatValue:
-    """|grad P_t f|(x) from central geodesic differences.
-
-    The directional derivative along each frame vector is the symmetric
-    difference of frame_stencil, and the gradient norm is the Euclidean
-    norm of the components (exact for smooth fields up to O(h^2) bias).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    _, plus, minus = frame_stencil(space, lambda p: heat_apply(space, backend, f, t, p), x, h)
-    comps = np.array([(a.value - b.value) / (2 * h) for a, b in zip(plus, minus)])
-    errs = np.array([math.hypot(a.stderr, b.stderr) / (2 * h) for a, b in zip(plus, minus)])
-    norm = float(np.linalg.norm(comps))
-    if norm == 0.0:
-        return HeatValue(0.0, float(np.linalg.norm(errs)))
-    stderr = float(np.sqrt(np.sum((comps / norm) ** 2 * errs**2)))
-    return HeatValue(norm, stderr)
-
-
-def generator_heat(space: ModelSpace, backend: HeatBackend, f, t: float, x,
-                   dt: float = 1e-4) -> HeatValue:
-    """(Laplacian + drift) P_t f(x) as the symmetric time difference."""
-    if not 0 < dt < t:
-        raise ValueError("need 0 < dt < t")
-    plus = heat_apply(space, backend, f, t + dt, x)
-    minus = heat_apply(space, backend, f, t - dt, x)
-    return HeatValue((plus.value - minus.value) / (2 * dt),
-                     math.hypot(plus.stderr, minus.stderr) / (2 * dt))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -213,8 +213,7 @@ def _rows(start, lo, hi):
     return start[lo:hi] if start.ndim == 2 else np.broadcast_to(start, (hi - lo, start.shape[-1]))
 
 
-def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step,
-           initial_frame: Callable[[ModelSpace, np.ndarray], np.ndarray] | None):
+def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step):
     """Run cfg.n_trajectories walks in chunks of _CHUNK trajectories.
 
     `sides` holds, per side, one start per walker, each a point or
@@ -239,8 +238,7 @@ def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step,
         noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
         pts = tuple(np.stack([_rows(side[w], lo, hi) for side in sides])
                     for w in range(n_walkers))
-        fr = np.stack([initial_frame(space, p) if initial_frame else space.frame(p)
-                       for p in pts[0]])
+        fr = np.stack([space.frame(p) for p in pts[0]])
         if 0 in retained:
             retained[0].append(tuple(p.copy() for p in pts))
         for i in range(steps):
@@ -264,9 +262,7 @@ def _first_side(snapshots):
 
 
 def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
-                cfg: WalkConfig,
-                initial_frame: Callable[[ModelSpace, np.ndarray], np.ndarray] | None = None,
-                ) -> CoupledWalkPath:
+                cfg: WalkConfig) -> CoupledWalkPath:
     """Run cfg.n_trajectories independent coupled walks from (x, y).
 
     The terminal pair approximates a coupling of the heat distributions
@@ -287,7 +283,7 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
         x1, x2, fr = _step_coupled_arrays(space, x1, x2, fr, zeta, tau1, tau2, cfg.k)
         return (x1, x2), fr
 
-    (x1, x2), frame, snapshots = _drive(space, ((x, y),), cfg, step, initial_frame)
+    (x1, x2), frame, snapshots = _drive(space, ((x, y),), cfg, step)
     x1, x2 = x1[0], x2[0]
     return CoupledWalkPath(
         tau1=tau1, tau2=tau2, config=cfg,
@@ -296,8 +292,7 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
         terminal_distances=space.distance(x1, x2))
 
 
-def run_single(space: ModelSpace, x, tau, cfg: WalkConfig,
-               initial_frame=None) -> SingleWalkResult:
+def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
     """Independent single walks from x (or per-trajectory rows of x).
 
     With a tuple of time scales, x is a matching sequence of starts, one
@@ -322,8 +317,7 @@ def run_single(space: ModelSpace, x, tau, cfg: WalkConfig,
         new_x, fr, _ = _step_single(space, pts[0], fr, zeta, scales, cfg.k)
         return (new_x,), fr
 
-    (terminal,), _, snapshots = _drive(space, tuple((s,) for s in starts), cfg, step,
-                                       initial_frame)
+    (terminal,), _, snapshots = _drive(space, tuple((s,) for s in starts), cfg, step)
     if not multi:
         terminal, snapshots = terminal[0], _first_side(snapshots)
     return SingleWalkResult(tau=tau, config=cfg, terminal=terminal, snapshots=snapshots)

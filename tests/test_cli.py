@@ -179,6 +179,13 @@ _DROP = object()
     ({"h": 1e-2}, {}, "'h'"),
     ({"dt": 1e-3}, {}, "'dt'"),
     ({"backend_modes": 8}, {}, "'backend_modes'"),
+    ({"extra": {"n_cases": 0}}, {}, "'n_cases'"),
+    ({"extra": {"n_cases": 2.5}}, {}, "'n_cases'"),
+    ({"extra": {"n_cases": True}}, {}, "'n_cases'"),
+    ({"extra": {"grid": []}}, {}, "'grid'"),
+    ({"extra": {"grid": [0.0, 0.0, 1.0]}}, {}, "'grid'"),
+    ({"extra": {"grid": [[0.0, "a", 1.0]]}}, {}, "'grid'"),
+    ({"extra": {"grid": [[0.0, 1.0]]}}, {}, "'grid'"),
 ])
 def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch,
                                                     change, top, named):

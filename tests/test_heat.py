@@ -7,13 +7,11 @@ from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
 from ctlab.heat import (
     CircleFourier,
     GaussHermite,
-    MonteCarlo,
     SphereZonal,
     default_backend,
     frame_stencil,
-    generator_heat,
-    grad_heat,
     heat_apply,
+    heat_jet,
     slice_chart,
 )
 from ctlab.walk import WalkConfig, run_single
@@ -26,9 +24,7 @@ def zonal_cos(p):
 def test_time_zero_is_identity():
     s2 = Sphere(2)
     x = np.array([0.0, math.sin(1.0), math.cos(1.0)])
-    hv = heat_apply(s2, default_backend(s2), zonal_cos, 0.0, x)
-    assert hv.value == pytest.approx(math.cos(1.0), abs=1e-15)
-    assert hv.stderr == 0.0
+    assert heat_apply(s2, default_backend(s2), zonal_cos, 0.0, x) == math.cos(1.0)
 
 
 def test_euclidean_coordinate_is_invariant():
@@ -36,8 +32,7 @@ def test_euclidean_coordinate_is_invariant():
     e2 = Euclidean(2)
     f = lambda p: p[..., 0]
     x = np.array([0.7, -0.2])
-    hv = heat_apply(e2, default_backend(e2), f, 0.8, x)
-    assert hv.value == pytest.approx(0.7, abs=1e-12)
+    assert heat_apply(e2, default_backend(e2), f, 0.8, x) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_sphere_zonal_eigenvalue():
@@ -47,7 +42,7 @@ def test_sphere_zonal_eigenvalue():
     for theta in (0.3, 1.0, 2.2):
         x = np.array([0.0, math.sin(theta), math.cos(theta)])
         hv = heat_apply(s2, be, zonal_cos, 0.5, x)
-        assert hv.value == pytest.approx(math.exp(-1.0) * math.cos(theta), abs=1e-8)
+        assert hv == pytest.approx(math.exp(-1.0) * math.cos(theta), abs=1e-8)
 
 
 def test_circle_fourier_eigenvalue():
@@ -57,7 +52,7 @@ def test_circle_fourier_eigenvalue():
     for theta in (0.0, 0.9, 4.0):
         x = np.array([math.cos(theta), math.sin(theta)])
         hv = heat_apply(s1, be, f, 0.3, x)
-        assert hv.value == pytest.approx(math.exp(-0.3) * math.sin(theta), abs=1e-10)
+        assert hv == pytest.approx(math.exp(-0.3) * math.sin(theta), abs=1e-10)
 
 
 def test_euclidean_quadratic_moments():
@@ -65,12 +60,10 @@ def test_euclidean_quadratic_moments():
     e1 = Euclidean(1)
     be = default_backend(e1)
     f = lambda p: p[..., 0] ** 2
-    hv = heat_apply(e1, be, f, 0.3, np.array([0.5]))
-    assert hv.value == pytest.approx(0.25 + 0.6, abs=1e-10)
-    gv = grad_heat(e1, be, f, 0.3, np.array([0.5]))
-    assert gv.value == pytest.approx(1.0, abs=1e-6)
-    lv = generator_heat(e1, be, f, 0.3, np.array([0.5]))
-    assert lv.value == pytest.approx(2.0, abs=1e-6)
+    value, grad, gen = heat_jet(e1, be, f, 0.3, np.array([0.5]))
+    assert value == pytest.approx(0.25 + 0.6, abs=1e-10)
+    assert grad == pytest.approx(1.0, abs=1e-10)
+    assert gen == pytest.approx(2.0, abs=1e-10)
 
 
 def test_sphere_gradient_oracle():
@@ -79,8 +72,8 @@ def test_sphere_gradient_oracle():
     be = default_backend(s2)
     theta = math.pi / 3
     x = np.array([0.0, math.sin(theta), math.cos(theta)])
-    gv = grad_heat(s2, be, zonal_cos, 0.5, x, h=1e-3)
-    assert gv.value == pytest.approx(math.exp(-1.0) * math.sin(theta), abs=1e-4)
+    _, grad, _ = heat_jet(s2, be, zonal_cos, 0.5, x)
+    assert grad == pytest.approx(math.exp(-1.0) * math.sin(theta), abs=1e-10)
 
 
 def test_sphere_generator_oracle():
@@ -88,15 +81,15 @@ def test_sphere_generator_oracle():
     be = default_backend(s2)
     theta = math.pi / 3
     x = np.array([0.0, math.sin(theta), math.cos(theta)])
-    lv = generator_heat(s2, be, zonal_cos, 0.5, x, dt=1e-4)
-    assert lv.value == pytest.approx(-2 * math.exp(-1.0) * math.cos(theta), abs=1e-5)
+    _, _, gen = heat_jet(s2, be, zonal_cos, 0.5, x)
+    assert gen == pytest.approx(-2 * math.exp(-1.0) * math.cos(theta), abs=1e-10)
 
 
 def test_gradient_of_constant_vanishes():
     s2 = Sphere(2)
-    gv = grad_heat(s2, default_backend(s2), lambda p: np.ones(p.shape[:-1]),
-                   0.5, np.array([0.0, 0.0, 1.0]))
-    assert gv.value == pytest.approx(0.0, abs=1e-10)
+    _, grad, _ = heat_jet(s2, default_backend(s2), lambda p: np.ones(p.shape[:-1]),
+                          0.5, np.array([0.0, 0.0, 1.0]))
+    assert grad == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ou_mehler_oracle():
@@ -107,7 +100,66 @@ def test_ou_mehler_oracle():
     t = 0.4
     hv = heat_apply(ou, be, lambda p: np.sin(p[..., 0]), t, x)
     oracle = math.sin(math.exp(-t) * 0.7) * math.exp(-(1 - math.exp(-2 * t)) / 2)
-    assert hv.value == pytest.approx(oracle, abs=1e-12)
+    assert hv == pytest.approx(oracle, abs=1e-12)
+
+
+def test_ou_generator_oracle():
+    # u = P_t sin = c sin(a x) with a = e^{-lam t}, c = e^{-(1 - a^2)/(2 lam)}:
+    # |grad u| = |u'| and L u = u'' - lam x u'
+    for lam in (1.0, 0.7):
+        ou = EuclideanOU(1, lam)
+        t = 0.4
+        a, c = math.exp(-lam * t), math.exp(-(1 - math.exp(-2 * lam * t)) / (2 * lam))
+        xs = np.linspace(-2.0, 2.0, 17)
+        value, grad, gen = heat_jet(ou, default_backend(ou), lambda p: np.sin(p[..., 0]),
+                                    t, xs[:, None])
+        du, d2u = a * c * np.cos(a * xs), -a * a * c * np.sin(a * xs)
+        assert np.allclose(value, c * np.sin(a * xs), rtol=0, atol=1e-12)
+        assert np.allclose(grad, np.abs(du), rtol=0, atol=1e-12)
+        assert np.allclose(gen, d2u - lam * xs * du, rtol=0, atol=1e-12)
+
+
+def test_circle_jet_oracle_off_the_unit_radius():
+    # sin(theta) on the circle of radius 1.5: P_t f = e^{-t/rho^2} sin, the
+    # arclength gradient e^{-t/rho^2} |cos| / rho and L = -P_t f / rho^2
+    rho, t = 1.5, 0.4
+    s1 = Sphere(1, radius=rho)
+    theta = np.linspace(0.0, 2 * math.pi, 19)
+    decay = math.exp(-t / rho**2)
+    value, grad, gen = heat_jet(s1, default_backend(s1), lambda p: p[..., 1] / rho, t,
+                                slice_chart(s1, theta))
+    assert np.allclose(value, decay * np.sin(theta), rtol=0, atol=1e-12)
+    assert np.allclose(grad, decay * np.abs(np.cos(theta)) / rho, rtol=0, atol=1e-12)
+    assert np.allclose(gen, -decay * np.sin(theta) / rho**2, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("space,f", [
+    (Sphere(2), zonal_cos),
+    (Sphere(1, radius=1.5), lambda p: np.exp(p[..., 0] / 1.5)),
+    (Euclidean(1), lambda p: np.sin(p[..., 0])),
+    (Euclidean(2), lambda p: np.exp(-0.5 * np.sum(p**2, axis=-1))),
+    (EuclideanOU(2, 0.7), lambda p: np.tanh(p[..., 0]) * p[..., 1]),
+])
+def test_batch_equals_its_points_one_at_a_time(space, f):
+    # a grid with one time, and per-point times as bl_int passes them
+    be = default_backend(space)
+    pts = slice_chart(space, np.linspace(0.3, 2.5, 7))
+    times = np.linspace(0.1, 0.7, 7)
+    for t in (0.4, times):
+        batch = heat_jet(space, be, f, t, pts)
+        for i, p in enumerate(pts):
+            one = heat_jet(space, be, f, np.broadcast_to(t, (7,))[i], p)
+            for b, o in zip(batch, one):
+                assert np.shape(o) == () and b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
+
+
+def test_heat_jet_needs_positive_t():
+    e1 = Euclidean(1)
+    with pytest.raises(ValueError, match="t > 0"):
+        heat_jet(e1, default_backend(e1), lambda p: p[..., 0], 0.0, np.zeros(1))
+    with pytest.raises(ValueError, match="t > 0"):
+        heat_apply(e1, default_backend(e1), lambda p: p[..., 0], np.array([0.3, -0.1]),
+                   np.zeros((2, 1)))
 
 
 def test_ou_gradient_estimate_example():
@@ -118,8 +170,8 @@ def test_ou_gradient_estimate_example():
     fp2 = lambda p: np.cos(p[..., 0]) ** 2
     for x0 in (-1.0, 0.0, 0.8):
         x = np.array([x0])
-        lhs = grad_heat(ou, be, f, 0.5, x).value ** 2
-        rhs = math.exp(-1.0) * heat_apply(ou, be, fp2, 0.5, x).value
+        lhs = heat_jet(ou, be, f, 0.5, x)[1] ** 2
+        rhs = math.exp(-1.0) * heat_apply(ou, be, fp2, 0.5, x)
         assert lhs <= rhs + 1e-5
 
 
@@ -129,13 +181,9 @@ def test_semigroup_property_deterministic_backends():
     s, t = 0.2, 0.3
     x = np.array([0.0, math.sin(1.2), math.cos(1.2)])
 
-    def inner(p):
-        pts = np.atleast_2d(p)
-        vals = [heat_apply(s2, be, zonal_cos, t, q).value for q in pts]
-        return np.asarray(vals) if np.ndim(p) > 1 else vals[0]
-
-    composed = heat_apply(s2, be, inner, s, x).value
-    direct = heat_apply(s2, be, zonal_cos, s + t, x).value
+    inner = lambda p: heat_apply(s2, be, zonal_cos, t, p)
+    composed = heat_apply(s2, be, inner, s, x)
+    direct = heat_apply(s2, be, zonal_cos, s + t, x)
     assert composed == pytest.approx(direct, abs=1e-8)
 
 
@@ -144,29 +192,33 @@ def test_positivity_and_mass():
     be = default_backend(s2)
     x = np.array([0.0, math.sin(0.7), math.cos(0.7)])
     one = lambda p: np.ones(p.shape[:-1])
-    assert heat_apply(s2, be, one, 0.7, x).value == pytest.approx(1.0, abs=1e-10)
+    assert heat_apply(s2, be, one, 0.7, x) == pytest.approx(1.0, abs=1e-10)
     nonneg = lambda p: (1.0 + p[..., 2]) ** 2
-    assert heat_apply(s2, be, nonneg, 0.7, x).value >= -1e-12
+    assert heat_apply(s2, be, nonneg, 0.7, x) >= -1e-12
+
+
+def _walk_mean(space, f, t, x, cfg):
+    """The mean of f over a single walk's terminal cloud, with its standard error."""
+    vals = f(run_single(space, x, t, cfg).terminal)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
 def test_monte_carlo_agrees_with_spectral():
     s2 = Sphere(2)
     be = default_backend(s2)
-    mc = MonteCarlo(WalkConfig(k=15, n_trajectories=4000, seed=3))
     x = np.array([0.0, math.sin(1.0), math.cos(1.0)])
     spectral = heat_apply(s2, be, zonal_cos, 0.4, x)
-    sampled = heat_apply(s2, mc, zonal_cos, 0.4, x)
-    assert abs(sampled.value - spectral.value) < 3 * sampled.stderr + 5e-3
+    mean, stderr = _walk_mean(s2, zonal_cos, 0.4, x, WalkConfig(k=15, n_trajectories=4000, seed=3))
+    assert abs(mean - spectral) < 3 * stderr + 5e-3
 
 
 def test_monte_carlo_euclidean_against_gauss_hermite():
     e2 = Euclidean(2)
     f = lambda p: np.exp(-0.5 * np.sum(p**2, axis=-1))
-    mc = MonteCarlo(WalkConfig(k=15, n_trajectories=4000, seed=4))
     x = np.array([0.4, -0.3])
     a = heat_apply(e2, default_backend(e2), f, 0.5, x)
-    b = heat_apply(e2, mc, f, 0.5, x)
-    assert abs(a.value - b.value) < 3 * b.stderr + 5e-3
+    mean, stderr = _walk_mean(e2, f, 0.5, x, WalkConfig(k=15, n_trajectories=4000, seed=4))
+    assert abs(a - mean) < 3 * stderr + 5e-3
 
 
 def test_backend_space_mismatch():
@@ -261,26 +313,13 @@ def test_mono_app_inequality_on_deterministic_backends():
         delta = rng.uniform(0.01, 2.0)
         a0, a1 = rng.uniform(0.1, 2.0, size=2)
         g = lambda p: a0 + a1 * (1.0 + p[..., 2]) ** 2
-        lifted = heat_apply(s2, be, lambda p: (g(p) + delta) ** r, 0.3, x).value ** (1 / r) - delta
-        plain = heat_apply(s2, be, lambda p: g(p) ** r, 0.3, x).value ** (1 / r)
+        lifted = heat_apply(s2, be, lambda p: (g(p) + delta) ** r, 0.3, x) ** (1 / r) - delta
+        plain = heat_apply(s2, be, lambda p: g(p) ** r, 0.3, x) ** (1 / r)
         assert lifted >= plain - 1e-10
-
-
-def test_gradient_requires_positive_h():
-    with pytest.raises(ValueError):
-        grad_heat(Euclidean(1), default_backend(Euclidean(1)),
-                  lambda p: p[..., 0], 0.1, np.zeros(1), h=0.0)
-
-
-def test_generator_requires_dt_below_t():
-    with pytest.raises(ValueError):
-        generator_heat(Euclidean(1), default_backend(Euclidean(1)),
-                       lambda p: p[..., 0], 1e-5, np.zeros(1), dt=1e-4)
 
 
 def test_generator_of_invariant_field_vanishes():
     # the coordinate is harmonic and drift-free: P_t f is constant in t
     e1 = Euclidean(1)
-    lv = generator_heat(e1, default_backend(e1), lambda p: p[..., 0],
-                        0.4, np.array([0.3]))
-    assert lv.value == pytest.approx(0.0, abs=1e-9)
+    _, _, gen = heat_jet(e1, default_backend(e1), lambda p: p[..., 0], 0.4, np.array([0.3]))
+    assert gen == pytest.approx(0.0, abs=1e-12)
