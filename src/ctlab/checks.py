@@ -10,9 +10,9 @@ involved.  Verdicts, at the fixed levels Z and EPS:
   margin is negative but smaller than one combined sigma (noise could
   explain it either way), pass otherwise.
 
-The verdict levels, the difference steps and the heat backends'
-resolution are module constants, not spec fields, so no spec can
-redefine what "pass" means.
+The verdict levels, the difference steps, the heat backends'
+resolution and the chunk sizes are module constants, not spec fields,
+so no spec can redefine what "pass" means.
 
 Seeds, discretization parameters and sampling plans are recorded in
 every report, so each number is reproducible bit for bit.
@@ -25,6 +25,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,6 +76,8 @@ EPS = 1e-5
 H = 1e-3              # space step of geodesic central differences
 BACKEND_MODES = 64    # nodes or modes of the deterministic heat backends
 DU = 1e-2             # step in u of wvar_ode's difference quotient
+GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's stencil evaluations
+MONO_CHUNK = 512      # mono_app cases per pair of batched backend calls
 
 #: the least value of each sample size; a two-sample standard error needs
 #: at least two trajectories
@@ -576,7 +579,9 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
 
     (|grad f|^2 + delta)(Gamma2(f) - K |grad f|^2 - (Lf)^2/(N+p-2))
       >= (p-2)/(4(p-1)) |grad |grad f|^2|^2
-    on Euclidean lines, circles, and zonal fields on 2-spheres.
+    on Euclidean lines, circles, and zonal fields on 2-spheres.  The grid
+    goes GAMMA2_CHUNK points at a time; in a chunk each stencil quantity is
+    cached by its path of +-H shifts, so f runs once on each of 7 grids.
     """
     cd = spec.resolved_cd()
     p, delta = spec.exponents.p, spec.delta
@@ -587,41 +592,44 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
     f, _ = _resolve_field(spec)
     zonal = space.dim == 2
     scale = space.radius if isinstance(space, Sphere) else 1.0
-    F = lambda th: np.asarray(f(slice_chart(space, th)), dtype=float)
 
-    d1 = lambda g, th: (g(th + H) - g(th - H)) / (2 * H)           # d/dtheta
-    d2 = lambda g, th: (g(th + H) - 2 * g(th) + g(th - H)) / H**2  # d^2/dtheta^2
+    def chunk(thetas):  # (lhs, rhs, field evaluations) on the points thetas
+        at = cache(lambda q: at(q[:-1]) + q[-1] if q else thetas)  # the grid along path q
+        F = cache(lambda q: np.asarray(f(slice_chart(space, at(q))), dtype=float))
 
-    def deriv(g):  # arclength derivative
-        return lambda th: d1(g, th) / scale
+        d1 = lambda g, q: (g(q + (H,)) - g(q + (-H,))) / (2 * H)            # d/dtheta
+        d2 = lambda g, q: (g(q + (H,)) - 2 * g(q) + g(q + (-H,))) / H**2    # d^2/dtheta^2
 
-    def lap(g):  # arclength Laplacian; for a zonal field on S^2 it adds cot(theta) d/dtheta
-        if zonal:
-            return lambda th: (d2(g, th) + d1(g, th) / np.tan(th)) / scale**2
-        return lambda th: d2(g, th) / scale**2
+        def deriv(g):  # arclength derivative
+            return lambda q: d1(g, q) / scale
+
+        def lap(g):  # arclength Laplacian; for a zonal field on S^2 it adds cot(theta) d/dtheta
+            if zonal:
+                return lambda q: (d2(g, q) + d1(g, q) / np.tan(at(q))) / scale**2
+            return lambda q: d2(g, q) / scale**2
+
+        Fp = cache(deriv(F))
+        grad2 = cache(lambda q: Fp(q) ** 2)
+        lap_f = cache(lap(F))
+        gamma2 = 0.5 * lap(grad2)(()) - Fp(()) * deriv(lap_f)(())
+        dim_term = lap_f(()) ** 2 / (cd.N + p - 2.0) if cd.finite else 0.0
+        lhs = (grad2(()) + delta) * (gamma2 - cd.K * grad2(()) - dim_term)
+        rhs = (p - 2.0) / (4.0 * (p - 1.0)) * np.abs(deriv(grad2)(())) ** 2
+        return lhs, rhs, F.cache_info().currsize
 
     thetas = _slice_params(space, spec.grid_n, pole_gap=0.3)
-    Fp = deriv(F)
-    grad2 = lambda th: Fp(th) ** 2
-    lap_f = lap(F)
-    gamma2 = lambda th: 0.5 * lap(grad2)(th) - Fp(th) * deriv(lap_f)(th)
-    grad_grad2 = lambda th: np.abs(deriv(grad2)(th))
-
-    if not cd.finite:
-        dim_term = lambda th: 0.0
-    else:
-        dim_term = lambda th: lap_f(th) ** 2 / (cd.N + p - 2.0)
-    lhs_fun = lambda th: (grad2(th) + delta) * (
-        gamma2(th) - cd.K * grad2(th) - dim_term(th))
-    rhs_fun = lambda th: (p - 2.0) / (4.0 * (p - 1.0)) * grad_grad2(th) ** 2
-
-    lv = lhs_fun(thetas)
-    rv = rhs_fun(thetas)
-    margins = lv - rv
-    i = int(np.argmin(margins))
+    worst, evals = (math.inf, math.nan, math.nan, math.nan), 0
+    for start in range(0, len(thetas), GAMMA2_CHUNK):
+        lv, rv, n = chunk(thetas[start:start + GAMMA2_CHUNK])
+        evals += n
+        margins = lv - rv
+        i = int(np.argmin(margins))
+        # strict <, so ties go to the first point; a nan wins, as in argmin
+        if margins[i] < worst[0] or math.isnan(margins[i]) > math.isnan(worst[0]):
+            worst = (margins[i], rv[i], lv[i], thetas[start + i])
     # report the condition as rhs <= lhs: margin = lhs - rhs
-    return _base_report(spec, float(rv[i]), float(lv[i]), 0.0, 0.0,
-                        grid_points=len(thetas), min_margin=float(margins[i]))
+    return _base_report(spec, float(worst[1]), float(worst[2]), 0.0, 0.0, grid_points=len(thetas),
+                        min_margin=float(worst[0]), field_evaluations=evals, worst_theta=worst[3])
 
 
 def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
@@ -651,36 +659,46 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
 
 def check_mono_app(spec: CheckSpec) -> VerificationReport:
     """Monotonicity under the semigroup:
-    P_t((g + delta)^r)^{1/r} - delta >= P_t(g^r)^{1/r} for r in (0,1), g >= 0."""
-    backend = default_backend(spec.space, BACKEND_MODES)
+    P_t((g + delta)^r)^{1/r} - delta >= P_t(g^r)^{1/r} for r in (0,1), g >= 0.
+    The cases go to the backend MONO_CHUNK at a time, as a family of fields
+    with one field per case, in one heat_apply call per side."""
+    space = spec.space
+    backend = default_backend(space, BACKEND_MODES)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
-    grid = default_grid(spec.space, 8)
-    worst = math.inf
-    worst_lhs = worst_rhs = math.nan
-    for _ in range(n_cases):
-        r = rng.uniform(0.05, 0.95)
-        delta = rng.uniform(0.01, 2.0)
-        a0, a1, a2 = rng.uniform(0.0, 2.0, size=3)
-
-        if isinstance(spec.space, Sphere) and spec.space.dim == 2:
-            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 2] / spec.space.radius) + \
-                a2 * (p[..., 2] / spec.space.radius) ** 2
-        elif isinstance(spec.space, Sphere) and spec.space.dim == 1:
-            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 1] / spec.space.radius) + \
-                a2 * (p[..., 0] / spec.space.radius) ** 2
+    grid = default_grid(space, 8)
+    # E^m's tensor quadrature has BACKEND_MODES^m nodes per field
+    chunk = max(1, MONO_CHUNK // BACKEND_MODES ** (space.dim - 1)) \
+        if isinstance(space, Euclidean) else MONO_CHUNK
+    worst, case, calls = (math.inf, math.nan, math.nan), (), 0
+    for start in range(0, n_cases, chunk):
+        # each case draws (r, delta, a0, a1, a2, grid index) in turn
+        cases = np.array([[rng.uniform(0.05, 0.95), rng.uniform(0.01, 2.0),
+                           *rng.uniform(0.0, 2.0, size=3), rng.integers(0, grid.shape[0])]
+                          for _ in range(min(chunk, n_cases - start))])
+        r, delta, a0, a1, a2 = (cases[:, k, None] for k in range(5))  # columns (cases, 1)
+        if isinstance(space, Sphere) and space.dim == 2:
+            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 2] / space.radius) + \
+                a2 * (p[..., 2] / space.radius) ** 2
+        elif isinstance(space, Sphere) and space.dim == 1:
+            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 1] / space.radius) + \
+                a2 * (p[..., 0] / space.radius) ** 2
         else:
             g = lambda p: a0 + 0.1 + a1 * np.exp(-0.5 * np.sum(p**2, -1)) + \
                 a2 * np.tanh(p[..., 0]) ** 2
-
-        x = grid[int(rng.integers(0, grid.shape[0]))]
-        lifted = heat_apply(spec.space, backend, lambda p: (g(p) + delta) ** r,
-                            spec.t, x) ** (1.0 / r) - delta
-        plain = heat_apply(spec.space, backend, lambda p: g(p) ** r, spec.t, x) ** (1.0 / r)
-        if lifted - plain < worst:
-            worst = lifted - plain
-            worst_lhs, worst_rhs = plain, lifted
-    return _base_report(spec, worst_lhs, worst_rhs, 0.0, 0.0, n_cases=n_cases)
+        # the C library's pow on each case's scalars: NumPy's vectorized one moves last bits
+        root = lambda v: np.array([a ** (1.0 / b) for a, b in zip(v.tolist(), r[:, 0].tolist())])
+        x = grid[cases[:, 5].astype(int)]
+        lifted = root(heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
+                                 spec.t, x)) - delta[:, 0]
+        plain = root(heat_apply(space, backend, lambda p: g(p) ** r, spec.t, x))
+        calls += 2
+        gap = lifted - plain
+        i = int(np.argmin(np.where(np.isnan(gap), np.inf, gap)))  # the first least, nan skipped
+        if gap[i] < worst[0]:
+            worst, case = (gap[i], plain[i], lifted[i]), (*cases[i, :5], int(cases[i, 5]))
+    return _base_report(spec, worst[1], worst[2], 0.0, 0.0, n_cases=n_cases, backend_calls=calls,
+                        worst_case=dict(zip(("r", "delta", "a0", "a1", "a2", "grid_index"), case)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The generator L is Laplacian + drift throughout, so the Euclidean kernel
 at time t has covariance 2tI.  Each backend takes a field f once and
 evaluates, for points x of shape (..., emb) and times t > 0 (a number or
 an array that broadcasts against x's batch shape), the jet
-(P_t f, |grad P_t f|, L P_t f) in closed form:
+(P_t f, |grad P_t f|, L P_t f) in closed form.  f may be a family of
+fields, one per point of x's batch, whose parameters carry a trailing
+singleton axis (a0[:, None] for a batch (B,)) to meet each backend's nodes:
 
 * GaussHermite  - Euclidean and linear-drift spaces of dimension <= 2:
   P_t f(x) = E f(a x + sigma Z) by tensor Gauss-Hermite quadrature, Z with
@@ -131,7 +133,7 @@ class CircleFourier(HeatBackend):
     def jet(self, space, f, t, x):
         rho, ks = space.radius, self._ks
         vals = np.asarray(f(rho * self._unit_circle), dtype=float)
-        coeff = np.fft.rfft(vals) / vals.size
+        coeff = np.fft.rfft(vals) / vals.shape[-1]
         theta0 = np.arctan2(x[..., 1], x[..., 0])
         terms = coeff * np.exp(-(ks / rho) ** 2 * t[..., None] + 1j * ks * theta0[..., None])
         out = np.einsum("...n,nk->...k", terms, self._multipliers).real
@@ -144,8 +146,8 @@ class SphereZonal(HeatBackend):
     The input f must be rotationally symmetric about `axis`; it is read
     off along a meridian and expanded in Legendre polynomials with
     Gauss-Legendre quadrature.  A field whose values at two more
-    azimuths differ from the meridian's by more than a relative 1e-9
-    raises ValueError.
+    azimuths differ from the meridian's by more than 1e-9 of its largest
+    value raises ValueError.
     """
 
     def __init__(self, n_modes: int = 64, axis=(0.0, 0.0, 1.0)):
@@ -182,17 +184,21 @@ class SphereZonal(HeatBackend):
     def _coefficients(self, space, f):
         vals = np.asarray(f(space.radius * self._rings[0]), dtype=float)
         turned = space.radius * self._rings[1:]
-        others = np.asarray(f(turned.reshape(-1, 3)), dtype=float).reshape(2, -1)
-        if np.any(np.abs(others - vals) > 1e-9 * np.max(np.abs(vals))):
+        others = np.asarray(f(turned.reshape(-1, 3)), dtype=float).reshape(*vals.shape[:-1], 2, -1)
+        # each field of a family is judged against its own largest value
+        tol = 1e-9 * np.max(np.abs(vals), axis=-1, keepdims=True)
+        if np.any(np.abs(others - vals[..., None, :]) > tol[..., None]):
             raise ValueError("SphereZonal needs a field rotationally symmetric about its axis")
-        return vals @ self._project
+        # a 1-D product per field: a batched one sums in another order
+        rows = vals.reshape(-1, vals.shape[-1])
+        return np.reshape([row @ self._project for row in rows], vals.shape[:-1] + (-1,))
 
     def jet(self, space, f, t, x):
         rho = space.radius
         series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
         u0 = np.clip(x @ self.axis / rho, -1.0, 1.0)
         # P_l(u0) in one call: legvander's per-degree loop costs far more
-        # per point, and mono_app evaluates point by point
+        # per point
         P = eval_legendre(self._ls, u0[..., None])
         slope = (np.einsum("...n,nk->...k", series, self._deriv) * P).sum(-1)
         return ((series * P).sum(-1), np.sqrt(1.0 - u0**2) * np.abs(slope) / rho,

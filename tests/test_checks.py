@@ -12,12 +12,14 @@ from ctlab.checks import (
     _field_and_backend,
     _two_sided_samples,
     _verdict,
+    default_grid,
     named_field,
     run_check,
     run_suite,
 )
 from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
+from ctlab.heat import default_backend, heat_apply
 from ctlab.transport import BlockEstimate, EmpiricalMeasure
 from ctlab.walk import WalkConfig, run_single
 
@@ -200,6 +202,73 @@ def test_mono_app_check():
                               extra={"n_cases": 30}))
     assert rep.verdict == "pass"
     assert rep.margin >= -1e-10
+
+
+def _mono_app_case_by_case(spec):
+    """check_mono_app as one pair of heat_apply calls per case on scalars:
+    (worst lhs, worst rhs, worst case's (r, delta, a0, a1, a2, grid index))."""
+    space = spec.space
+    backend = default_backend(space, ctlab.checks.BACKEND_MODES)
+    rng = np.random.default_rng(spec.seed)
+    grid = default_grid(space, 8)
+    worst, found = math.inf, (math.nan, math.nan, None)
+    for _ in range(spec.extra["n_cases"]):
+        r = rng.uniform(0.05, 0.95)
+        delta = rng.uniform(0.01, 2.0)
+        a0, a1, a2 = rng.uniform(0.0, 2.0, size=3)
+        if isinstance(space, Sphere) and space.dim == 2:
+            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 2] / space.radius) + \
+                a2 * (p[..., 2] / space.radius) ** 2
+        elif isinstance(space, Sphere) and space.dim == 1:
+            g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 1] / space.radius) + \
+                a2 * (p[..., 0] / space.radius) ** 2
+        else:
+            g = lambda p: a0 + 0.1 + a1 * np.exp(-0.5 * np.sum(p**2, -1)) + \
+                a2 * np.tanh(p[..., 0]) ** 2
+        index = int(rng.integers(0, grid.shape[0]))
+        x = grid[index]
+        lifted = heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
+                            spec.t, x) ** (1.0 / r) - delta
+        plain = heat_apply(space, backend, lambda p: g(p) ** r, spec.t, x) ** (1.0 / r)
+        if lifted - plain < worst:
+            worst = lifted - plain
+            found = (plain, lifted, (r, delta, a0, a1, a2, index))
+    return found
+
+
+@pytest.mark.parametrize("space", [S2, Sphere(1), Euclidean(1), Euclidean(2),
+                                   EuclideanOU(1, 1.0)], ids=lambda s: s.label)
+def test_mono_app_batches_equal_the_case_by_case_loop(space):
+    # 1,100 cases cross a chunk boundary on every space
+    spec = CheckSpec(check_id="mono_app", space=space, t=0.3, seed=11,
+                     extra={"n_cases": 1100})
+    rep = run_check(spec)
+    lhs, rhs, case = _mono_app_case_by_case(spec)
+    assert rep.lhs.hex() == float(lhs).hex() and rep.rhs.hex() == float(rhs).hex()
+    meta = rep.metadata
+    assert tuple(meta["worst_case"].values()) == case
+    # E^2 puts BACKEND_MODES times fewer cases in a call: each field has
+    # BACKEND_MODES^2 quadrature nodes there
+    flat2 = isinstance(space, Euclidean) and space.dim == 2
+    per_call = ctlab.checks.MONO_CHUNK // ctlab.checks.BACKEND_MODES ** flat2
+    assert 1100 > per_call and meta["backend_calls"] == 2 * -(-1100 // per_call)
+
+
+@pytest.mark.parametrize("space,f", [(S2, "cos_theta"), (Sphere(1), "sin"),
+                                     (Euclidean(1), "sin")])
+def test_gamma2_chunks_equal_one_pass_over_the_grid(space, f, monkeypatch):
+    chunk = ctlab.checks.GAMMA2_CHUNK
+    spec = CheckSpec(check_id="gamma2", space=space, f=f, delta=0.1, grid_n=3 * chunk + 5)
+    chunked = run_check(spec)
+    monkeypatch.setattr(ctlab.checks, "GAMMA2_CHUNK", spec.grid_n)
+    whole = run_check(spec)
+    for a, b in ((chunked.lhs, whole.lhs), (chunked.rhs, whole.rhs),
+                 (chunked.metadata["min_margin"], whole.metadata["min_margin"]),
+                 (chunked.metadata["worst_theta"], whole.metadata["worst_theta"])):
+        assert a.hex() == b.hex()
+    # f runs once on each of the 7 shifted grids of a chunk
+    assert chunked.metadata["field_evaluations"] == 4 * 7
+    assert whole.metadata["field_evaluations"] == 7
 
 
 def test_run_suite_records_errors_and_continues():
