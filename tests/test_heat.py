@@ -133,10 +133,10 @@ def test_circle_jet_oracle_off_the_unit_radius():
     assert np.allclose(gen, -decay * np.sin(theta) / rho**2, rtol=0, atol=1e-12)
 
 
-# fields with a parameter c: a number gives one field, a column c[:, None]
-# a family with one field per point of the batch
+# fields with a parameter c, plain at c = 1: a number gives one field, a
+# column c[:, None] a family with one field per point of the batch
 @pytest.mark.parametrize("space,field", [
-    (Sphere(2), lambda c: lambda p: zonal_cos(p) + c * p[..., 2] ** 2),
+    (Sphere(2), lambda c: lambda p: zonal_cos(p) + (c - 1.0) * p[..., 2] ** 2),
     (Sphere(1, radius=1.5), lambda c: lambda p: np.exp(c * p[..., 0] / 1.5)),
     (Euclidean(1), lambda c: lambda p: np.sin(c * p[..., 0])),
     (Euclidean(2), lambda c: lambda p: np.exp(-0.5 * c * np.sum(p**2, axis=-1))),
