@@ -133,8 +133,29 @@ def test_circle_jet_oracle_off_the_unit_radius():
     assert np.allclose(gen, -decay * np.sin(theta) / rho**2, rtol=0, atol=1e-12)
 
 
-# fields with a parameter c, plain at c = 1: a number gives one field, a
-# column c[:, None] a family with one field per point of the batch
+@pytest.mark.parametrize("space,f", [
+    (Sphere(2), zonal_cos),
+    (Sphere(1, radius=1.5), lambda p: np.exp(p[..., 0] / 1.5)),
+    (Euclidean(1), lambda p: np.sin(p[..., 0])),
+    (Euclidean(2), lambda p: np.exp(-0.5 * np.sum(p**2, axis=-1))),
+    (EuclideanOU(2, 0.7), lambda p: np.tanh(p[..., 0]) * p[..., 1]),
+])
+def test_batch_equals_its_points_one_at_a_time(space, f):
+    # a grid with one time, and per-point times as bl_int passes them
+    be = default_backend(space)
+    pts = slice_chart(space, np.linspace(0.3, 2.5, 7))
+    times = np.linspace(0.1, 0.7, 7)
+    for t in (0.4, times):
+        batch = heat_jet(space, be, f, t, pts)
+        for i, p in enumerate(pts):
+            one = heat_jet(space, be, f, np.broadcast_to(t, (7,))[i], p)
+            for b, o in zip(batch, one):
+                assert np.shape(o) == ()
+                assert b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
+
+
+# fields with a parameter c: a column c[:, None] gives a family with one
+# field per point of the batch, a number the field of one point
 @pytest.mark.parametrize("space,field", [
     (Sphere(2), lambda c: lambda p: zonal_cos(p) + (c - 1.0) * p[..., 2] ** 2),
     (Sphere(1, radius=1.5), lambda c: lambda p: np.exp(c * p[..., 0] / 1.5)),
@@ -142,22 +163,20 @@ def test_circle_jet_oracle_off_the_unit_radius():
     (Euclidean(2), lambda c: lambda p: np.exp(-0.5 * c * np.sum(p**2, axis=-1))),
     (EuclideanOU(2, 0.7), lambda c: lambda p: np.tanh(c * p[..., 0]) * p[..., 1]),
 ])
-def test_batch_equals_its_points_one_at_a_time(space, field):
-    # a grid with one time, and per-point times as bl_int passes them; one
-    # field for the whole grid, and a family with a field for each point
+def test_family_batch_equals_its_fields_one_at_a_time(space, field):
+    # a family with a field for each point of the grid, with one time and
+    # with per-point times
     be = default_backend(space)
     pts = slice_chart(space, np.linspace(0.3, 2.5, 7))
     times = np.linspace(0.1, 0.7, 7)
     cs = np.linspace(0.5, 1.7, 7)
     for t in (0.4, times):
-        for f, f_at in ((field(1.0), lambda i: field(1.0)),
-                        (field(cs[:, None]), lambda i: field(cs[i]))):
-            batch = heat_jet(space, be, f, t, pts)
-            for i, p in enumerate(pts):
-                one = heat_jet(space, be, f_at(i), np.broadcast_to(t, (7,))[i], p)
-                for b, o in zip(batch, one):
-                    assert np.shape(o) == ()
-                    assert b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
+        batch = heat_jet(space, be, field(cs[:, None]), t, pts)
+        for i, p in enumerate(pts):
+            one = heat_jet(space, be, field(cs[i]), np.broadcast_to(t, (7,))[i], p)
+            for b, o in zip(batch, one):
+                assert np.shape(o) == ()
+                assert b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
 
 
 def test_sphere_zonal_judges_each_field_of_a_family_by_its_own_scale():
