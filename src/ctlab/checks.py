@@ -77,7 +77,7 @@ H = 1e-3              # space step of geodesic central differences
 BACKEND_MODES = 64    # nodes or modes of the deterministic heat backends
 DU = 1e-2             # step in u of wvar_ode's difference quotient
 GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's stencil evaluations
-MONO_CHUNK = 512      # mono_app cases per pair of batched backend calls
+MONO_VALUES = 2**16   # field values per batched backend call of mono_app
 
 #: the least value of each sample size; a two-sample standard error needs
 #: at least two trajectories
@@ -599,9 +599,7 @@ def check_gamma2(spec: CheckSpec) -> VerificationReport:
 
         d1 = lambda g, q: (g(q + (H,)) - g(q + (-H,))) / (2 * H)            # d/dtheta
         d2 = lambda g, q: (g(q + (H,)) - 2 * g(q) + g(q + (-H,))) / H**2    # d^2/dtheta^2
-
-        def deriv(g):  # arclength derivative
-            return lambda q: d1(g, q) / scale
+        deriv = lambda g: lambda q: d1(g, q) / scale                        # arclength derivative
 
         def lap(g):  # arclength Laplacian; for a zonal field on S^2 it adds cot(theta) d/dtheta
             if zonal:
@@ -660,16 +658,14 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
 def check_mono_app(spec: CheckSpec) -> VerificationReport:
     """Monotonicity under the semigroup:
     P_t((g + delta)^r)^{1/r} - delta >= P_t(g^r)^{1/r} for r in (0,1), g >= 0.
-    The cases go to the backend MONO_CHUNK at a time, as a family of fields
-    with one field per case, in one heat_apply call per side."""
+    The cases go to the backend as families of fields, one per case, in one
+    heat_apply call per side and at most MONO_VALUES field values a call."""
     space = spec.space
     backend = default_backend(space, BACKEND_MODES)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
     grid = default_grid(space, 8)
-    # E^m's tensor quadrature has BACKEND_MODES^m nodes per field
-    chunk = max(1, MONO_CHUNK // BACKEND_MODES ** (space.dim - 1)) \
-        if isinstance(space, Euclidean) else MONO_CHUNK
+    chunk = max(1, MONO_VALUES // backend.field_size[space.dim])
     worst, case, calls = (math.inf, math.nan, math.nan), (), 0
     for start in range(0, n_cases, chunk):
         # each case draws (r, delta, a0, a1, a2, grid index) in turn

@@ -58,6 +58,9 @@ class BackendMismatch(TypeError):
 
 
 class HeatBackend:
+    #: the points at which jet evaluates each field, by the space's dimension
+    field_size: dict[int, int]
+
     @classmethod
     def applies_to(cls, space: ModelSpace) -> bool:  # pragma: no cover
         raise NotImplementedError
@@ -80,9 +83,10 @@ class GaussHermite(HeatBackend):
         z, w = hermgauss(nodes)
         # per dimension m: the nodes Z (n, m) and, as the columns of one
         # matrix, the weights of E[f], E[f (2|Z|^2 - m)] and E[f 2Z]
-        self._tables = {}
+        self._tables, self.field_size = {}, {}
         for m in (1, 2):
             offs = np.stack(np.meshgrid(*(z,) * m, indexing="ij"), axis=-1).reshape(-1, m)
+            self.field_size[m] = len(offs)
             wts = np.prod(np.meshgrid(*(w,) * m, indexing="ij"), axis=0).ravel()
             wts = wts / math.pi ** (m / 2)
             lap = wts * (2.0 * np.sum(offs**2, axis=-1) - m)
@@ -120,6 +124,7 @@ class CircleFourier(HeatBackend):
         self.n_modes = n_modes
         n = 2 * n_modes
         self._unit_circle = slice_chart(Sphere(1), 2.0 * math.pi * np.arange(n) / n)
+        self.field_size = {1: n}
         self._ks = ks = np.arange(n_modes + 1)
         # the real series c_0 + 2 Re sum_{k>=1} c_k e^{ik theta}, its first
         # and its second theta derivative, as the columns of one matrix
@@ -170,6 +175,7 @@ class SphereZonal(HeatBackend):
         u_col = u[:, None]
         self._rings = np.stack([u_col * a + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
                                 for d in (perp, *turned)])
+        self.field_size = {2: self._rings[..., 0].size}
         self._ls = ls = np.arange(n_modes)
         self._eig = -ls * (ls + 1.0)
         # c_l = (2l+1)/2 sum_j w_j f(u_j) P_l(u_j)
@@ -190,8 +196,7 @@ class SphereZonal(HeatBackend):
         if np.any(np.abs(others - vals[..., None, :]) > tol[..., None]):
             raise ValueError("SphereZonal needs a field rotationally symmetric about its axis")
         # a 1-D product per field: a batched one sums in another order
-        rows = vals.reshape(-1, vals.shape[-1])
-        return np.reshape([row @ self._project for row in rows], vals.shape[:-1] + (-1,))
+        return np.apply_along_axis(np.matmul, -1, vals, self._project)
 
     def jet(self, space, f, t, x):
         rho = space.radius
@@ -250,9 +255,9 @@ def heat_jet(space: ModelSpace, backend: HeatBackend, f, t, x):
 def heat_apply(space: ModelSpace, backend: HeatBackend, f, t, x):
     """P_t f(x) at points x (..., emb): f(x) itself when t is the number 0,
     else the value of heat_jet."""
-    if np.ndim(t) == 0 and t == 0:
+    if np.ndim(t) == 0 and t == 0:  # one node per point, as a family of fields expects
         _check_backend(space, backend)
-        return np.asarray(f(np.asarray(x, dtype=float)), dtype=float)[()]
+        return np.asarray(f(np.asarray(x, dtype=float)[..., None, :]), dtype=float)[..., 0][()]
     return heat_jet(space, backend, f, t, x)[0][()]
 
 

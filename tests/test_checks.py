@@ -236,21 +236,24 @@ def _mono_app_case_by_case(spec):
     return found
 
 
+@pytest.mark.parametrize("t", [0.3, 0.0])
 @pytest.mark.parametrize("space", [S2, Sphere(1), Euclidean(1), Euclidean(2),
                                    EuclideanOU(1, 1.0)], ids=lambda s: s.label)
-def test_mono_app_batches_equal_the_case_by_case_loop(space):
-    # 1,100 cases cross a chunk boundary on every space
-    spec = CheckSpec(check_id="mono_app", space=space, t=0.3, seed=11,
+def test_mono_app_batches_equal_the_case_by_case_loop(space, t):
+    # 1,100 cases cross a chunk boundary on every space; at t = 0 each
+    # side is the field itself
+    spec = CheckSpec(check_id="mono_app", space=space, t=t, seed=11,
                      extra={"n_cases": 1100})
     rep = run_check(spec)
+    assert rep.error is None
     lhs, rhs, case = _mono_app_case_by_case(spec)
     assert rep.lhs.hex() == float(lhs).hex() and rep.rhs.hex() == float(rhs).hex()
     meta = rep.metadata
     assert tuple(meta["worst_case"].values()) == case
-    # E^2 puts BACKEND_MODES times fewer cases in a call: each field has
-    # BACKEND_MODES^2 quadrature nodes there
-    flat2 = isinstance(space, Euclidean) and space.dim == 2
-    per_call = ctlab.checks.MONO_CHUNK // ctlab.checks.BACKEND_MODES ** flat2
+    # a call holds as many fields as fit in MONO_VALUES values at the
+    # backend's points per field
+    nodes = default_backend(space, ctlab.checks.BACKEND_MODES).field_size[space.dim]
+    per_call = ctlab.checks.MONO_VALUES // nodes
     assert 1100 > per_call and meta["backend_calls"] == 2 * -(-1100 // per_call)
 
 

@@ -150,8 +150,7 @@ def test_batch_equals_its_points_one_at_a_time(space, f):
         for i, p in enumerate(pts):
             one = heat_jet(space, be, f, np.broadcast_to(t, (7,))[i], p)
             for b, o in zip(batch, one):
-                assert np.shape(o) == ()
-                assert b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
+                assert np.shape(o) == () and b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
 
 
 # fields with a parameter c: a column c[:, None] gives a family with one
@@ -177,6 +176,9 @@ def test_family_batch_equals_its_fields_one_at_a_time(space, field):
             for b, o in zip(batch, one):
                 assert np.shape(o) == ()
                 assert b[i] == pytest.approx(float(o), rel=1e-13, abs=1e-15)
+    # at t = 0 heat_apply gives each field at its own point
+    at_zero = heat_apply(space, be, field(cs[:, None]), 0.0, pts)
+    assert at_zero.tolist() == [field(c)(p[None])[0] for c, p in zip(cs, pts)]
 
 
 def test_sphere_zonal_judges_each_field_of_a_family_by_its_own_scale():
