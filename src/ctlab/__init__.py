@@ -3,8 +3,8 @@ semigroups under curvature-dimension bounds.
 
 The package provides closed-form comparison functions and contraction
 coefficients, model geometries (Euclidean, spheres, hyperbolic space,
-linear-drift space), coupled geodesic random walks, exact and entropic
-optimal transport, the inf-convolution semigroup on finite metric
+linear-drift space), coupled geodesic random walks, exact samplers of
+the heat laws, exact optimal transport, the inf-convolution semigroup on finite metric
 spaces, deterministic heat-semigroup backends with exact gradients and
 generators, and a verification harness that turns each contraction
 inequality into a pass/fail report.
@@ -43,7 +43,9 @@ from .walk import (
     CoupledWalkPath,
     WalkConfig,
     run_coupled,
+    has_heat_law,
     run_single,
+    sample_heat,
     sample_unit_ball,
     trajectory_rng,
 )
@@ -56,7 +58,6 @@ from .transport import (
     block_cost_estimate,
     exact_cost,
     gaussian_w2,
-    sinkhorn_cost,
     wasserstein,
 )
 from .hopflax import (

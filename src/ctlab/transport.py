@@ -1,8 +1,7 @@
 """Optimal transport on empirical measures.
 
 Exact solvers (assignment for uniform equal-size supports, an LP for
-general weights), a log-domain entropic solver with a certified duality
-gap, the closed-form Gaussian W2 oracle, and block-averaged estimators
+general weights), the closed-form Gaussian W2 oracle, and block-averaged estimators
 with bootstrap standard errors for Monte Carlo samples.  A multi-block
 estimate solves its blocks' assignments concurrently, one solver thread
 per available CPU, while the calling thread builds the next cost
@@ -25,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
-from scipy.special import logsumexp
 
 from .comparison import comp_s
 from .geometry import ModelSpace
@@ -39,7 +37,6 @@ __all__ = [
     "SupportSizeError",
     "exact_cost",
     "solve_transport",
-    "sinkhorn_cost",
     "gaussian_w2",
     "wasserstein",
     "BlockEstimate",
@@ -201,13 +198,13 @@ def exact_cost(space: ModelSpace, mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                cost: CostSpec):
     """Exact optimal transport cost and an optimal plan.
 
-    Supports are capped at 512 points each; beyond that use
-    sinkhorn_cost or the block estimators.
+    Supports are capped at 512 points each; beyond that use the block
+    estimator, block_cost_estimate.
     """
     if mu.size > MAX_EXACT_SUPPORT or nu.size > MAX_EXACT_SUPPORT:
         raise SupportSizeError(
             f"supports of size {mu.size} x {nu.size} exceed the exact cap of "
-            f"{MAX_EXACT_SUPPORT}; use sinkhorn_cost or block_cost_estimate")
+            f"{MAX_EXACT_SUPPORT}; use block_cost_estimate")
     C = cost.matrix(space, mu.points, nu.points)
     value, plan, _ = solve_transport(C, mu.weights, nu.weights)
     coupling = CouplingMatrix(matrix=plan, source_weights=mu.weights,
@@ -221,80 +218,6 @@ def wasserstein(space: ModelSpace, mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     """W_p via the exact solver."""
     value, _ = exact_cost(space, mu, nu, PthPowerDistance(p))
     return value ** (1.0 / p)
-
-
-# ---------------------------------------------------------------------------
-# entropic solver
-
-
-def sinkhorn_cost(space: ModelSpace, mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                  cost: CostSpec, epsilon: float, max_iter: int = 40000,
-                  tol: float = 1e-5):
-    """Entropically regularized transport value with a certified gap.
-
-    Log-domain iterations with epsilon scaling (annealed from the cost
-    scale, warm-starting the potentials).  The returned value is the
-    cost of the coupling rounded onto the exact marginals; error_bound
-    is the difference between that primal value and a feasible dual
-    value, a rigorous upper bound on the distance to the exact optimum
-    whatever the final marginal error.  tol bounds the L1 marginal
-    defect before rounding.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    C = cost.matrix(space, mu.points, nu.points)
-    log_mu = np.log(np.maximum(mu.weights, 1e-300))
-    log_nu = np.log(np.maximum(nu.weights, 1e-300))
-    f = np.zeros(mu.size)
-    g = np.zeros(nu.size)
-    # epsilon scaling: anneal from the cost scale down to the target,
-    # warm-starting the potentials at each level
-    levels = [epsilon]
-    while levels[-1] < max(float(C.max()), epsilon) / 4:
-        levels.append(levels[-1] * 4.0)
-    converged = False
-    err = np.inf
-    iters_left = max_iter
-    for eps in reversed(levels):
-        is_target = eps == epsilon
-        for it in range(iters_left):
-            f = -eps * (logsumexp((g[None, :] - C) / eps + log_nu[None, :], axis=1))
-            g = -eps * (logsumexp((f[:, None] - C) / eps + log_mu[:, None], axis=0))
-            if it % 10 == 9 or not is_target:
-                log_pi = (f[:, None] + g[None, :] - C) / eps \
-                    + log_mu[:, None] + log_nu[None, :]
-                pi = np.exp(log_pi)
-                err = np.abs(pi.sum(axis=1) - mu.weights).sum() \
-                    + np.abs(pi.sum(axis=0) - nu.weights).sum()
-                if err < (tol if is_target else 1e-3):
-                    converged = is_target
-                    break
-        iters_left = max_iter
-    if not converged:
-        raise RuntimeError(f"sinkhorn did not converge in {max_iter} iterations; "
-                           f"last marginal error {err:.3e}")
-    pi = _round_to_marginals(pi, mu.weights, nu.weights)
-    primal = float(np.sum(pi * C))
-    # feasible dual: keep f, tighten g by a c-transform
-    g_ct = np.min(C - f[:, None], axis=0)
-    dual = float(f @ mu.weights + g_ct @ nu.weights)
-    return primal, max(primal - dual, 0.0)
-
-
-def _round_to_marginals(pi, mu_w, nu_w):
-    """Project an almost-feasible plan onto the exact marginals."""
-    r = pi.sum(axis=1)
-    scale = np.minimum(1.0, mu_w / np.maximum(r, 1e-300))
-    pi = pi * scale[:, None]
-    c = pi.sum(axis=0)
-    scale = np.minimum(1.0, nu_w / np.maximum(c, 1e-300))
-    pi = pi * scale[None, :]
-    dr = mu_w - pi.sum(axis=1)
-    dc = nu_w - pi.sum(axis=0)
-    total = dr.sum()
-    if total > 0:
-        pi = pi + np.outer(dr, dc) / total
-    return pi
 
 
 # ---------------------------------------------------------------------------

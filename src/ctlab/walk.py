@@ -14,6 +14,13 @@ second walker with the first walker's noise transported along the
 connecting minimal geodesic, from one log map (identity transport when
 the pair sits on the diagonal), each with its own time scale tau_i.
 
+Where a check needs only the heat laws P_t delta_x and no path,
+sample_heat draws them exactly on E^m, OU, S^1, S^2 and H^2: a uniform
+direction from the start and a radius by inverse CDF of the radial law
+(the chi law, a zonal Legendre series on S^2, McKean's kernel on H^2).
+All sides of a trajectory share its direction and its uniforms, a
+quantile coupling of the sides.
+
 Reproducibility: trajectory j draws from its own counter-based Philox
 stream keyed by (seed, j), so results are bit-identical for any chunk
 size or degree of parallelism; aggregation happens in trajectory order.
@@ -30,8 +37,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
+from scipy.special import gammaincinv
 
-from .geometry import ModelSpace
+from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 
 __all__ = [
     "WalkConfig",
@@ -42,12 +51,16 @@ __all__ = [
     "sample_unit_ball",
     "run_coupled",
     "run_single",
+    "has_heat_law",
+    "sample_heat",
     "write_path_csv",
 ]
 
 _CHUNK = 1024
 _DIAGONAL_TOL = 1e-12
 _WORD = 0xFFFFFFFFFFFFFFFF
+_TABLE = 2048   # intervals of a radial table of sample_heat
+_TAIL = 45.0    # a radial table stops where the law's tail is about e^-_TAIL
 
 
 def _trajectory_key(seed: int, index: int) -> np.ndarray:
@@ -181,25 +194,32 @@ def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
     return new_x1, space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
 
 
+def _streams(seed, lo, hi):
+    """(row, generator) for trajectories lo..hi-1, row j - lo drawing from
+    trajectory_rng(seed, j) bit for bit.  One Philox generator serves them
+    all: per trajectory it is re-keyed with counter 0 and an empty buffer,
+    the state of a fresh generator."""
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    for j in range(lo, hi):
+        state["state"]["key"][:] = _trajectory_key(seed, j)
+        bits.state = state
+        yield j - lo, gen
+
+
 def _draw_chunk_noise(seed, lo, hi, n_steps, m):
     """Ball samples for trajectories lo..hi-1, shape (hi-lo, n_steps, m).
 
     Row j - lo equals sample_unit_ball(m, trajectory_rng(seed, j),
-    size=n_steps) bit for bit.  One Philox generator serves the chunk:
-    per trajectory it is re-keyed with counter 0 and an empty buffer
-    (the state of a fresh generator), and the ball transform then runs
-    once over the whole chunk.
+    size=n_steps) bit for bit; the ball transform runs once over the
+    whole chunk.
     """
-    bits = np.random.Philox(key=0)
-    gen = np.random.Generator(bits)
-    state = bits.state  # a fresh generator's: counter 0, empty buffer
     g = np.empty((hi - lo, n_steps, m))
     radii = np.empty((hi - lo, n_steps, 1))
-    for j in range(lo, hi):
-        state["state"]["key"][:] = _trajectory_key(seed, j)
-        bits.state = state
-        gen.standard_normal(out=g[j - lo])
-        gen.random(out=radii[j - lo])
+    for i, gen in _streams(seed, lo, hi):
+        gen.standard_normal(out=g[i])
+        gen.random(out=radii[i])
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     norm[norm == 0.0] = 1.0
     radii **= 1.0 / m
@@ -292,14 +312,10 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
         terminal_distances=space.distance(x1, x2))
 
 
-def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
-    """Independent single walks from x (or per-trajectory rows of x).
-
-    With a tuple of time scales, x is a matching sequence of starts, one
-    per side; every side walks on the same per-trajectory noise streams
-    (common random numbers) from its own start with its own frame, and
-    terminal and each snapshot are stacked as (sides, n, emb).
-    """
+def _sides(space: ModelSpace, x, tau, cfg: WalkConfig):
+    """The starts and time scales of a one- or multi-side run, checked:
+    x a point, or per-trajectory rows; a tuple tau takes a matching
+    tuple of starts, one per side."""
     multi = isinstance(tau, tuple)
     taus = tau if multi else (tau,)
     starts = [np.asarray(s, dtype=float) for s in (x if multi else (x,))]
@@ -311,6 +327,18 @@ def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
         space.check_point(s)
         if s.ndim == 2 and s.shape[0] != cfg.n_trajectories:
             raise ValueError("per-trajectory starts must match n_trajectories")
+    return starts, taus
+
+
+def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
+    """Independent single walks from x (or per-trajectory rows of x).
+
+    With a tuple of time scales, x is a matching sequence of starts, one
+    per side; every side walks on the same per-trajectory noise streams
+    (common random numbers) from its own start with its own frame, and
+    terminal and each snapshot are stacked as (sides, n, emb).
+    """
+    starts, taus = _sides(space, x, tau, cfg)
     scales = np.reshape(np.asarray(taus, dtype=float), (-1, 1, 1))
 
     def step(pts, fr, zeta):
@@ -318,9 +346,125 @@ def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
         return (new_x,), fr
 
     (terminal,), _, snapshots = _drive(space, tuple((s,) for s in starts), cfg, step)
-    if not multi:
+    if not isinstance(tau, tuple):
         terminal, snapshots = terminal[0], _first_side(snapshots)
     return SingleWalkResult(tau=tau, config=cfg, terminal=terminal, snapshots=snapshots)
+
+
+# ---------------------------------------------------------------------------
+# exact heat laws
+
+
+def has_heat_law(space: ModelSpace) -> bool:
+    """Whether sample_heat draws the space's heat laws exactly: E^m and OU,
+    any space of dimension 1, the 2-sphere and the hyperbolic plane."""
+    return isinstance(space, Euclidean) or space.dim == 1 or (
+        isinstance(space, (Sphere, Hyperbolic)) and space.dim == 2)
+
+
+def _sphere_angle(tau: float):
+    """u -> the u-quantile of the angle from the start under the heat law at
+    time tau on the unit 2-sphere.  Its CDF in cos(angle) is the zonal series
+
+        F(u) = (u + 1)/2 + 1/2 sum_{l>=1} e^{-l(l+1) tau} (P_{l+1} - P_{l-1})(u),
+
+    summed by the Legendre recurrence on an angle grid that ends at pi or
+    where the tail is about e^-_TAIL, with modes until e^{-l(l+1) tau} is
+    below that too: memory stays that of the grid."""
+    top = min(math.pi, 2.0 * math.sqrt(_TAIL * tau))
+    theta = np.linspace(0.0, top, _TABLE + 1)
+    u = np.cos(theta)
+    upper = 1.0 - u   # becomes 2 (1 - F(u)) = 2 P(angle <= theta)
+    prev, cur = np.ones_like(u), u.copy()
+    for l in range(1, 2 + math.ceil(math.sqrt(_TAIL / tau))):
+        nxt = ((2 * l + 1) * u * cur - l * prev) / (l + 1)
+        upper -= math.exp(-l * (l + 1) * tau) * (nxt - prev)
+        prev, cur = cur, nxt
+    cdf = np.maximum.accumulate(np.clip(0.5 * upper, 0.0, 1.0))
+    return lambda q: np.interp(q, cdf, theta)
+
+
+def _hyperbolic_radius(tau: float):
+    """(u, v) -> a radius of the heat law at time tau on the unit hyperbolic
+    plane, from McKean's kernel
+
+        p_tau(r) = sqrt(2) e^{-tau/4} (4 pi tau)^{-3/2}
+                   int_r^inf s e^{-s^2/4tau} (cosh s - cosh r)^{-1/2} ds
+
+    read as a mixture: S has the density proportional to
+    s sinh(s/2) e^{-s^2/4tau}, and given S the radius has the CDF
+    1 - sqrt((cosh S - cosh r)/(cosh S - 1)) on [0, S].  So S is the
+    u-quantile of its law, whose CDF is the cumulative Simpson integral of
+    the density on a grid where it is above about e^-_TAIL of its peak,
+    and sinh(r/2) = sinh(S/2) sqrt(v (2 - v))."""
+    half = 2.0 * math.sqrt(_TAIL * tau)
+    s = np.linspace(max(0.0, tau - half), tau + half, _TABLE + 1)
+    # s sinh(s/2) e^{-s^2/4tau} = e^{tau/4}/2 * s (1 - e^{-s}) e^{-(s - tau)^2/4tau}
+    density = s * -np.expm1(-s) * np.exp(-(s - tau) ** 2 / (4.0 * tau))
+    cdf = np.maximum.accumulate(np.maximum(cumulative_simpson(density, x=s, initial=0.0), 0.0))
+    cdf /= cdf[-1]
+    mixing = lambda u: np.interp(u, cdf, s)
+    return lambda u, v: 2.0 * np.arcsinh(np.sinh(mixing(u) / 2.0) * np.sqrt(v * (2.0 - v)))
+
+
+def _radius(space: ModelSpace, t: float):
+    """(u, v) -> the distance from the start of the heat law P_t delta_x, for
+    uniforms u and v, on a space with has_heat_law.  A curved space's
+    time is rescaled to the unit space and its radius scaled back."""
+    if isinstance(space, Euclidean) or space.dim == 1:
+        # the chi_m law of |B|, B Gaussian with variance var per coordinate
+        lam = space.lam if isinstance(space, EuclideanOU) else 0.0
+        var = -math.expm1(-2.0 * lam * t) / lam if lam else 2.0 * t
+        half_m = space.dim / 2.0
+        return lambda u, v: np.sqrt(2.0 * var * gammaincinv(half_m, u))
+    if isinstance(space, Sphere):
+        angle = _sphere_angle(t / space.radius**2)
+        return lambda u, v: space.radius * angle(u)
+    radius = _hyperbolic_radius(t / space.R**2)
+    return lambda u, v: space.R * radius(u, v)
+
+
+def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.ndarray:
+    """Exact samples of the heat laws P_tau delta_x, stacked as (sides, n, emb)
+    like the terminal of a multi-side run_single, on a space with
+    has_heat_law.  x holds one start per side, a point or per-trajectory
+    rows, and tau one time per side; cfg.k is not used.
+
+    Trajectory j draws from its stream trajectory_rng(cfg.seed, j) a
+    Gaussian g in R^m and two uniforms u, v.  Each side sets
+    X = exp_c(r(u, v) * (g / |g|) . Phi), with Phi the frame at its start,
+    c the start (on OU the mean e^{-lam tau} x) and r its radial law.  All
+    sides share g, u and v: a quantile coupling.  At tau = 0 a side is its
+    start, bit for bit.
+    """
+    if not has_heat_law(space):
+        raise ValueError(f"no exact heat law on {space.label}")
+    starts, taus = _sides(space, x, tau, cfg)
+    n, m = cfg.n_trajectories, space.dim
+    radii = [_radius(space, t) if t > 0 else None for t in taus]
+    out = np.empty((len(starts), n, space.emb_dim))
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        g = np.empty((hi - lo, m))
+        uv = np.empty((hi - lo, 2))
+        for i, gen in _streams(cfg.seed, lo, hi):
+            gen.standard_normal(out=g[i])
+            gen.random(out=uv[i])
+        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        norm[norm == 0.0] = 1.0
+        g /= norm
+        for side, (start, t, radius) in enumerate(zip(starts, taus, radii)):
+            rows = _rows(start, lo, hi)
+            if radius is None:
+                out[side, lo:hi] = rows
+                continue
+            frame = space.frame(rows)
+            direction = sum(g[:, i, None] * frame[:, i] for i in range(m))
+            if isinstance(space, EuclideanOU):
+                rows = math.exp(-space.lam * t) * rows
+            r = radius(uv[:, 0], uv[:, 1])
+            out[side, lo:hi] = space.exp_map(rows, r[:, None] * direction)
+    return out
 
 
 def write_path_csv(path: CoupledWalkPath, space: ModelSpace, fh) -> None:

@@ -21,7 +21,7 @@ from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measur
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
 from ctlab.heat import default_backend, heat_apply
 from ctlab.transport import BlockEstimate, EmpiricalMeasure
-from ctlab.walk import WalkConfig, run_single
+from ctlab.walk import WalkConfig, run_single, sample_heat
 
 S2 = Sphere(2)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -319,7 +319,7 @@ def test_two_sided_samples_seeds(share):
     # b side seed + 2
     y = sphere_point(0.5)
     spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
-                     k=4, seed=7, share_noise=share)
+                     k=4, seed=7, share_noise=share, sampler="walk")
     pairs = ((0.1, 0.3), (0.2, 0.4))
     clouds = _two_sided_samples(spec, pairs)
     seed_b = 8 if share else 9
@@ -328,6 +328,40 @@ def test_two_sided_samples_seeds(share):
         want_b = run_single(S2, y, tb, WalkConfig(k=4, n_trajectories=30, seed=seed_b))
         assert np.array_equal(xs, want_a.terminal)
         assert np.array_equal(ys, want_b.terminal)
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_two_sided_exact_samples_seeds(share):
+    # unset, the sampler is the exact law on S^2, on the walk's seeds: shared
+    # noise draws both clouds on seed + 1, separate noise the b side on seed + 2
+    y = sphere_point(0.5)
+    spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
+                     k=4, seed=7, share_noise=share)
+    assert spec.resolved_sampler() == "exact"
+    pairs = ((0.1, 0.3), (0.2, 0.4))
+    clouds = _two_sided_samples(spec, pairs)
+    seed_b = 8 if share else 9
+    cfg = lambda seed: WalkConfig(n_trajectories=30, seed=seed)
+    for (xs, ys), (ta, tb) in zip(clouds, pairs):
+        assert np.array_equal(xs, sample_heat(S2, (NORTH,), (ta,), cfg(8))[0])
+        assert np.array_equal(ys, sample_heat(S2, (y,), (tb,), cfg(seed_b))[0])
+    if not share:
+        same = sample_heat(S2, (y,), (0.3,), cfg(8))[0]
+        assert not np.array_equal(clouds[0][1], same)
+
+
+def test_sampler_resolves_to_the_exact_law_where_the_space_has_one():
+    kw = dict(check_id="w2_control", s=0.1, t=0.3)
+    assert CheckSpec(space=S2, **kw).resolved_sampler() == "exact"
+    assert CheckSpec(space=S2, sampler="walk", **kw).resolved_sampler() == "walk"
+    assert CheckSpec(space=Sphere(3), **kw).resolved_sampler() == "walk"
+    with pytest.raises(ValueError, match="no exact heat law on sphere3"):
+        CheckSpec(space=Sphere(3), sampler="exact", **kw)
+    with pytest.raises(ValueError, match="'sampler' must be"):
+        CheckSpec(space=S2, sampler="euler", **kw)
+    rep = run_check(CheckSpec(space=S2, x=NORTH, y=sphere_point(0.5), n_trajectories=40,
+                              block_size=20, **kw))
+    assert rep.metadata["sampler"] == "exact"
 
 
 @pytest.mark.parametrize("check_id,params", [
@@ -344,6 +378,7 @@ def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
 
     monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
     monkeypatch.setattr(ctlab.checks, "run_coupled", no_walk)
+    monkeypatch.setattr(ctlab.checks, "sample_heat", no_walk)
     spec = CheckSpec(check_id=check_id, space=EuclideanOU(1, 1.0), x=np.zeros(1),
                      y=np.ones(1), n_trajectories=2000, k=30, **params)
     with pytest.raises(ValueError, match="finite N"):

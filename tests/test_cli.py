@@ -186,6 +186,10 @@ _DROP = object()
     ({"extra": {"grid": [0.0, 0.0, 1.0]}}, {}, "'grid'"),
     ({"extra": {"grid": [[0.0, "a", 1.0]]}}, {}, "'grid'"),
     ({"extra": {"grid": [[0.0, 1.0]]}}, {}, "'grid'"),
+    ({"sampler": "euler"}, {}, "'sampler' must be 'exact' or 'walk'"),
+    ({"sampler": True}, {}, "'sampler'"),
+    ({"space": {"kind": "sphere", "dim": 3}, "x": [0.0, 0.0, 0.0, 1.0], "y": [1.0, 0.0, 0.0, 0.0],
+      "sampler": "exact"}, {}, "no exact heat law on sphere3"),
 ])
 def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch,
                                                     change, top, named):
@@ -194,6 +198,7 @@ def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
     monkeypatch.setattr(ctlab.checks, "run_coupled", no_walk)
+    monkeypatch.setattr(ctlab.checks, "sample_heat", no_walk)
     check = {k: v for k, v in {**_W2, **change}.items() if v is not _DROP}
     cfg = write_json(tmp_path / "bad.json", {"schema": "ctl-suite/1", "checks": [check], **top})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2

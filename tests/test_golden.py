@@ -65,22 +65,28 @@ _SINGLE_BLOCK = {
 def cases():
     """(name, spec) for every pinned check: n = 64, k = 3, two 32-point
     blocks; and n = 48, k = 3 in one block, whose error bar comes from
-    the bootstrap over resampled points."""
+    the bootstrap over resampled points.  The two-sided checks run on the
+    walk, and again on the exact heat laws as "<name>/exact" (listed first,
+    so that adding them only added lines to the data file)."""
     out = []
+
+    def add(name, **kwargs):
+        if kwargs["check_id"] != "prectl":
+            out.append((f"{name}/exact", CheckSpec(**kwargs, sampler="exact")))
+            kwargs["sampler"] = "walk"
+        out.append((name, CheckSpec(**kwargs)))
+
     for label, (space, x, y) in _pairs().items():
         for i, (check, params) in enumerate(_PARAMS.items()):
-            out.append((f"{check}/{label}", CheckSpec(
-                check_id=check, space=space, x=x, y=y, n_trajectories=64, k=3,
-                block_size=32, seed=100 + i, **params)))
+            add(f"{check}/{label}", check_id=check, space=space, x=x, y=y, n_trajectories=64,
+                k=3, block_size=32, seed=100 + i, **params)
     space, x, y = _pairs()["S2"]
-    out.append(("w2_control_separate_noise/S2", CheckSpec(
-        check_id="w2_control", space=space, x=x, y=y, s=0.25, t=1.0, n_trajectories=64,
-        k=3, block_size=32, seed=100, share_noise=False)))
+    add("w2_control_separate_noise/S2", check_id="w2_control", space=space, x=x, y=y, s=0.25,
+        t=1.0, n_trajectories=64, k=3, block_size=32, seed=100, share_noise=False)
     for i, (label, (check, params)) in enumerate(_SINGLE_BLOCK.items()):
         space, x, y = _pairs()[label]
-        out.append((f"{check}_single_block/{label}", CheckSpec(
-            check_id=check, space=space, x=x, y=y, n_trajectories=48, k=3,
-            block_size=1000, seed=200 + i, **params)))
+        add(f"{check}_single_block/{label}", check_id=check, space=space, x=x, y=y,
+            n_trajectories=48, k=3, block_size=1000, seed=200 + i, **params)
     return out
 
 

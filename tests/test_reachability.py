@@ -40,8 +40,6 @@ ALLOWED = {
     "hopflax.LipschitzReport": "demo 05: what lipschitz_properties_check returns",
     "hopflax.lipschitz_properties_check": "demo 05, the regularity of Q_s f",
     "hopflax.kantorovich_gap": "criterion 06, the Kantorovich duality gap, and demo 05",
-    "transport.sinkhorn_cost": "demo 04 and ROADMAP item 1's Sinkhorn-divergence cross-check",
-    "transport._round_to_marginals": "sinkhorn_cost's rounding onto the exact marginals",
     "transport.gaussian_w2": "criterion 01's closed-form flat W2 oracle and demo 04",
     "transport.wasserstein": "demo 04, W_p from the exact solver",
     "walk.trajectory_rng": "criterion 09; the reference stream _draw_chunk_noise matches",

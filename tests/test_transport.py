@@ -18,7 +18,6 @@ from ctlab.transport import (
     block_cost_estimate,
     exact_cost,
     gaussian_w2,
-    sinkhorn_cost,
     solve_transport,
     wasserstein,
 )
@@ -126,48 +125,6 @@ def test_comparison_cost_on_diracs():
     value, _ = exact_cost(sp, EmpiricalMeasure.dirac(x), EmpiricalMeasure.dirac(y),
                           ComparisonCost(p=2.0, kstar=kstar))
     assert value == pytest.approx(float(comp_s(kstar, 0.75)) ** 2, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# entropic solver
-
-
-def test_sinkhorn_identical_measures_floor():
-    rng = np.random.default_rng(5)
-    sp = Euclidean(2)
-    mu = random_measure(10, rng)
-    eps = 1e-3
-    value, bound = sinkhorn_cost(sp, mu, mu, PthPowerDistance(2.0), epsilon=eps)
-    assert value <= 10 * eps * math.log(10)
-    assert bound >= 0
-
-
-def test_sinkhorn_matches_exact():
-    rng = np.random.default_rng(6)
-    sp = Euclidean(2)
-    mu = random_measure(50, rng)
-    nu = EmpiricalMeasure.uniform(rng.normal(size=(50, 2)) + 1.0)
-    exact, _ = exact_cost(sp, mu, nu, PthPowerDistance(2.0))
-    approx, bound = sinkhorn_cost(sp, mu, nu, PthPowerDistance(2.0), epsilon=1e-3)
-    assert abs(approx - exact) <= 1e-2 * exact
-    assert abs(approx - exact) <= bound + 1e-9
-
-
-def test_sinkhorn_monotone_in_epsilon():
-    rng = np.random.default_rng(7)
-    sp = Euclidean(2)
-    mu = random_measure(30, rng)
-    nu = EmpiricalMeasure.uniform(rng.normal(size=(30, 2)) + 0.5)
-    v_coarse, _ = sinkhorn_cost(sp, mu, nu, PthPowerDistance(2.0), epsilon=1e-2)
-    v_fine, _ = sinkhorn_cost(sp, mu, nu, PthPowerDistance(2.0), epsilon=1e-3)
-    assert v_coarse >= v_fine - 1e-9
-
-
-def test_sinkhorn_rejects_bad_epsilon():
-    sp = Euclidean(2)
-    mu = EmpiricalMeasure.dirac([0.0, 0.0])
-    with pytest.raises(ValueError):
-        sinkhorn_cost(sp, mu, mu, PthPowerDistance(2.0), epsilon=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +422,6 @@ def test_weights_must_normalize():
         EmpiricalMeasure(points=[[0.0], [1.0]], weights=[0.5, 0.6])
     with pytest.raises(ValueError):
         EmpiricalMeasure(points=[[0.0], [1.0]], weights=[-0.5, 1.5])
-
-
-def test_sinkhorn_nonconvergence_raises():
-    rng = np.random.default_rng(11)
-    sp = Euclidean(2)
-    mu = random_measure(20, rng)
-    nu = EmpiricalMeasure.uniform(rng.normal(size=(20, 2)) + 2.0)
-    with pytest.raises(RuntimeError, match="converge"):
-        sinkhorn_cost(sp, mu, nu, PthPowerDistance(2.0), epsilon=1e-4, max_iter=3)
 
 
 def test_block_estimate_needs_two_samples():

@@ -404,3 +404,161 @@ def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
     walk_mod._step_coupled_arrays(space, x, y, space.frame(x),
                                   sample_unit_ball(space.dim, trajectory_rng(0, 0)), 0.5, 0.5, 3)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# exact heat laws
+
+
+def _law_cases():
+    """(id, space, start, t, statistic of a sample, its exact mean)."""
+    s2, s2_r2, s1 = Sphere(2), Sphere(2, radius=2.0), Sphere(1, radius=1.5)
+    h2, h2_c = Hyperbolic(2), Hyperbolic(2, curvature=-0.5)
+    north = np.array([0.0, 0.0, 1.0])
+    cos_from = lambda sp, x: lambda X: X @ x / sp.radius**2
+    cosh_from = lambda sp, x: lambda X: -(X[:, 1:] @ x[1:] - X[:, 0] * x[0]) / sp.R**2
+    return [
+        ("S2", s2, north, 0.3, cos_from(s2, north), math.exp(-0.6)),
+        ("S2_r2", s2_r2, 2.0 * north, 0.8, cos_from(s2_r2, 2.0 * north), math.exp(-0.4)),
+        ("S1_r1.5", s1, np.array([0.0, 1.5]), 0.5, cos_from(s1, np.array([0.0, 1.5])),
+         math.exp(-0.5 / 1.5**2)),
+        ("H2", h2, h2.origin(), 0.25, cosh_from(h2, h2.origin()), math.exp(0.5)),
+        ("H2_c0.5", h2_c, h2_c.embed([0.3, -0.2]), 0.6, cosh_from(h2_c, h2_c.embed([0.3, -0.2])),
+         math.exp(0.6)),
+    ]
+
+
+@pytest.mark.parametrize("label, space, x, t, stat, mean", _law_cases(),
+                         ids=[c[0] for c in _law_cases()])
+def test_exact_heat_law_moments_on_curved_spaces(label, space, x, t, stat, mean):
+    # S^d: E[cos(theta)] = e^{-d t/rho^2}; H^2: E[cosh(r/R)] = e^{2t/R^2}; 4 sigma at n = 10^4
+    vals = stat(walk_mod.sample_heat(space, (x,), (t,), WalkConfig(n_trajectories=10_000,
+                                                                   seed=11))[0])
+    assert abs(vals.mean() - mean) < 4 * vals.std() / math.sqrt(vals.size)
+
+
+@pytest.mark.parametrize("space, x, t", [
+    (Euclidean(3), np.array([1.0, -2.0, 0.5]), 0.4),
+    (EuclideanOU(2, 0.7), np.array([1.0, 2.0]), 0.5),
+], ids=["E3", "OU2"])
+def test_exact_heat_law_is_gaussian_with_the_right_mean_and_covariance(space, x, t):
+    n = 10_000
+    pts = walk_mod.sample_heat(space, (x,), (t,), WalkConfig(n_trajectories=n, seed=12))[0]
+    lam = getattr(space, "lam", 0.0)
+    mean = math.exp(-lam * t) * x
+    var = -math.expm1(-2 * lam * t) / lam if lam else 2 * t
+    assert np.max(np.abs(pts.mean(axis=0) - mean)) < 4 * math.sqrt(var / n)
+    cov = np.cov(pts.T)
+    # a Gaussian's sample covariance entries have standard error var sqrt(2/n) at most
+    assert np.max(np.abs(cov - var * np.eye(space.dim))) < 4 * var * math.sqrt(2 / n)
+
+
+def test_exact_sphere_angle_passes_ks_against_the_zonal_series():
+    from scipy.stats import kstest
+
+    t = 0.15
+    pts = walk_mod.sample_heat(Sphere(2), (np.array([0.0, 0.0, 1.0]),), (t,),
+                               WalkConfig(n_trajectories=4000, seed=13))[0]
+    l = np.arange(1, 60)
+    coef = np.zeros(61)  # 2 P(cos <= u) - (u + 1) = sum_l e^{-l(l+1)t} (P_{l+1} - P_{l-1})
+    coef[l + 1] += np.exp(-l * (l + 1) * t)
+    coef[l - 1] -= np.exp(-l * (l + 1) * t)
+    cdf = lambda th: 1.0 - 0.5 * (np.cos(th) + 1 + np.polynomial.legendre.legval(np.cos(th), coef))
+    assert kstest(np.arccos(np.clip(pts[:, 2], -1, 1)), cdf).pvalue > 0.01
+
+
+def test_exact_hyperbolic_radius_passes_ks_against_the_mixture():
+    # McKean's kernel as a mixture: S with density s sinh(s/2) e^{-s^2/4t}, and
+    # P(r <= rho | S = s) = 1 - sqrt((cosh s - cosh rho)/(cosh s - 1)) for rho < s
+    from scipy.integrate import trapezoid
+    from scipy.stats import kstest
+
+    h2, t = Hyperbolic(2), 0.4
+    pts = walk_mod.sample_heat(h2, (h2.origin(),), (t,), WalkConfig(n_trajectories=4000,
+                                                                     seed=14))[0]
+    radius = np.arccosh(pts[:, 0])
+    s = np.linspace(0.0, 12.0, 24_001)[:, None]
+    mixing = s * np.sinh(s / 2) * np.exp(-s * s / (4 * t))
+    grid = np.linspace(0.0, radius.max(), 200)
+    inside = np.sqrt(np.clip((np.cosh(s) - np.cosh(grid)) / np.maximum(np.cosh(s) - 1, 1e-300),
+                             0, 1))
+    given_s = np.where(grid >= s, 1.0, 1.0 - inside)
+    table = trapezoid(mixing * given_s, s[:, 0], axis=0) / trapezoid(mixing[:, 0], s[:, 0])
+    assert kstest(radius, lambda r: np.interp(r, grid, table)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("space, x", [
+    (Sphere(2), np.array([0.6, 0.0, 0.8])), (Sphere(1), np.array([0.6, 0.8])),
+    (Hyperbolic(2), Hyperbolic(2).embed([0.4, -0.1])), (Euclidean(2), np.array([0.3, 0.1])),
+    (EuclideanOU(1, 1.0), np.array([0.7])),
+], ids=["S2", "S1", "H2", "E2", "OU1"])
+def test_exact_heat_law_at_time_zero_is_its_start(space, x):
+    cfg = WalkConfig(n_trajectories=9, seed=3)
+    rows = np.stack([x] * 9)
+    out = walk_mod.sample_heat(space, (x, rows, x), (0.0, 0.0, 0.2), cfg)
+    assert np.array_equal(out[0], rows) and np.array_equal(out[1], rows)
+    assert not np.array_equal(out[2], rows)
+
+
+_STARTS = [(Sphere(2), np.array([0.6, 0.0, 0.8])),
+           (Hyperbolic(2), Hyperbolic(2).embed([0.4, -0.1])),
+           (Euclidean(2), np.array([0.3, 0.1])), (EuclideanOU(2, 1.0), np.array([0.3, 0.1]))]
+
+
+@pytest.mark.parametrize("space, start", _STARTS, ids=["S2", "H2", "E2", "OU2"])
+def test_exact_heat_law_is_invariant_to_chunk_size_and_prefix(space, start, monkeypatch):
+    sides, taus = (start, start, start), (0.1, 0.4, 0.4)
+    full = walk_mod.sample_heat(space, sides, taus, WalkConfig(n_trajectories=40, seed=9))
+    prefix = walk_mod.sample_heat(space, sides, taus, WalkConfig(n_trajectories=15, seed=9))
+    monkeypatch.setattr(walk_mod, "_CHUNK", 7)
+    chunked = walk_mod.sample_heat(space, sides, taus, WalkConfig(n_trajectories=40, seed=9))
+    assert np.array_equal(full, chunked)
+    assert np.array_equal(full[:, :15], prefix)
+    assert np.array_equal(full[1], full[2])
+    if not isinstance(space, EuclideanOU):  # OU's laws are centred at e^{-lam t} x
+        # the sides share each trajectory's direction and quantile: the later
+        # side lies further out on the same geodesic ray from the start
+        near, far = space.log_map(start, full[0]), space.log_map(start, full[1])
+        r_near, r_far = space._norm(near), space._norm(far)
+        assert np.all(r_near <= r_far)
+        assert np.allclose(near / r_near, far / r_far, atol=1e-9)
+
+
+@pytest.mark.parametrize("space, start", _STARTS, ids=["S2", "H2", "E2", "OU2"])
+def test_exact_heat_law_frames_each_trajectory_start_on_its_own(space, start):
+    # per-trajectory starts: row j is what a lone start at row j gives trajectory j
+    cfg = WalkConfig(n_trajectories=6, seed=4)
+    steps = np.zeros((6, space.emb_dim))
+    steps[:, -1] = np.linspace(-0.9, 0.9, 6)
+    rows = space.exp_map(np.stack([start] * 6), space.project_tangent(start, steps))
+    together = walk_mod.sample_heat(space, (rows,), (0.3,), cfg)[0]
+    for j in range(6):
+        alone = walk_mod.sample_heat(space, (rows[j],), (0.3,), cfg)[0]
+        assert np.allclose(together[j], alone[j], rtol=0, atol=1e-14)
+
+
+def test_exact_heat_law_only_where_the_space_has_one():
+    for space in (Euclidean(3), EuclideanOU(1, 1.0), Sphere(1), Sphere(2, radius=2.0),
+                  Hyperbolic(2, curvature=-0.5), Hyperbolic(1)):
+        assert walk_mod.has_heat_law(space), space
+    for space in (Sphere(3), Hyperbolic(3)):
+        assert not walk_mod.has_heat_law(space)
+        x = np.eye(space.emb_dim)[0] if isinstance(space, Sphere) else space.origin()
+        with pytest.raises(ValueError, match="no exact heat law"):
+            walk_mod.sample_heat(space, (x,), (0.1,), WalkConfig(n_trajectories=2))
+
+
+def test_exact_sphere_law_at_small_time_has_no_cost_cliff():
+    # 1e-4 takes about 700 Legendre modes on a 2049-point table
+    import time
+
+    north = np.array([0.0, 0.0, 1.0])
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        pts = walk_mod.sample_heat(Sphere(2), (north,), (1e-4,),
+                                   WalkConfig(n_trajectories=1000))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    angle2 = np.arccos(np.clip(pts[0, :, 2], -1, 1)) ** 2
+    assert abs(angle2.mean() - 4e-4) < 4 * angle2.std() / math.sqrt(angle2.size)
