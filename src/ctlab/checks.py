@@ -118,24 +118,12 @@ class CheckSpec:
     grid_n: int = 64
     delta: float = 0.1               # regularizer of the pointwise condition
     share_noise: bool = True         # common random numbers across the two sides
-    sampler: Optional[str] = None    # heat clouds: "exact" or "walk"; unset, exact where a law is
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name, least in _LEAST.items():
             if getattr(self, name) < least:
                 raise ValueError(f"{name!r} must be at least {least}, got {getattr(self, name)}")
-        if self.sampler not in (None, "exact", "walk"):
-            raise ValueError(f"'sampler' must be 'exact' or 'walk', got {self.sampler!r}")
-        if self.sampler == "exact" and not has_heat_law(self.space):
-            raise ValueError(f"'sampler' 'exact': no exact heat law on {self.space.label}")
-
-    def resolved_sampler(self) -> str:
-        """How the two-sided checks draw their heat clouds: the given sampler,
-        else the exact law where the space has one and the walk elsewhere."""
-        if self.sampler is not None:
-            return self.sampler
-        return "exact" if has_heat_law(self.space) else "walk"
 
     def resolved_cd(self) -> CurvatureDimension:
         return self.cd if self.cd is not None else self.space.cd
@@ -304,12 +292,17 @@ def _starts(measure: EmpiricalMeasure, n: int, seed: int):
     return measure.points[idx]
 
 
+def _sampler(space: ModelSpace) -> str:
+    """How the two-sided checks draw their heat clouds on `space`."""
+    return "exact" if has_heat_law(space) else "walk"
+
+
 def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
     """Terminal clouds of the two heat distributions, one (a, b) pair of
     clouds per (time_a, time_b) in `pairs`.
 
-    The clouds come from the exact heat laws (walk.sample_heat) or from
-    the walk, as spec.resolved_sampler() says.  With share_noise every
+    The clouds come from the exact heat laws (walk.sample_heat) where the
+    space has them, and from the walk elsewhere.  With share_noise every
     cloud is a side of one draw on the same per-trajectory streams
     (common random numbers): the marginal laws are unchanged and the
     differences between clouds have far lower variance.  Without it the
@@ -320,7 +313,7 @@ def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
     xa, xb = _starts(mu0, n, spec.seed + 3), _starts(mu1, n, spec.seed + 4)
     times = tuple(t for pair in pairs for t in pair)
     cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 1)
-    if spec.resolved_sampler() == "exact":
+    if _sampler(spec.space) == "exact":
         draw = lambda starts, taus, cfg: sample_heat(spec.space, starts, taus, cfg)
     else:
         draw = lambda starts, taus, cfg: run_single(spec.space, starts, taus, cfg).terminal
@@ -362,7 +355,7 @@ def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> Ve
     (est,) = _sampled_estimates(spec, (times,), cost, transform)
     value, meta = rhs(_exact_base(spec, cost))
     return _base_report(spec, est.value, value, est.stderr, 0.0,
-                        **meta, n_blocks=est.n_blocks, sampler=spec.resolved_sampler())
+                        **meta, n_blocks=est.n_blocks, sampler=_sampler(spec.space))
 
 
 def check_w2_control(spec: CheckSpec) -> VerificationReport:
@@ -503,7 +496,7 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
     se_rhs = abs(cd.K) * (lam + 1.0 / lam) * g0.stderr
     return _base_report(spec, deriv, rhs, se_deriv, se_rhs,
-                        u=u, du=DU, lam=lam, w=w, sampler=spec.resolved_sampler(),
+                        u=u, du=DU, lam=lam, w=w, sampler=_sampler(spec.space),
                         theta_ode_residuals=residuals, theta_ode_ratio=ratio)
 
 

@@ -16,10 +16,10 @@ the pair sits on the diagonal), each with its own time scale tau_i.
 
 Where a check needs only the heat laws P_t delta_x and no path,
 sample_heat draws them exactly on E^m, OU, S^1, S^2 and H^2: a uniform
-direction from the start and a radius by inverse CDF of the radial law
-(the chi law, a zonal Legendre series on S^2, McKean's kernel on H^2).
-All sides of a trajectory share its direction and its uniforms, a
-quantile coupling of the sides.
+direction from the start and a radius, the scaled Gaussian norm on a
+flat space and an inverse CDF of the radial law on S^2 (a zonal Legendre
+series) and H^2 (McKean's kernel).  All sides of a trajectory share its
+Gaussian and its uniforms, a quantile coupling of the sides.
 
 Reproducibility: trajectory j draws from its own counter-based Philox
 stream keyed by (seed, j), so results are bit-identical for any chunk
@@ -38,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.special import gammaincinv
 
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 
@@ -408,20 +407,20 @@ def _hyperbolic_radius(tau: float):
 
 
 def _radius(space: ModelSpace, t: float):
-    """(u, v) -> the distance from the start of the heat law P_t delta_x, for
-    uniforms u and v, on a space with has_heat_law.  A curved space's
-    time is rescaled to the unit space and its radius scaled back."""
+    """(|g|, u, v) -> the distance from the start of the heat law P_t delta_x,
+    for a standard Gaussian g in R^m and uniforms u and v, on a space with
+    has_heat_law.  A flat space's radius is sqrt(var) |g|, var the variance
+    per coordinate; a curved space's time is rescaled to the unit space and
+    its radius scaled back."""
     if isinstance(space, Euclidean) or space.dim == 1:
-        # the chi_m law of |B|, B Gaussian with variance var per coordinate
         lam = space.lam if isinstance(space, EuclideanOU) else 0.0
-        var = -math.expm1(-2.0 * lam * t) / lam if lam else 2.0 * t
-        half_m = space.dim / 2.0
-        return lambda u, v: np.sqrt(2.0 * var * gammaincinv(half_m, u))
+        scale = math.sqrt(-math.expm1(-2.0 * lam * t) / lam if lam else 2.0 * t)
+        return lambda norm, u, v: scale * norm
     if isinstance(space, Sphere):
         angle = _sphere_angle(t / space.radius**2)
-        return lambda u, v: space.radius * angle(u)
+        return lambda norm, u, v: space.radius * angle(u)
     radius = _hyperbolic_radius(t / space.R**2)
-    return lambda u, v: space.R * radius(u, v)
+    return lambda norm, u, v: space.R * radius(u, v)
 
 
 def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.ndarray:
@@ -432,10 +431,12 @@ def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.
 
     Trajectory j draws from its stream trajectory_rng(cfg.seed, j) a
     Gaussian g in R^m and two uniforms u, v.  Each side sets
-    X = exp_c(r(u, v) * (g / |g|) . Phi), with Phi the frame at its start,
-    c the start (on OU the mean e^{-lam tau} x) and r its radial law.  All
-    sides share g, u and v: a quantile coupling.  At tau = 0 a side is its
-    start, bit for bit.
+    X = exp_c(r * (g / |g|) . Phi), with Phi the frame at its start, c the
+    start (on OU the mean e^{-lam tau} x) and r its radial law: on a flat
+    space or one of dimension 1, sqrt(var) |g|; on S^2 and H^2 a quantile
+    of its table at (u, v).  All sides share g, u and v, so every side's
+    radius rises with the same draw: a quantile coupling.  At tau = 0 a
+    side is its start, bit for bit.
     """
     if not has_heat_law(space):
         raise ValueError(f"no exact heat law on {space.label}")
@@ -450,9 +451,8 @@ def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.
         for i, gen in _streams(cfg.seed, lo, hi):
             gen.standard_normal(out=g[i])
             gen.random(out=uv[i])
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        norm[norm == 0.0] = 1.0
-        g /= norm
+        norm = np.linalg.norm(g, axis=-1)
+        g /= np.where(norm == 0.0, 1.0, norm)[:, None]
         for side, (start, t, radius) in enumerate(zip(starts, taus, radii)):
             rows = _rows(start, lo, hi)
             if radius is None:
@@ -462,7 +462,7 @@ def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.
             direction = sum(g[:, i, None] * frame[:, i] for i in range(m))
             if isinstance(space, EuclideanOU):
                 rows = math.exp(-space.lam * t) * rows
-            r = radius(uv[:, 0], uv[:, 1])
+            r = radius(norm, uv[:, 0], uv[:, 1])
             out[side, lo:hi] = space.exp_map(rows, r[:, None] * direction)
     return out
 

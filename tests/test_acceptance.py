@@ -215,7 +215,7 @@ def test_criterion_10_negative_control_must_fail():
     # the transport side: the space-time control on exact heat clouds
     w2 = run_check(CheckSpec(check_id="w2_control", space=S2, cd=CurvatureDimension(2.0, 2.0),
                              x=NORTH, y=sphere_point(1.0), s=0.25, t=1.0, n_trajectories=2000,
-                             block_size=500, seed=20260810, sampler="exact"))
+                             block_size=500, seed=20260810))
     elapsed = time.monotonic() - t0
     _announce(10, "fail" in verdicts and w2.verdict == "fail",
               f"bl0 verdicts with inflated K: {verdicts}; w2_control: {w2.verdict} "

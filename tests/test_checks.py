@@ -314,12 +314,13 @@ def test_run_suite_logs_one_info_line_per_check(caplog):
 
 
 @pytest.mark.parametrize("share", [True, False])
-def test_two_sided_samples_seeds(share):
-    # shared noise walks both clouds on seed + 1; separate noise gives the
-    # b side seed + 2
+def test_two_sided_samples_seeds(share, monkeypatch):
+    # on a space without an exact law, shared noise walks both clouds on
+    # seed + 1; separate noise gives the b side seed + 2
+    monkeypatch.setattr(ctlab.checks, "has_heat_law", lambda space: False)
     y = sphere_point(0.5)
     spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
-                     k=4, seed=7, share_noise=share, sampler="walk")
+                     k=4, seed=7, share_noise=share)
     pairs = ((0.1, 0.3), (0.2, 0.4))
     clouds = _two_sided_samples(spec, pairs)
     seed_b = 8 if share else 9
@@ -332,12 +333,11 @@ def test_two_sided_samples_seeds(share):
 
 @pytest.mark.parametrize("share", [True, False])
 def test_two_sided_exact_samples_seeds(share):
-    # unset, the sampler is the exact law on S^2, on the walk's seeds: shared
-    # noise draws both clouds on seed + 1, separate noise the b side on seed + 2
+    # S^2 has an exact law, drawn on the walk's seeds: shared noise draws
+    # both clouds on seed + 1, separate noise the b side on seed + 2
     y = sphere_point(0.5)
     spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
                      k=4, seed=7, share_noise=share)
-    assert spec.resolved_sampler() == "exact"
     pairs = ((0.1, 0.3), (0.2, 0.4))
     clouds = _two_sided_samples(spec, pairs)
     seed_b = 8 if share else 9
@@ -350,18 +350,12 @@ def test_two_sided_exact_samples_seeds(share):
         assert not np.array_equal(clouds[0][1], same)
 
 
-def test_sampler_resolves_to_the_exact_law_where_the_space_has_one():
-    kw = dict(check_id="w2_control", s=0.1, t=0.3)
-    assert CheckSpec(space=S2, **kw).resolved_sampler() == "exact"
-    assert CheckSpec(space=S2, sampler="walk", **kw).resolved_sampler() == "walk"
-    assert CheckSpec(space=Sphere(3), **kw).resolved_sampler() == "walk"
-    with pytest.raises(ValueError, match="no exact heat law on sphere3"):
-        CheckSpec(space=Sphere(3), sampler="exact", **kw)
-    with pytest.raises(ValueError, match="'sampler' must be"):
-        CheckSpec(space=S2, sampler="euler", **kw)
-    rep = run_check(CheckSpec(space=S2, x=NORTH, y=sphere_point(0.5), n_trajectories=40,
-                              block_size=20, **kw))
+def test_report_records_the_sampler_of_its_space():
+    kw = dict(check_id="w2_control", s=0.1, t=0.3, n_trajectories=40, k=2, block_size=20)
+    rep = run_check(CheckSpec(space=S2, x=NORTH, y=sphere_point(0.5), **kw))
     assert rep.metadata["sampler"] == "exact"
+    rep = run_check(CheckSpec(space=Sphere(3), x=np.eye(4)[3], y=np.eye(4)[0], **kw))
+    assert rep.metadata["sampler"] == "walk"
 
 
 @pytest.mark.parametrize("check_id,params", [

@@ -186,10 +186,6 @@ _DROP = object()
     ({"extra": {"grid": [0.0, 0.0, 1.0]}}, {}, "'grid'"),
     ({"extra": {"grid": [[0.0, "a", 1.0]]}}, {}, "'grid'"),
     ({"extra": {"grid": [[0.0, 1.0]]}}, {}, "'grid'"),
-    ({"sampler": "euler"}, {}, "'sampler' must be 'exact' or 'walk'"),
-    ({"sampler": True}, {}, "'sampler'"),
-    ({"space": {"kind": "sphere", "dim": 3}, "x": [0.0, 0.0, 0.0, 1.0], "y": [1.0, 0.0, 0.0, 0.0],
-      "sampler": "exact"}, {}, "no exact heat law on sphere3"),
 ])
 def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch,
                                                     change, top, named):
