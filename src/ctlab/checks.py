@@ -37,6 +37,7 @@ from .comparison import (
     coeff_A,
     comp_s,
     comp_t,
+    decay_mean,
     j_measure,
     swc_reparam,
     tau_star,
@@ -396,10 +397,8 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
     def rhs(base):
         W0 = base ** 0.5
         Ksum = cd.K * (spec.s + spec.t)
-        decay = math.exp(-Ksum)
-        coef = -math.expm1(-Ksum) / Ksum if abs(Ksum) > 1e-12 else 1.0
-        value = (decay * float(comp_s(kap, W0 / 2.0)) ** 2
-                 + cd.N / 2.0 * coef * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
+        value = (math.exp(-Ksum) * float(comp_s(kap, W0 / 2.0)) ** 2
+                 + cd.N / 2.0 * decay_mean(Ksum) * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
         return value, dict(W0=W0)
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(2.0),
@@ -415,7 +414,7 @@ def check_lp2(spec: CheckSpec) -> VerificationReport:
     if not cd.finite:
         raise ValueError("requires finite N")
     theta = theta_exponent(spec.tau1, spec.tau2, cd, p)  # raises before any walk
-    coef = -math.expm1(-theta) / (2.0 * theta) if abs(theta) > 1e-12 else 0.5
+    coef = 0.5 * decay_mean(theta)
 
     def rhs(base):
         value = math.exp(-theta) * base ** (2.0 / p) + (cd.N + p - 2.0) * coef * (
@@ -442,8 +441,7 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     ts = tau_star(spec.tau1, spec.tau2, cd.K)
     d0 = float(spec.space.distance(np.asarray(spec.x, float), np.asarray(spec.y, float)))
     arg = 2.0 * cd.K * ts
-    coef = -math.expm1(-arg) / (cd.K * ts) if abs(arg) > 1e-12 else 2.0
-    rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * coef * (
+    rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * 2.0 * decay_mean(arg) * (
         math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
     cfg = WalkConfig(k=spec.k, n_trajectories=spec.n_trajectories, seed=spec.seed + 1)
     path = run_coupled(spec.space, spec.x, spec.y, spec.tau1, spec.tau2, cfg)
@@ -508,10 +506,7 @@ def _bl_rhs_coef(cd: CurvatureDimension, p: float, t: float) -> float:
     """(1 - e^{-2Kt}) / ((N + p - 2) K), with its K -> 0 and N = inf limits."""
     if not cd.finite:
         return 0.0
-    denom = cd.N + p - 2.0
-    if abs(cd.K) < 1e-12:
-        return 2.0 * t / denom
-    return -math.expm1(-2.0 * cd.K * t) / (denom * cd.K)
+    return 2.0 * t * decay_mean(2.0 * cd.K * t) / (cd.N + p - 2.0)
 
 
 def _field_and_backend(spec: CheckSpec, h: float = H):

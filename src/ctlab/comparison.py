@@ -9,6 +9,12 @@ the index-form bound Psi and its rearranged upper bound, and the two
 explicit space-time reparametrizations used to optimize the variational
 transport bound.
 
+J_N and everything built on it (j_measure, the exp-weighted mass,
+coeff_A, the Bakry-Ledoux xi_inverse and swc_reparam's l and xi_h) go
+through one pair: the J-coordinate l(r) = J_N([0, r]) and its inverse,
+in half-angle forms that need no series or threshold near K = 0.
+decay_mean is the (1 - e^{-x})/x of the checks' contraction coefficients.
+
 Sign conventions: K is a Ricci-type lower bound (any sign), N an upper
 dimension bound in (0, inf].  kappa arguments are per-function curvature
 values such as K/N or K* = K/(N-1).
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,7 +38,6 @@ __all__ = [
     "comp_s",
     "comp_c",
     "comp_t",
-    "inv_comp_c",
     "j_measure",
     "exp_weighted_j",
     "coeff_A",
@@ -151,11 +156,12 @@ def _comp_s_scalar(kappa: float, u: float) -> float:
     x = kappa * u * u
     if abs(x) < _TAYLOR_THRESHOLD:
         return u * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0)
+    # numpy's sin/sinh on the float, so that a float and an array give the same bits
     if kappa > 0:
         rk = math.sqrt(kappa)
-        return math.sin(rk * u) / rk
+        return float(np.sin(rk * u)) / rk
     rk = math.sqrt(-kappa)
-    return math.sinh(rk * u) / rk
+    return float(np.sinh(rk * u)) / rk
 
 
 def _comp_c_scalar(kappa: float, u: float) -> float:
@@ -164,8 +170,8 @@ def _comp_c_scalar(kappa: float, u: float) -> float:
     if abs(x) < _TAYLOR_THRESHOLD:
         return 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0
     if kappa > 0:
-        return math.cos(math.sqrt(kappa) * u)
-    return math.cosh(math.sqrt(-kappa) * u)
+        return float(np.cos(math.sqrt(kappa) * u))
+    return float(np.cosh(math.sqrt(-kappa) * u))
 
 
 def comp_s(kappa: float, u):
@@ -221,83 +227,62 @@ def comp_t(kappa: float, u):
     return comp_s(kappa, u) / c
 
 
-def inv_comp_c(kappa: float, y) -> float:
-    """Inverse of comp_c on its monotone branch (kappa != 0)."""
-    if kappa > 0:
-        y = np.clip(y, -1.0, 1.0)
-        return np.arccos(y) / math.sqrt(kappa)
-    if kappa < 0:
-        y = np.maximum(y, 1.0)
-        return np.arccosh(y) / math.sqrt(-kappa)
-    raise ValueError("inv_comp_c requires kappa != 0")
+def decay_mean(x: float) -> float:
+    """(1 - e^{-x})/x, the mean of e^{-xu} over u in [0, 1]; 1 at x = 0.
+
+    expm1 keeps its relative accuracy for tiny x, so no series is needed.
+    """
+    return -math.expm1(-x) / x if x else 1.0
 
 
 # ---------------------------------------------------------------------------
 # coefficient measure J_N and the contraction coefficient
 
-# For |K| t below this, the arccos/arccosh branches cancel badly; a
-# 5-term series in K (exact to O((Kt)^5)) takes over.
-_J_SERIES_THRESHOLD = 1e-3
+
+def _j_coordinate(K: float, N: float, r: float) -> float:
+    """l(r) = J_N([0, r]) = 2 s_{K/N}^{-1}(u), u = sqrt(N r (1 - e^{-Kr}) / (2Kr)).
+
+    The half-angle form of sqrt(N/K) arccos(e^{-Kr}) for K > 0, sqrt(2Nr)
+    at K = 0 and sqrt(N/-K) arccosh(e^{-Kr}) for K < 0; nothing in it
+    cancels as K -> 0.
+    """
+    kappa, u = K / N, math.sqrt(N * r * decay_mean(K * r) / 2.0)
+    if kappa > 0:
+        return 2.0 * math.asin(math.sqrt(kappa) * u) / math.sqrt(kappa)
+    if kappa < 0:
+        return 2.0 * math.asinh(math.sqrt(-kappa) * u) / math.sqrt(-kappa)
+    return 2.0 * u
 
 
-def _j_series(K: float, N: float, s: float, t: float) -> float:
-    # sqrt(2N) * sum_q c_q K^q (t^{q+1/2} - s^{q+1/2}) from the expansion
-    # of sqrt(w/(e^w - 1)) at w = 2Kr
-    d = lambda q: t**q - s**q
-    return math.sqrt(2.0 * N) * (
-        d(0.5)
-        - K * d(1.5) / 6.0
-        + K**2 * d(2.5) / 120.0
-        + K**3 * d(3.5) / 336.0
-        - K**4 * d(4.5) / 5760.0
-    )
+def _j_coordinate_inverse(K: float, N: float, y: float) -> float:
+    """l^{-1}(y) = (2/N) S^2 log1p(x)/x with S = s_{K/N}(y/2), x = -2(K/N)S^2.
+
+    x = e^{-Kr} - 1, so this is -log(1 + x)/K; it is y^2/(2N) at x = 0.
+    """
+    S = comp_s(K / N, y / 2.0)
+    x = -2.0 * (K / N) * S * S
+    if x <= -1.0:
+        raise ValueError(f"{y:.6g} lies beyond the J-coordinate of r = inf")
+    return 2.0 / N * S * S * (math.log1p(x) / x if x else 1.0)
 
 
 def j_measure(cd: CurvatureDimension, s: float, t: float) -> float:
-    """Mass J_N([s, t]) of the coefficient measure, by closed form.
-
-    J_N(dr) = sqrt(NK/(e^{2Kr} - 1)) dr; the antiderivative is
-    sqrt(N/K) arccos(e^{-Kr}) for K > 0, sqrt(2Nr) for K = 0 and
-    sqrt(N/-K) arccosh(e^{-Kr}) for K < 0.  Additive over adjacent
-    intervals and continuous across K = 0.
-    """
+    """Mass J_N([s, t]) = l(t) - l(s) of the coefficient measure
+    J_N(dr) = sqrt(NK/(e^{2Kr} - 1)) dr, l its J-coordinate."""
     if not (0.0 <= s <= t):
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     if not cd.finite:
         raise ValueError("j_measure requires finite N")
-    K, N = cd.K, cd.N
-    if abs(K) * t < _J_SERIES_THRESHOLD:
-        return _j_series(K, N, s, t)
-    if K > 0:
-        return math.sqrt(N / K) * (
-            math.acos(math.exp(-K * t)) - math.acos(math.exp(-K * s))
-        )
-    return math.sqrt(N / -K) * (
-        math.acosh(math.exp(-K * t)) - math.acosh(math.exp(-K * s))
-    )
+    return _j_coordinate(cd.K, cd.N, t) - _j_coordinate(cd.K, cd.N, s)
 
 
 def exp_weighted_j(cd: CurvatureDimension, s: float, t: float) -> float:
-    """The weighted mass  int_s^t e^{Kr} J_N(dr), by closed form.
+    """The weighted mass  int_s^t e^{Kr} J_N(dr).
 
-    Antiderivatives: sqrt(N/K) arccosh(e^{Kr}) for K > 0 and
-    -sqrt(N/-K) arcsin(e^{Kr}) for K < 0; equals J_N([s,t]) at K = 0.
+    e^{Kr} times the J_N density at K is the J_N density at -K, so this
+    is J_N([s, t]) at (-K, N).
     """
-    if not (0.0 <= s <= t):
-        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
-    if not cd.finite:
-        raise ValueError("exp_weighted_j requires finite N")
-    K, N = cd.K, cd.N
-    if abs(K) * t < _J_SERIES_THRESHOLD:
-        # e^{Kr} times the J_N density at K is the J_N density at -K
-        return _j_series(-K, N, s, t)
-    if K > 0:
-        return math.sqrt(N / K) * (
-            math.acosh(math.exp(K * t)) - math.acosh(math.exp(K * s))
-        )
-    return math.sqrt(N / -K) * (
-        math.asin(math.exp(K * s)) - math.asin(math.exp(K * t))
-    )
+    return j_measure(CurvatureDimension(-cd.K, cd.N), s, t)
 
 
 def coeff_A(cd: CurvatureDimension, s: float, t: float) -> float:
@@ -393,9 +378,9 @@ class CoefficientFamily:
     """A pair of positive coefficient functions (a, b) with J(dx) = dx/b(x).
 
     a is defined on [0, inf), b on (0, inf); J must be locally finite
-    (b integrable at 0).  j_mass and exp-weighted integrals default to
-    adaptive quadrature; the Bakry-Ledoux instance overrides them with
-    closed forms.
+    (b integrable at 0).  j_mass and the exp-weighted integral default to
+    adaptive quadrature and xi_inverse to bisection; the Bakry-Ledoux
+    instance overrides all three with closed forms.
     """
 
     a: Callable[[float], float]
@@ -420,6 +405,19 @@ class CoefficientFamily:
             lambda r: 1.0 / (self.a(r) * self.b(r)), s, t, epsabs=1e-12, epsrel=1e-12
         )
         return val
+
+    def xi_inverse(self, s: float, value: float) -> float:
+        """Solve J([s, x]) = value for x by bisection."""
+        lo, hi = s, s + 1.0
+        while self.j_mass(s, hi) < value:
+            lo, hi = hi, 2.0 * hi - s
+        for _ in range(80):  # bisection to ~(hi - lo) * 2^-80
+            mid = 0.5 * (lo + hi)
+            if self.j_mass(s, mid) < value:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 class _BakryLedouxFamily(CoefficientFamily):
@@ -451,17 +449,11 @@ class _BakryLedouxFamily(CoefficientFamily):
         return exp_weighted_j(self.cd, s, t)
 
     def xi_inverse(self, s: float, value: float) -> float:
-        """Solve J([s, x]) = value for x, in closed form."""
-        K, N = self.cd.K, self.cd.N
-        if value <= 0:
+        """Solve J([s, x]) = value for x: x = l^{-1}(l(s) + value)."""
+        if value <= 0:  # exactly s, where l^{-1}(l(s)) may round below s
             return s
-        if abs(K) < 1e-14:
-            return (math.sqrt(s) + value / math.sqrt(2.0 * N)) ** 2
-        if K > 0:
-            y = math.cos(value * math.sqrt(K / N) + math.acos(math.exp(-K * s)))
-            return -math.log(y) / K
-        y = math.cosh(value * math.sqrt(-K / N) + math.acosh(math.exp(-K * s)))
-        return -math.log(y) / K
+        K, N = self.cd.K, self.cd.N
+        return _j_coordinate_inverse(K, N, _j_coordinate(K, N, s) + value)
 
 
 def bakry_ledoux(cd: CurvatureDimension) -> CoefficientFamily:
@@ -471,14 +463,15 @@ def bakry_ledoux(cd: CurvatureDimension) -> CoefficientFamily:
 
 @dataclass
 class TimeReparam:
-    """A C^1-increasing surjective pair xi: [0,1]->[s,t], eta: [0,1]->[0,1]."""
+    """A C^1-increasing surjective pair xi: [0,1]->[s,t], eta: [0,1]->[0,1],
+    with their derivatives xi_prime and eta_prime."""
 
     xi: Callable
     eta: Callable
     s: float
     t: float
-    xi_prime: Optional[Callable] = None
-    eta_prime: Optional[Callable] = None
+    xi_prime: Callable
+    eta_prime: Callable
 
     def validate(self, n: int = 65, tol: float = 1e-9) -> None:
         r = np.linspace(0.0, 1.0, n)
@@ -521,34 +514,20 @@ def duality_reparam(family: CoefficientFamily, s: float, t: float) -> TimeRepara
 
     xi spreads [0,1] uniformly in J-mass (so xi'/b(xi) is constant and
     equals J([s,t])) while eta normalizes the a-weighted speed (so
-    a(xi) eta' is the contraction coefficient).  Xi^{-1} is closed-form
-    for the Bakry-Ledoux family and solved by bisection otherwise.
+    a(xi) eta' is the contraction coefficient).  xi is the family's
+    xi_inverse: closed-form for the Bakry-Ledoux family, bisection
+    otherwise.
     """
     if not (0.0 <= s < t):
         raise ValueError("need 0 <= s < t")
     J = family.j_mass(s, t)
     G = family.weighted_mass(s, t)
 
-    if isinstance(family, _BakryLedouxFamily):
-        def xi(r):
-            return family.xi_inverse(s, J * float(r))
+    def xi(r):
+        return family.xi_inverse(s, J * float(r))
 
-        def eta(r):
-            return family.weighted_mass(s, xi(r)) / G
-    else:
-        def xi(r):
-            target = J * float(r)
-            lo, hi = s, t
-            for _ in range(80):  # bisection to ~(t-s)*2^-80 < 1e-12
-                mid = 0.5 * (lo + hi)
-                if family.j_mass(s, mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        def eta(r):
-            return family.weighted_mass(s, xi(r)) / G
+    def eta(r):
+        return family.weighted_mass(s, xi(r)) / G
 
     def xi_prime(r):
         return J * family.b(xi(r))
@@ -562,9 +541,8 @@ def duality_reparam(family: CoefficientFamily, s: float, t: float) -> TimeRepara
 def swc_reparam(w: float, lam: float, h: float, cd: CurvatureDimension):
     """Linearized optimal time change for the comparison-function control.
 
-    Returns (l, theta_h, xi_h).  l(r) is the J-mass coordinate
-    (inv_comp_c of e^{-Kr} at curvature K/N, or sqrt(2Nr) at K = 0),
-    theta_h interpolates l(lambda h) and l(h/lambda) with comparison
+    Returns (l, theta_h, xi_h).  l(r) = J_N([0, r]) is the J-mass
+    coordinate, theta_h interpolates l(lambda h) and l(h/lambda) with comparison
     weights in the distance w, and xi_h = l^{-1}(theta_h) maps [0, 1]
     onto [h/lambda, lambda h].  xi_h is increasing only while the
     weight ratio dominates the curvature factor
@@ -579,12 +557,8 @@ def swc_reparam(w: float, lam: float, h: float, cd: CurvatureDimension):
     K, N = cd.K, cd.N
     kap = cd.kappa
 
-    if K != 0:
-        def l(r):
-            return inv_comp_c(kap, math.exp(-K * r))
-    else:
-        def l(r):
-            return math.sqrt(2.0 * N * r)
+    def l(r):
+        return _j_coordinate(K, N, r)
 
     la, lb = l(lam * h), l(h / lam)
 
@@ -597,15 +571,8 @@ def swc_reparam(w: float, lam: float, h: float, cd: CurvatureDimension):
         def theta_h(r):
             return la * r + lb * (1.0 - r)
 
-    if K != 0:
-        def xi_h(r):
-            c = comp_c(kap, theta_h(r))
-            if np.any(np.asarray(c) <= 0):
-                raise ValueError("theta_h left the domain of the log branch")
-            return -math.log(c) / K
-    else:
-        def xi_h(r):
-            return theta_h(r) ** 2 / (2.0 * N)
+    def xi_h(r):
+        return _j_coordinate_inverse(K, N, theta_h(r))
 
     return l, theta_h, xi_h
 
@@ -631,14 +598,8 @@ def wc_var_rhs(
     beta = exponents.beta
     r = np.linspace(0.0, 1.0, quadrature_n + 1)
     xr = np.asarray([reparam.xi(v) for v in r], dtype=float)
-    if reparam.xi_prime is not None:
-        xp = np.asarray([reparam.xi_prime(v) for v in r], dtype=float)
-    else:
-        xp = _fd5(reparam.xi, np.clip(r, 2.5e-3, 1 - 2.5e-3), h=1e-3)
-    if reparam.eta_prime is not None:
-        ep = np.asarray([reparam.eta_prime(v) for v in r], dtype=float)
-    else:
-        ep = _fd5(reparam.eta, np.clip(r, 2.5e-3, 1 - 2.5e-3), h=1e-3)
+    xp = np.asarray([reparam.xi_prime(v) for v in r], dtype=float)
+    ep = np.asarray([reparam.eta_prime(v) for v in r], dtype=float)
     av = np.asarray([family.a(v) for v in xr], dtype=float)
     bv = np.asarray([family.b(v) for v in xr], dtype=float)
     vals = (av * W * ep) ** beta + (xp / bv) ** beta

@@ -248,7 +248,9 @@ class BlockEstimate:
 
 def _transform_slope(tf, v: float) -> float:
     h = max(1e-6, 1e-6 * abs(v))
-    return abs(tf(v + h) - tf(max(v - h, 0.0))) / (2 * h)
+    if v < h:  # the lower point is clipped to 0
+        return abs(tf(v + h) - tf(0.0)) / (v + h)
+    return abs(tf(v + h) - tf(v - h)) / (2 * h)
 
 
 def _solver_threads() -> int:

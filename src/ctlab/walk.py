@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .comparison import decay_mean
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 
 __all__ = [
@@ -414,7 +415,7 @@ def _radius(space: ModelSpace, t: float):
     its radius scaled back."""
     if isinstance(space, Euclidean) or space.dim == 1:
         lam = space.lam if isinstance(space, EuclideanOU) else 0.0
-        scale = math.sqrt(-math.expm1(-2.0 * lam * t) / lam if lam else 2.0 * t)
+        scale = math.sqrt(2.0 * t * decay_mean(2.0 * lam * t))
         return lambda norm, u, v: scale * norm
     if isinstance(space, Sphere):
         angle = _sphere_angle(t / space.radius**2)

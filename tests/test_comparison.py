@@ -102,6 +102,16 @@ def test_branch_continuity_across_zero():
             assert abs(comp_c(kappa, u) - base_c) <= 1e-6
 
 
+@pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_float_and_array_paths_give_the_same_bits(kappa):
+    rng = np.random.default_rng(0)
+    top = math.pi / math.sqrt(kappa) if kappa > 0 else 10.0
+    u = np.concatenate([rng.uniform(0.0, top, 2000), rng.uniform(0.0, 1e-4, 200)])
+    for f in (comp_s, comp_c):
+        floats = np.array([f(kappa, float(v)) for v in u])
+        assert np.array_equal(floats, f(kappa, u)), f.__name__
+
+
 # ---------------------------------------------------------------------------
 # coefficient measure and contraction coefficient
 
@@ -117,9 +127,10 @@ def test_j_measure_empty_interval():
 
 
 def _j_density(K, N):
+    # expm1 keeps the density's digits as K -> 0, where exp - 1 cancels
     if K == 0:
         return lambda r: math.sqrt(N / (2.0 * r))
-    return lambda r: math.sqrt(N * K / (math.exp(2 * K * r) - 1.0))
+    return lambda r: math.sqrt(N * K / math.expm1(2 * K * r))
 
 
 def test_j_measure_against_quadrature():
@@ -183,6 +194,41 @@ def test_coeff_a_against_quadrature():
         num = quad(lambda r: math.exp(K * r) * dens(r), s, t, epsabs=1e-13, epsrel=1e-13)[0]
         den = quad(dens, s, t, epsabs=1e-13, epsrel=1e-13)[0]
         assert coeff_A(cd, s, t) == pytest.approx(den / num, abs=1e-10)
+
+
+# curvatures from flat through |K| = 1e-16 to moderate, where cancellation
+# in an arccos/arccosh form or a series switch would show
+SMALL_K = [0.0] + [sign * k for k in (1e-16, 1e-13, 1e-10, 1e-6, 1e-3, 0.5, 2.0)
+                   for sign in (1.0, -1.0)]
+SMALL_K_N = (1.5, 2.0, 5.0)
+
+
+def _j_quad(K, N, s, t, weighted=False):
+    """J_N([s, t]), or int_s^t e^{Kr} J_N(dr), by quadrature."""
+    dens = _j_density(K, N)
+    f = (lambda r: math.exp(K * r) * dens(r)) if weighted else dens
+    return quad(f, s, t, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+
+@pytest.mark.parametrize("K", SMALL_K)
+def test_j_measure_and_coeff_a_accurate_through_zero(K):
+    s, t = 0.25, 1.0
+    for N in SMALL_K_N:
+        cd = CurvatureDimension(K, N)
+        J, G = _j_quad(K, N, s, t), _j_quad(K, N, s, t, weighted=True)
+        assert j_measure(cd, s, t) == pytest.approx(J, rel=1e-13, abs=0)
+        assert coeff_A(cd, s, t) == pytest.approx(J / G, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("K", SMALL_K)
+def test_xi_inverse_round_trip_through_zero(K):
+    s, t = 0.25, 1.0
+    for N in SMALL_K_N:
+        fam = bakry_ledoux(CurvatureDimension(K, N))
+        for v in (0.1, 0.5, 1.0):
+            v *= _j_quad(K, N, s, t)
+            x = fam.xi_inverse(s, v)
+            assert _j_quad(K, N, s, x) == pytest.approx(v, rel=1e-13, abs=0)
 
 
 def test_coeff_a_short_interval_limit():
@@ -333,6 +379,12 @@ def test_swc_reparam_boundaries_random():
         _, _, xi_h = swc_reparam(w, lam, h, CurvatureDimension(K, N))
         assert xi_h(0.0) == pytest.approx(h / lam, abs=1e-12)
         assert xi_h(1.0) == pytest.approx(lam * h, abs=1e-12)
+    for K in SMALL_K:
+        for N in SMALL_K_N:
+            for w in (0.0, 0.5):
+                _, _, xi_h = swc_reparam(w, 2.0, 0.1, CurvatureDimension(K, N))
+                assert xi_h(0.0) == pytest.approx(0.05, rel=1e-12, abs=0)
+                assert xi_h(1.0) == pytest.approx(0.2, rel=1e-12, abs=0)
 
 
 def test_swc_reparam_increasing_in_usable_window():

@@ -16,6 +16,9 @@ on the numpy and scipy builds, so the tests skip under versions other than
 the recorded ones.
 
 Re-record all three with:  PYTHONPATH=src python tests/test_golden.py
+Before it writes, it prints every row it changes: the old and new margin
+and sigma with their relative move and the old and new verdict, or, for a
+geometry row, the operations whose digests moved.
 """
 
 import contextlib
@@ -269,9 +272,35 @@ def test_gradient_side_is_bitwise_pinned():
         assert have[name] == row, name
 
 
+def _describe_move(old: dict, new: dict) -> str:
+    """The change from a recorded row to a measured one, in words."""
+    if "verdict" not in new:
+        return "moved: " + ", ".join(k for k in new if old.get(k) != new[k])
+    parts = []
+    for key in ("margin", "sigma"):
+        if key in new:
+            a, b = float.fromhex(old[key]), float.fromhex(new[key])
+            rel = abs(b - a) / abs(a) if a else math.inf
+            parts.append(f"{key} {a!r} -> {b!r} (rel {rel:.1e})")
+    return "; ".join(parts) + f"; verdict {old['verdict']} -> {new['verdict']}"
+
+
+def record(path: pathlib.Path, measured: dict) -> None:
+    """Print each row of path that measured changes, then write measured."""
+    old = json.loads(path.read_text())["values"] if path.exists() else {}
+    for name in old.keys() - measured["values"].keys():
+        print(f"{path.name} {name}: removed")
+    for name, row in measured["values"].items():
+        if name not in old:
+            print(f"{path.name} {name}: new")
+        elif old[name] != row:
+            print(f"{path.name} {name}: {_describe_move(old[name], row)}")
+    path.write_text(json.dumps(measured, indent=1) + "\n")
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(measure(), indent=1) + "\n")
-    GEOMETRY_DATA.write_text(json.dumps(measure_geometry(), indent=1) + "\n")
-    GRADIENT_DATA.write_text(json.dumps(measure_gradient(), indent=1) + "\n")
+    record(DATA, measure())
+    record(GEOMETRY_DATA, measure_geometry())
+    record(GRADIENT_DATA, measure_gradient())
     sys.exit(0)

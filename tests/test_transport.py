@@ -432,3 +432,10 @@ def test_block_estimate_needs_two_samples():
     est = block_cost_estimate(sp, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]),
                               PthPowerDistance(2.0), n_boot=20)
     assert est.value == 1.0
+
+
+@pytest.mark.parametrize("v", [0.0, 2e-7, 5e-6])
+def test_transform_slope_near_zero(v):
+    # below the step h = 1e-6 the lower point is clipped to 0; the slope
+    # divides by the spread actually taken
+    assert transport._transform_slope(lambda c: c / 4.0, v) == pytest.approx(0.25, rel=1e-9)
