@@ -542,8 +542,8 @@ def swc_reparam(w: float, lam: float, h: float, cd: CurvatureDimension):
     """Linearized optimal time change for the comparison-function control.
 
     Returns (l, theta_h, xi_h).  l(r) = J_N([0, r]) is the J-mass
-    coordinate, theta_h interpolates l(lambda h) and l(h/lambda) with comparison
-    weights in the distance w, and xi_h = l^{-1}(theta_h) maps [0, 1]
+    coordinate, theta_h interpolates l(lambda h) and l(h/lambda) with
+    comparison weights in the distance w, and xi_h = l^{-1}(theta_h) maps [0, 1]
     onto [h/lambda, lambda h].  xi_h is increasing only while the
     weight ratio dominates the curvature factor
     (l(lambda h) c_{K/N}(w) > l(h/lambda) for K > 0 and the mirrored
