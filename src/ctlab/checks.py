@@ -346,7 +346,7 @@ def _sampled_estimates(spec: CheckSpec, pairs: tuple, cost, transform) -> list:
 
 def _swc_transform(kap: float):
     """c -> s_kappa(sqrt(c)/2)^2, the comparison form of a squared distance."""
-    return lambda c: float(comp_s(kap, math.sqrt(c) / 2.0)) ** 2
+    return lambda c: comp_s(kap, math.sqrt(c) / 2.0) ** 2
 
 
 def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> VerificationReport:
@@ -397,7 +397,7 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
     def rhs(base):
         W0 = base ** 0.5
         Ksum = cd.K * (spec.s + spec.t)
-        value = (math.exp(-Ksum) * float(comp_s(kap, W0 / 2.0)) ** 2
+        value = (math.exp(-Ksum) * comp_s(kap, W0 / 2.0) ** 2
                  + cd.N / 2.0 * decay_mean(Ksum) * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
         return value, dict(W0=W0)
 
@@ -478,9 +478,8 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
         _, theta_h, _ = swc_reparam(w, lam, h, cd)
         rr = np.linspace(0.05, 0.95, 31)
         fd = 1e-4
-        th = np.array([theta_h(r) for r in rr])
-        d2 = np.array([
-            (theta_h(r + fd) - 2 * theta_h(r) + theta_h(r - fd)) / fd**2 for r in rr])
+        th = theta_h(rr)
+        d2 = (theta_h(rr + fd) - 2 * th + theta_h(rr - fd)) / fd**2
         ode_rhs = -(cd.K * w**2 / (2.0 * cd.N)) * comp_s(kap, 2 * th)
         residuals[h] = float(np.max(np.abs(d2 - ode_rhs)))
     ratio = residuals[1e-2] / residuals[1e-3] if residuals[1e-3] > 0 else math.inf
@@ -654,8 +653,8 @@ def check_laplacian_comparison(spec: CheckSpec) -> VerificationReport:
     Z = space.drift(x)
     lhs = lap + float(sum(float(Z @ e) * ((gp - gm) / (2 * H))
                           for e, gp, gm in zip(frame, plus, minus)))
-    rhs = cd.N / float(comp_t(cd.kappa, d))
-    closed = ((space.dim - 1) / float(comp_t(space.sectional_curvature, d))
+    rhs = cd.N / comp_t(cd.kappa, d)
+    closed = ((space.dim - 1) / comp_t(space.sectional_curvature, d)
               if space.dim > 1 else 0.0)
     return _base_report(spec, lhs, rhs, 0.0, 0.0, distance=d, closed_form_lhs=closed)
 

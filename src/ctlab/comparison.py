@@ -9,6 +9,10 @@ the index-form bound Psi and its rearranged upper bound, and the two
 explicit space-time reparametrizations used to optimize the variational
 transport bound.
 
+s_k and c_k take one path for numbers and arrays, with no series near
+k u^2 = 0 (the direct forms stay within 3 ulp of one there while
+sqrt(|k|) u is a normal float); a number or a 0-d array gives a float.
+
 J_N and everything built on it (j_measure, the exp-weighted mass,
 coeff_A, the Bakry-Ledoux xi_inverse and swc_reparam's l and xi_h) go
 through one pair: the J-coordinate l(r) = J_N([0, r]) and its inverse,
@@ -49,11 +53,6 @@ __all__ = [
     "swc_reparam",
     "wc_var_rhs",
 ]
-
-# Below this value of |kappa| * u^2 the trig/hyperbolic branches lose
-# digits to cancellation; switch to a 4-term Taylor series instead.
-_TAYLOR_THRESHOLD = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # parameter bundles
@@ -130,93 +129,45 @@ class ExponentPair:
 # comparison functions
 
 
-def _check_domain(kappa: float, u) -> None:
-    u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-15):
+def _check_domain(kappa: float, u):
+    """u as a float64 scalar (0-d input) or array, checked to lie in
+    [0, pi/sqrt(kappa)] (in [0, inf) for kappa <= 0)."""
+    u = np.asarray(u, dtype=float)[()]
+    # a scalar is its own bound: reducing a 0-d array costs more than the rest
+    lo, hi = (u, u) if u.ndim == 0 else (u.min(initial=0.0), u.max(initial=0.0))
+    if lo < -1e-15:
         raise ValueError("comparison functions are defined for u >= 0")
-    if kappa > 0:
-        bound = math.pi / math.sqrt(kappa)
-        if np.any(u > bound * (1 + 1e-12)):
-            raise ValueError(
-                f"u exceeds pi/sqrt(kappa) = {bound:.6g} for kappa = {kappa:.6g}"
-            )
-
-
-def _check_domain_scalar(kappa: float, u: float) -> None:
-    if u < -1e-15:
-        raise ValueError("comparison functions are defined for u >= 0")
-    if kappa > 0 and u * math.sqrt(kappa) > math.pi * (1 + 1e-12):
+    if kappa > 0 and hi > math.pi / math.sqrt(kappa) * (1 + 1e-12):
         raise ValueError(
             f"u exceeds pi/sqrt(kappa) = {math.pi / math.sqrt(kappa):.6g} "
             f"for kappa = {kappa:.6g}")
-
-
-def _comp_s_scalar(kappa: float, u: float) -> float:
-    _check_domain_scalar(kappa, u)
-    x = kappa * u * u
-    if abs(x) < _TAYLOR_THRESHOLD:
-        return u * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0)
-    # numpy's sin/sinh on the float, so that a float and an array give the same bits
-    if kappa > 0:
-        rk = math.sqrt(kappa)
-        return float(np.sin(rk * u)) / rk
-    rk = math.sqrt(-kappa)
-    return float(np.sinh(rk * u)) / rk
-
-
-def _comp_c_scalar(kappa: float, u: float) -> float:
-    _check_domain_scalar(kappa, u)
-    x = kappa * u * u
-    if abs(x) < _TAYLOR_THRESHOLD:
-        return 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0
-    if kappa > 0:
-        return float(np.cos(math.sqrt(kappa) * u))
-    return float(np.cosh(math.sqrt(-kappa) * u))
+    return u
 
 
 def comp_s(kappa: float, u):
     """sin(sqrt(k) u)/sqrt(k), continued to sinh for k < 0 and to u at k = 0."""
-    if isinstance(u, float) or isinstance(u, int):
-        return _comp_s_scalar(kappa, float(u))
-    _check_domain(kappa, u)
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    x = kappa * u * u
-    out = np.empty_like(u)
-    small = np.abs(x) < _TAYLOR_THRESHOLD
-    xs = x[small]
-    # u * (1 - x/6 + x^2/120 - x^3/5040), x = kappa u^2
-    out[small] = u[small] * (1.0 - xs / 6.0 + xs * xs / 120.0 - xs**3 / 5040.0)
-    big = ~small
+    u = _check_domain(kappa, u)
     if kappa > 0:
         rk = math.sqrt(kappa)
-        out[big] = np.sin(rk * u[big]) / rk
+        s = np.sin(rk * u) / rk
     elif kappa < 0:
         rk = math.sqrt(-kappa)
-        out[big] = np.sinh(rk * u[big]) / rk
-    return float(out[0]) if scalar else out
+        s = np.sinh(rk * u) / rk
+    else:
+        s = u.copy()  # not a view of the caller's array
+    return s if u.ndim else float(s)
 
 
 def comp_c(kappa: float, u):
     """cos(sqrt(k) u), continued to cosh for k < 0 and to 1 at k = 0."""
-    if isinstance(u, float) or isinstance(u, int):
-        return _comp_c_scalar(kappa, float(u))
-    _check_domain(kappa, u)
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    x = kappa * u * u
-    out = np.empty_like(u)
-    small = np.abs(x) < _TAYLOR_THRESHOLD
-    xs = x[small]
-    out[small] = 1.0 - xs / 2.0 + xs * xs / 24.0 - xs**3 / 720.0
-    big = ~small
+    u = _check_domain(kappa, u)
     if kappa > 0:
-        out[big] = np.cos(math.sqrt(kappa) * u[big])
+        c = np.cos(math.sqrt(kappa) * u)
     elif kappa < 0:
-        out[big] = np.cosh(math.sqrt(-kappa) * u[big])
-    return float(out[0]) if scalar else out
+        c = np.cosh(math.sqrt(-kappa) * u)
+    else:
+        c = np.ones_like(u)
+    return c if u.ndim else float(c)
 
 
 def comp_t(kappa: float, u):
@@ -314,10 +265,8 @@ def psi(tau1: float, tau2: float, cd: CurvatureDimension, r) -> float:
         raise ValueError("time scales must be positive")
     if cd.N <= 1:
         raise ValueError("psi requires N > 1")
-    if isinstance(r, (int, float)):
-        if r <= 0:
-            raise ValueError("psi is defined on r > 0")
-    elif np.any(np.asarray(r, dtype=float) <= 0):
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
         raise ValueError("psi is defined on r > 0")
     ks = cd.k_star
     s = comp_s(ks, r)
@@ -339,19 +288,14 @@ def psi_upper_bound(tau1: float, tau2: float, cd: CurvatureDimension, r) -> floa
         raise ValueError("time scales must be positive")
     if cd.N <= 1:
         raise ValueError("psi_upper_bound requires N > 1")
-    if isinstance(r, (int, float)):
-        if r <= 0:
-            raise ValueError("psi_upper_bound is defined on r > 0")
-        r_arr = float(r)
-    else:
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0):
-            raise ValueError("psi_upper_bound is defined on r > 0")
-    second = (cd.N - 1.0) * (math.sqrt(tau2) - math.sqrt(tau1)) ** 2 / r_arr
+    r = np.asarray(r, dtype=float)
+    if not np.all(r > 0):
+        raise ValueError("psi_upper_bound is defined on r > 0")
+    second = (cd.N - 1.0) * (math.sqrt(tau2) - math.sqrt(tau1)) ** 2 / r
     if cd.K >= 0:
-        first = -math.sqrt(tau1 * tau2) * cd.K * r_arr
+        first = -math.sqrt(tau1 * tau2) * cd.K * r
     else:
-        first = -(tau1 + tau2) * cd.K * r_arr / 2.0
+        first = -(tau1 + tau2) * cd.K * r / 2.0
     return first + second
 
 

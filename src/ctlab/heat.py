@@ -148,33 +148,27 @@ class CircleFourier(HeatBackend):
 class SphereZonal(HeatBackend):
     """Legendre-multiplier semigroup for zonal functions on a 2-sphere.
 
-    The input f must be rotationally symmetric about `axis`; it is read
-    off along a meridian and expanded in Legendre polynomials with
-    Gauss-Legendre quadrature.  A field whose values at two more
-    azimuths differ from the meridian's by more than 1e-9 of its largest
-    value raises ValueError.
+    The input f must be rotationally symmetric about the axis e_z; it is
+    read off along the meridian through e_x and expanded in Legendre
+    polynomials with Gauss-Legendre quadrature.  A field whose values at
+    two more azimuths differ from the meridian's by more than 1e-9 of its
+    largest value raises ValueError.
     """
 
-    def __init__(self, n_modes: int = 64, axis=(0.0, 0.0, 1.0)):
+    def __init__(self, n_modes: int = 64):
         if n_modes < 8:
             raise ValueError("need at least 8 modes")
         self.n_modes = n_modes
-        axis = np.asarray(axis, dtype=float)
-        self.axis = a = axis / np.linalg.norm(axis)
         u, w = leggauss(2 * n_modes)
-        # deterministic orthogonal direction: smallest-component axis trick
-        helper = np.zeros(3)
-        helper[np.argmin(np.abs(a))] = 1.0
-        perp = helper - (helper @ a) * a
-        perp = perp / np.linalg.norm(perp)
         # the nodes at polar angle arccos(u) on the unit sphere: along the
-        # meridian towards perp, then at two more azimuths, where a field
-        # that is not zonal about the axis differs from the meridian
-        turned = [math.cos(phi) * perp + math.sin(phi) * np.cross(a, perp)
+        # meridian towards e_x, then at two more azimuths, where a field
+        # that is not zonal about e_z differs from the meridian
+        e_x, e_y, e_z = np.eye(3)
+        turned = [math.cos(phi) * e_x + math.sin(phi) * e_y
                   for phi in (2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)]
         u_col = u[:, None]
-        self._rings = np.stack([u_col * a + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
-                                for d in (perp, *turned)])
+        self._rings = np.stack([u_col * e_z + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
+                                for d in (e_x, *turned)])
         self.field_size = {2: self._rings[..., 0].size}
         self._ls = ls = np.arange(n_modes)
         self._eig = -ls * (ls + 1.0)
@@ -201,7 +195,7 @@ class SphereZonal(HeatBackend):
     def jet(self, space, f, t, x):
         rho = space.radius
         series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
-        u0 = np.clip(x @ self.axis / rho, -1.0, 1.0)
+        u0 = np.clip(x[..., 2] / rho, -1.0, 1.0)
         # P_l(u0) in one call: legvander's per-degree loop costs far more
         # per point
         P = eval_legendre(self._ls, u0[..., None])

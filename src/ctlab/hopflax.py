@@ -29,6 +29,8 @@ __all__ = [
     "kantorovich_gap",
 ]
 
+_REFINE_ITERS = 2  # c-transform refinements of kantorovich_gap's LP dual potential
+
 
 @dataclass
 class FiniteMetricSpace:
@@ -211,7 +213,7 @@ def lipschitz_properties_check(space: FiniteMetricSpace, f: np.ndarray,
 
 
 def kantorovich_gap(space: FiniteMetricSpace, mu: np.ndarray, nu: np.ndarray,
-                    p: float = 2.0, refine_iters: int = 2) -> float:
+                    p: float = 2.0) -> float:
     """Duality gap W_p^p / p - sup_f [ int Q_1 f dnu - int f dmu ].
 
     The candidate potential comes from the exact LP duals and is
@@ -228,7 +230,7 @@ def kantorovich_gap(space: FiniteMetricSpace, mu: np.ndarray, nu: np.ndarray,
     f = -alpha
 
     best = -np.inf
-    for _ in range(max(1, refine_iters)):
+    for _ in range(_REFINE_ITERS):
         psi = np.min(f[:, None] + C, axis=0)   # Q_1 f on the nu side
         best = max(best, float(psi @ nu - f @ mu))
         f = np.max(psi[None, :] - C, axis=1)   # c-concave envelope: lowers f, keeps psi

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 MAX_EXACT_SUPPORT = 512
+_N_BOOT = 200  # bootstrap resamples behind each block estimate's standard error
 
 
 class SupportSizeError(ValueError):
@@ -285,8 +286,7 @@ def _assignments(matrices):
 def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
                         cost: CostSpec,
                         transform: Callable[[float], float] | None = None,
-                        block_size: int = 500, n_boot: int = 200,
-                        seed: int = 0) -> BlockEstimate:
+                        block_size: int = 500, seed: int = 0) -> BlockEstimate:
     """Estimate a transport cost between two equal-size samples.
 
     With n >= 2 * block_size the samples are cut into
@@ -322,8 +322,8 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
         C = cost.matrix(space, xs, ys)
         rows, cols = linear_sum_assignment(C)
         value = tf(float(C[rows, cols].mean()))
-        boots = np.empty(n_boot)
-        for b in range(n_boot):
+        boots = np.empty(_N_BOOT)
+        for b in range(_N_BOOT):
             ii = rng.integers(0, n, size=n)
             jj = rng.integers(0, n, size=n)
             Cb = C[np.ix_(ii, jj)]
@@ -343,8 +343,8 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
         vals[b] = tf(raw)
         se_raw = float(matched.std(ddof=1)) / math.sqrt(matched.size)
         within_var[b] = (_transform_slope(tf, raw) * se_raw) ** 2
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
+    boots = np.empty(_N_BOOT)
+    for b in range(_N_BOOT):
         pick = rng.integers(0, n_blocks, size=n_blocks)
         boots[b] = vals[pick].mean()
     between = float(np.std(boots, ddof=1))

@@ -95,14 +95,19 @@ def test_addition_identities_property(kappa, u, v):
 
 
 def test_branch_continuity_across_zero():
-    for u in (0.3, 1.0, 2.5):
-        base_s, base_c = comp_s(0.0, u), comp_c(0.0, u)
-        for kappa in (1e-8, -1e-8):
-            assert abs(comp_s(kappa, u) - base_s) <= 1e-6
-            assert abs(comp_c(kappa, u) - base_c) <= 1e-6
+    # oracle: the 4-term series, whose truncation error is below x^4/9! on
+    # |x| = |kappa u^2| < 1e-8; u spans 12 decades below that bound
+    rng = np.random.default_rng(2)
+    for kappa in (1e-300, -1e-300, 1e-100, -1e-100, 1e-16, -1e-16, 1e-8, -1e-8):
+        u = math.sqrt(1e-8 / abs(kappa)) * 10.0 ** -rng.uniform(0.0, 12.0, 2000)
+        x = kappa * u * u
+        series_s = u * (1.0 - x / 6.0 + x * x / 120.0 - x**3 / 5040.0)
+        series_c = 1.0 - x / 2.0 + x * x / 24.0 - x**3 / 720.0
+        assert np.all(np.abs(comp_s(kappa, u) - series_s) <= 6.7e-16 * series_s), kappa
+        assert np.all(np.abs(comp_c(kappa, u) - series_c) <= 4.5e-16), kappa
 
 
-@pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0, 0.5, 1.0, 1e-300, -1e-300, 1e-12, -1e-12])
 def test_float_and_array_paths_give_the_same_bits(kappa):
     rng = np.random.default_rng(0)
     top = math.pi / math.sqrt(kappa) if kappa > 0 else 10.0
@@ -110,6 +115,9 @@ def test_float_and_array_paths_give_the_same_bits(kappa):
     for f in (comp_s, comp_c):
         floats = np.array([f(kappa, float(v)) for v in u])
         assert np.array_equal(floats, f(kappa, u)), f.__name__
+        for number in (float(u[0]), 1, np.asarray(u[0]), np.float64(u[0])):
+            assert type(f(kappa, number)) is float, (f.__name__, type(number))
+        assert type(f(kappa, u)) is np.ndarray
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_block_estimate_agrees_with_exact_on_small_samples():
     xs = rng.normal(size=(60, 2))
     ys = rng.normal(size=(60, 2)) + 1.0
     est = block_cost_estimate(sp, xs, ys, PthPowerDistance(2.0),
-                              block_size=500, n_boot=50, seed=1)
+                              block_size=500, seed=1)
     exact, _ = exact_cost(sp, EmpiricalMeasure.uniform(xs),
                           EmpiricalMeasure.uniform(ys), PthPowerDistance(2.0))
     assert est.value == pytest.approx(exact, rel=1e-12)
@@ -252,9 +252,9 @@ def test_concurrent_blocks_match_serial_reference(monkeypatch, space, n_blocks, 
     monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
     xs, ys = _block_clouds(space, n_blocks)
     est = block_cost_estimate(space, xs, ys, PthPowerDistance(2.0), transform,
-                              block_size=30, n_boot=60, seed=5)
+                              block_size=30, seed=5)
     value, stderr, vals = _serial_block_estimate(space, xs, ys, PthPowerDistance(2.0),
-                                                 transform, 30, 60, 5)
+                                                 transform, 30, transport._N_BOOT, 5)
     assert est.n_blocks == n_blocks
     assert est.value.hex() == value.hex()
     assert est.stderr.hex() == stderr.hex()
@@ -276,9 +276,9 @@ def test_blocks_solved_out_of_order_keep_block_order(monkeypatch):
     monkeypatch.setattr(transport, "linear_sum_assignment", slow_on_early_blocks)
     sp = Sphere(2)
     xs, ys = _block_clouds(sp, 5)
-    est = block_cost_estimate(sp, xs, ys, cost, block_size=30, n_boot=60, seed=5)
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=30, seed=5)
     value, stderr, vals = _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0),
-                                                 None, 30, 60, 5)
+                                                 None, 30, transport._N_BOOT, 5)
     assert sorted(finished) == list(range(5))
     assert finished != sorted(finished)
     assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
@@ -318,7 +318,8 @@ def test_solver_error_in_a_block_raises_as_serial_and_joins_threads(monkeypatch)
     with pytest.raises(ValueError) as concurrent:
         block_cost_estimate(sp, xs, ys, PthPowerDistance(2.0), block_size=30, seed=5)
     with pytest.raises(ValueError) as serial:
-        _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0), None, 30, 200, 5)
+        _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0), None, 30,
+                               transport._N_BOOT, 5)
     assert str(concurrent.value) == str(serial.value)
     assert threading.active_count() == before
 
@@ -332,13 +333,13 @@ def test_block_layout_uses_equal_blocks_and_drops_the_remainder(monkeypatch):
     xs = rng.normal(size=(2999, 2))
     ys = rng.normal(size=(2999, 2))
     cost = _Recording()
-    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=1)
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=1)
     assert est.n_blocks == 2
     assert [C.shape for C in cost.built] == [(1499, 1499)] * 2
     assert np.array_equal(cost.built[1], PthPowerDistance(2.0).matrix(sp, xs[1499:2998],
                                                                       ys[1499:2998]))
     xs[2998] += 100.0
-    moved = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=1)
+    moved = block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=1)
     assert (moved.value, moved.stderr) == (est.value, est.stderr)
 
 
@@ -379,12 +380,13 @@ _COSTS = {
 @pytest.mark.parametrize("cost_name", list(_COSTS))
 @pytest.mark.parametrize("transform", [None, lambda c: c ** 0.75], ids=["plain", "power"])
 @pytest.mark.parametrize("n", [7, 48, 199])
-def test_single_block_bootstrap_matches_rebuilt_reference(space, cost_name, transform, n):
+def test_single_block_bootstrap_matches_rebuilt_reference(monkeypatch, space, cost_name,
+                                                          transform, n):
+    monkeypatch.setattr(transport, "_N_BOOT", 40)  # 40 rebuilt resamples keep this fast
     cost = _COSTS[cost_name](space)
     rng = np.random.default_rng(n)
     xs, ys = _cloud(space, n, rng), _cloud(space, n, rng)
-    est = block_cost_estimate(space, xs, ys, cost, transform, block_size=1000,
-                              n_boot=40, seed=11)
+    est = block_cost_estimate(space, xs, ys, cost, transform, block_size=1000, seed=11)
     value, stderr, vals = _single_block_reference(space, xs, ys, cost, transform, 40, 11)
     assert est.n_blocks == 1
     assert est.value.hex() == value.hex()
@@ -397,7 +399,7 @@ def test_single_block_builds_one_cost_matrix():
     rng = np.random.default_rng(12)
     xs, ys = _cloud(sp, 48, rng), _cloud(sp, 48, rng)
     cost = _Recording()
-    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=50, seed=3)
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=3)
     assert est.n_blocks == 1 and est.stderr > 0
     assert [C.shape for C in cost.built] == [(48, 48)]
 
@@ -410,7 +412,7 @@ def test_single_block_out_of_domain_comparison_cost_raises_as_before():
     xs[5] += 20.0
     cost = ComparisonCost(2.0, kstar=1.0)
     with pytest.raises(ValueError) as gathered:
-        block_cost_estimate(sp, xs, ys, cost, block_size=1000, n_boot=20, seed=4)
+        block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=4)
     with pytest.raises(ValueError) as rebuilt:
         _single_block_reference(sp, xs, ys, cost, None, 20, 4)
     assert str(gathered.value) == str(rebuilt.value)
@@ -430,7 +432,7 @@ def test_block_estimate_needs_two_samples():
     with pytest.raises(ValueError, match="at least 2 samples"):
         block_cost_estimate(sp, np.zeros((1, 2)), np.ones((1, 2)), PthPowerDistance(2.0))
     est = block_cost_estimate(sp, np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]),
-                              PthPowerDistance(2.0), n_boot=20)
+                              PthPowerDistance(2.0))
     assert est.value == 1.0
 
 
