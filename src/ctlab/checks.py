@@ -33,6 +33,7 @@ import numpy as np
 from .comparison import (
     CurvatureDimension,
     ExponentPair,
+    _simpson,
     bakry_ledoux,
     coeff_A,
     comp_s,
@@ -62,6 +63,7 @@ __all__ = [
     "run_check",
     "run_suite",
     "REQUIRED_FIELDS",
+    "ASSIGNMENT_CHECKS",
     "require_fields",
     "named_field",
     "default_grid",
@@ -571,9 +573,7 @@ def check_bl_int(spec: CheckSpec) -> VerificationReport:
     nodes = spec.space.geodesic_point(x, y, rs[:, None])
     mix = ((fam.a(xi) * d) ** beta + ((spec.t - spec.s) / fam.b(xi)) ** beta) ** (1.0 / beta)
     pt = heat_apply(spec.space, backend, g_pow, xi, nodes)
-    from scipy.integrate import simpson
-
-    rhs = float(simpson(mix * np.maximum(pt, 0.0) ** (1.0 / pstar), x=rs))
+    rhs = _simpson(mix * np.maximum(pt, 0.0) ** (1.0 / pstar), rs)
     return _base_report(spec, abs(end - start), rhs, 0.0, 0.0, geodesic_length=d)
 
 
@@ -733,6 +733,9 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "laplacian_comparison": ("x", "y"),
     "mono_app": ("t",),
 }
+
+#: the checks that solve assignment problems, by scipy.optimize
+ASSIGNMENT_CHECKS = frozenset(("w2_control", "swc", "wp", "lp2", "wvar_ode"))
 
 
 def require_fields(spec: CheckSpec) -> None:

@@ -31,6 +31,7 @@ from importlib import resources
 import numpy as np
 
 from .checks import (
+    ASSIGNMENT_CHECKS,
     CHECKS,
     EPS,
     Z,
@@ -208,7 +209,11 @@ def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
     checks = doc.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("'checks' must be a list")
-    return [build_check(c, seed, i) for i, c in enumerate(checks)]
+    specs = [build_check(c, seed, i) for i, c in enumerate(checks)]
+    if any(spec.check_id in ASSIGNMENT_CHECKS for spec in specs):
+        # the solver's import is set-up, not part of the first check to solve
+        import scipy.optimize  # noqa: F401
+    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,10 @@ values such as K/N or K* = K/(N-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "CurvatureDimension",
@@ -336,6 +335,8 @@ class CoefficientFamily:
             raise ValueError("need 0 <= s <= t")
         if s == t:
             return 0.0
+        from scipy.integrate import quad
+
         val, err = quad(lambda r: 1.0 / self.b(r), s, t, epsabs=1e-12, epsrel=1e-12)
         if not math.isfinite(val):
             raise ValueError("J([s,t]) is not finite for this family")
@@ -345,6 +346,8 @@ class CoefficientFamily:
         """int_s^t J(dr)/a(r)."""
         if s == t:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda r: 1.0 / (self.a(r) * self.b(r)), s, t, epsabs=1e-12, epsrel=1e-12
         )
@@ -549,6 +552,18 @@ def wc_var_rhs(
     vals = (av * W * ep) ** beta + (xp / bv) ** beta
     if not np.all(np.isfinite(vals)):
         raise ValueError("quadrature failure: non-finite integrand")
-    from scipy.integrate import simpson
+    return _simpson(vals, r)
 
-    return float(simpson(vals, x=r))
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of the samples y at the increasing nodes x,
+    an odd number of them, with the unequal-spacing arithmetic of
+    scipy.integrate.simpson (bit for bit the same sum)."""
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    terms = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                          + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
+                          + y[2::2] * (2.0 - h0divh1))
+    return float(np.sum(terms))

@@ -36,7 +36,6 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import legder, leggauss, legvander
-from scipy.special import eval_legendre
 
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
 
@@ -170,7 +169,7 @@ class SphereZonal(HeatBackend):
         self._rings = np.stack([u_col * e_z + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
                                 for d in (e_x, *turned)])
         self.field_size = {2: self._rings[..., 0].size}
-        self._ls = ls = np.arange(n_modes)
+        ls = np.arange(n_modes)
         self._eig = -ls * (ls + 1.0)
         # c_l = (2l+1)/2 sum_j w_j f(u_j) P_l(u_j)
         self._project = legvander(u, n_modes - 1) * (w[:, None] * (ls + 0.5))
@@ -196,12 +195,35 @@ class SphereZonal(HeatBackend):
         rho = space.radius
         series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
         u0 = np.clip(x[..., 2] / rho, -1.0, 1.0)
-        # P_l(u0) in one call: legvander's per-degree loop costs far more
-        # per point
-        P = eval_legendre(self._ls, u0[..., None])
+        P = _legendre_table(self.n_modes, u0)
         slope = (np.einsum("...n,nk->...k", series, self._deriv) * P).sum(-1)
         return ((series * P).sum(-1), np.sqrt(1.0 - u0**2) * np.abs(slope) / rho,
                 (series * self._eig * P).sum(-1) / rho**2)
+
+
+def _legendre_table(n_modes: int, u) -> np.ndarray:
+    """P_0(u), ..., P_{n_modes-1}(u) on a trailing axis, all degrees in one
+    pass of scipy.special.eval_legendre's recurrence in d_k = P_{k+1} - P_k:
+
+        d_k = ((2k+1)/(k+1)) (u - 1) P_k + (k/(k+1)) d_{k-1},  P_{k+1} = P_k + d_k.
+
+    So it equals eval_legendre bit for bit at |u| >= 1e-5, where that runs
+    the same recurrence once per degree; below, eval_legendre sums a power
+    series instead, and the two differ by ~1e-15."""
+    out = np.empty(np.shape(u) + (n_modes,))
+    out[..., 0] = 1.0
+    out[..., 1] = u
+    p = np.array(u, dtype=float)
+    um1 = p - 1.0
+    d = um1.copy()
+    for k in range(1, n_modes - 1):
+        step = ((2 * k + 1) / (k + 1)) * um1
+        step *= p
+        d *= k / (k + 1)
+        d += step
+        p += d
+        out[..., k + 1] = p
+    return out
 
 
 def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:

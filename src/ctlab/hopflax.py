@@ -12,7 +12,7 @@ Kantorovich duality gap on finite spaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

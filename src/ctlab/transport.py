@@ -6,7 +6,8 @@ with bootstrap standard errors for Monte Carlo samples.  A multi-block
 estimate solves its blocks' assignments concurrently, one solver thread
 per available CPU, while the calling thread builds the next cost
 matrix; its results are bit-for-bit those of solving the blocks one
-after another.
+after another.  scipy's solvers are imported on first use, so that
+importing this module does not load scipy.optimize.
 
 Costs are always built from the manifold geodesic distance, never the
 chordal embedding distance.
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
 from .comparison import comp_s
 from .geometry import ModelSpace
@@ -157,6 +156,14 @@ class ComparisonCost(CostSpec):
 # exact solvers
 
 
+def linear_sum_assignment(cost: np.ndarray):
+    """scipy.optimize.linear_sum_assignment(cost): the rows and columns of
+    a least-cost assignment."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
+
+
 def solve_transport(cost: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray,
                     want_potentials: bool = False):
     """Exact optimum of the finite transport LP.
@@ -178,6 +185,9 @@ def solve_transport(cost: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray,
         plan = np.zeros_like(cost)
         plan[rows, cols] = 1.0 / n
         return float(cost[rows, cols].sum() / n), plan, None
+
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     A = sparse.vstack([
         sparse.kron(sparse.eye(n, format="csr"), np.ones((1, m)), format="csr"),
@@ -268,8 +278,11 @@ def _assignments(matrices):
     linear_sum_assignment releases the GIL, so the solves run on one
     thread per CPU while the caller's iterator builds the next matrix on
     the calling thread.  At most workers + 1 matrices are built and not
-    yet yielded, the one being built included.
+    yet yielded, the one being built included.  scipy.optimize is
+    imported here, on the calling thread, before any solve starts.
     """
+    import scipy.optimize  # noqa: F401
+
     workers = _solver_threads()
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .comparison import decay_mean
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
@@ -384,6 +383,30 @@ def _sphere_angle(tau: float):
     return lambda q: np.interp(q, cdf, theta)
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The integrals of the samples y from x[0] to each increasing node x,
+    by scipy.integrate.cumulative_simpson's unequal-interval rule with
+    initial=0 (bit for bit the same values): interval i is integrated
+    under the parabola through its two nodes and the next node when i is
+    even, and the previous node when i is odd or the last."""
+
+    def first_intervals(y, dx):  # over [x_i, x_{i+1}], parabola through x_i..x_{i+2}
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          - x21x21_x31x32 * y[2:])
+
+    dx = np.diff(x)
+    ahead = first_intervals(y, dx)
+    behind = first_intervals(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))
+
+
 def _hyperbolic_radius(tau: float):
     """(u, v) -> a radius of the heat law at time tau on the unit hyperbolic
     plane, from McKean's kernel
@@ -401,7 +424,7 @@ def _hyperbolic_radius(tau: float):
     s = np.linspace(max(0.0, tau - half), tau + half, _TABLE + 1)
     # s sinh(s/2) e^{-s^2/4tau} = e^{tau/4}/2 * s (1 - e^{-s}) e^{-(s - tau)^2/4tau}
     density = s * -np.expm1(-s) * np.exp(-(s - tau) ** 2 / (4.0 * tau))
-    cdf = np.maximum.accumulate(np.maximum(cumulative_simpson(density, x=s, initial=0.0), 0.0))
+    cdf = np.maximum.accumulate(np.maximum(_cumulative_simpson(density, s), 0.0))
     cdf /= cdf[-1]
     mixing = lambda u: np.interp(u, cdf, s)
     return lambda u, v: 2.0 * np.arcsinh(np.sinh(mixing(u) / 2.0) * np.sqrt(v * (2.0 - v)))

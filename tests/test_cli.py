@@ -1,7 +1,10 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,11 +127,17 @@ def test_bundled_configs_parse():
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_bundled_and_benchmark_suites_load_with_every_required_field(tmp_path):
-    assert set(REQUIRED_FIELDS) == set(CHECKS)
+def _workloads():
+    """perfbench's input generator, workloads.py."""
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_bundled_and_benchmark_suites_load_with_every_required_field(tmp_path):
+    assert set(REQUIRED_FIELDS) == set(CHECKS)
+    workloads = _workloads()
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     paths = [bundled_config(n) for n in ("acceptance.json", "deterministic.json",
                                          "negative_control.json")]
@@ -141,6 +150,51 @@ def test_bundled_and_benchmark_suites_load_with_every_required_field(tmp_path):
         assert len(specs) == len(json.loads(pathlib.Path(path).read_text())["checks"])
         for check in specs:
             require_fields(check)
+
+
+def _fresh_interpreter(code: str):
+    """The JSON that code prints on its last line, run in a new interpreter
+    that imports ctlab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+@pytest.mark.parametrize("suite", ["deterministic", "negative_control", "gradient_suite"])
+def test_gradient_suites_run_without_loading_scipy(tmp_path, suite):
+    # importing scipy takes longer than these suites' checks; only the
+    # assignment solver, the LP and custom coefficient families need it
+    if suite == "gradient_suite":
+        doc = _workloads().generate(suite, 1, str(ROOT / "src"))
+        config = write_json(tmp_path / "suite.json", doc)
+    else:
+        config = bundled_config(f"{suite}.json")
+    loaded = _fresh_interpreter(f"""
+import json, sys
+import ctlab, ctlab.cli
+imported = {_SCIPY_MODULES}
+rc = ctlab.cli.main(["verify", "--config", {config!r}, "--out", {str(tmp_path / "out")!r}])
+print(json.dumps([imported, {_SCIPY_MODULES}, rc]))
+""")
+    assert loaded[:2] == [[], []]
+    assert loaded[2] == (0 if suite == "deterministic" else 1)
+
+
+def test_suite_with_assignments_imports_the_solver_when_loaded():
+    # the import is set-up, not charged to the first check that solves
+    loaded = _fresh_interpreter(f"""
+import json, sys
+import ctlab.cli
+before = "scipy.optimize" in sys.modules
+ctlab.cli.load_suite({bundled_config("acceptance.json")!r})
+print(json.dumps([before, "scipy.optimize" in sys.modules]))
+""")
+    assert loaded == [False, True]
 
 
 _W2 = {"id": "w2_control", "space": {"kind": "sphere", "dim": 2},

@@ -10,6 +10,7 @@ from ctlab.comparison import (
     CurvatureDimension,
     ExponentPair,
     CoefficientFamily,
+    _simpson,
     bakry_ledoux,
     coeff_A,
     comp_c,
@@ -416,6 +417,17 @@ def test_swc_reparam_lambda_one_degenerates():
     _, _, xi_h = swc_reparam(0.8, 1.0, 0.05, CurvatureDimension(1.0, 2.0))
     assert xi_h(0.0) == pytest.approx(0.05, abs=1e-13)
     assert xi_h(1.0) == pytest.approx(0.05, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [129, 257, 513], ids=["bl_int", "wc_var_rhs", "wc_var_rhs_512"])
+def test_simpson_matches_scipy_bit_for_bit(n):
+    # check_bl_int's 129 nodes and wc_var_rhs's quadrature_n + 1
+    from scipy.integrate import simpson
+
+    x = np.linspace(0.0, 1.0, n)
+    rng = np.random.default_rng(n)
+    for y in (rng.normal(size=n), np.exp(-3.0 * x) * np.cos(5.0 * x), np.sqrt(x)):
+        assert _simpson(y, x).hex() == float(simpson(y, x=x)).hex()
 
 
 def test_wc_var_rhs_flat_example():

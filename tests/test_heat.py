@@ -8,6 +8,7 @@ from ctlab.heat import (
     CircleFourier,
     GaussHermite,
     SphereZonal,
+    _legendre_table,
     default_backend,
     frame_stencil,
     heat_apply,
@@ -316,6 +317,23 @@ def test_mode_floor():
         SphereZonal(4)
     with pytest.raises(ValueError):
         GaussHermite(4)
+
+
+def test_legendre_table_matches_eval_legendre():
+    # the same recurrence as eval_legendre where it runs one, |u| >= 1e-5;
+    # below that eval_legendre sums a power series
+    from scipy.special import eval_legendre
+
+    rng = np.random.default_rng(0)
+    u = np.concatenate([np.linspace(-1.0, 1.0, 20_001), rng.uniform(-1.0, 1.0, 20_000),
+                        rng.uniform(-1e-5, 1e-5, 2_000), [1e-5, -1e-5, 0.0]])
+    table = _legendre_table(64, u)
+    ref = eval_legendre(np.arange(64), u[:, None])
+    far = np.abs(u) >= 1e-5
+    assert table[far].tobytes() == ref[far].tobytes()
+    assert np.max(np.abs(table[~far] - ref[~far])) <= 2e-15
+    batch = u[:12].reshape(3, 4)
+    assert _legendre_table(64, batch).tobytes() == table[:12].reshape(3, 4, 64).tobytes()
 
 
 def test_sphere_zonal_rejects_non_zonal_field():

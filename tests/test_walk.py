@@ -487,6 +487,22 @@ def test_exact_hyperbolic_radius_passes_ks_against_the_mixture():
     assert kstest(radius, lambda r: np.interp(r, grid, table)).pvalue > 0.01
 
 
+def test_cumulative_simpson_matches_scipy_on_the_hyperbolic_tables(monkeypatch):
+    from scipy.integrate import cumulative_simpson
+
+    rule, grids = walk_mod._cumulative_simpson, []
+    monkeypatch.setattr(walk_mod, "_cumulative_simpson",
+                        lambda y, x: grids.append((y, x)) or rule(y, x))
+    for tau in np.geomspace(1e-5, 20.0, 300):
+        walk_mod._hyperbolic_radius(float(tau))
+    rng = np.random.default_rng(8)
+    for n in range(3, 9):  # both parities of the interval count
+        grids.append((rng.normal(size=n), np.cumsum(rng.uniform(0.1, 1.0, n))))
+    assert len(grids) == 306
+    for y, x in grids:
+        assert rule(y, x).tobytes() == cumulative_simpson(y, x=x, initial=0.0).tobytes()
+
+
 @pytest.mark.parametrize("space, x", [
     (Sphere(2), np.array([0.6, 0.0, 0.8])), (Sphere(1), np.array([0.6, 0.8])),
     (Hyperbolic(2), Hyperbolic(2).embed([0.4, -0.1])), (Euclidean(2), np.array([0.3, 0.1])),
