@@ -7,8 +7,8 @@ involved.  Verdicts, at the fixed levels Z and EPS:
 
 * deterministic checks: pass iff margin >= -EPS;
 * statistical checks: fail iff margin < -Z*sigma, inconclusive iff the
-  margin is negative but smaller than one combined sigma (noise could
-  explain it either way), pass otherwise.
+  margin is negative but not below -Z*sigma (noise could explain it
+  either way), pass iff the margin is nonnegative.
 
 The verdict levels, the difference steps, the heat backends'
 resolution and the chunk sizes are module constants, not spec fields,
@@ -51,9 +51,11 @@ from .transport import (
     EmpiricalMeasure,
     PthPowerDistance,
     block_cost_estimate,
+    comparison_transform,
     exact_cost,
+    power_transform,
 )
-from .walk import WalkConfig, has_heat_law, run_coupled, run_single, sample_heat
+from .walk import WalkConfig, coupled_distance_moment, has_heat_law, run_single, sample_heat
 
 __all__ = [
     "CheckSpec",
@@ -183,9 +185,7 @@ def _verdict(margin: float, sigma: float) -> str:
         return "pass" if margin >= -EPS else "fail"
     if margin < -Z * sigma:
         return "fail"
-    if margin < 0 and sigma > abs(margin):
-        return "inconclusive"
-    return "pass"
+    return "inconclusive" if margin < 0 else "pass"
 
 
 def _spec_fields(spec: CheckSpec) -> dict:
@@ -346,11 +346,6 @@ def _sampled_estimates(spec: CheckSpec, pairs: tuple, cost, transform) -> list:
             for xs, ys in _two_sided_samples(spec, pairs)]
 
 
-def _swc_transform(kap: float):
-    """c -> s_kappa(sqrt(c)/2)^2, the comparison form of a squared distance."""
-    return lambda c: comp_s(kap, math.sqrt(c) / 2.0) ** 2
-
-
 def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> VerificationReport:
     """The Monte Carlo transport pipeline: heat clouds at `times`, the block
     estimate of transform(cost) as the lhs, and rhs(exact base cost) ->
@@ -381,7 +376,7 @@ def check_w2_control(spec: CheckSpec) -> VerificationReport:
         return A**beta * W0**beta + J**beta, dict(coeff_A=A, j_mass=J, W0=W0)
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
-                             lambda c: c ** (beta / p), rhs)
+                             power_transform(beta / p), rhs)
 
 
 def check_swc(spec: CheckSpec) -> VerificationReport:
@@ -404,7 +399,7 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
         return value, dict(W0=W0)
 
     return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(2.0),
-                             _swc_transform(kap), rhs)
+                             comparison_transform(kap), rhs)
 
 
 def check_lp2(spec: CheckSpec) -> VerificationReport:
@@ -424,15 +419,19 @@ def check_lp2(spec: CheckSpec) -> VerificationReport:
         return value, dict(theta=theta, base_cost=base)
 
     return _transport_report(spec, (spec.tau1, spec.tau2), ComparisonCost(p=p, kstar=cd.k_star),
-                             lambda c: c ** (2.0 / p), rhs)
+                             power_transform(2.0 / p), rhs)
 
 
 def check_prectl(spec: CheckSpec) -> VerificationReport:
-    """Coupled-walk moment control:
+    """Coupled moment control:
     E[d(X1, X2)^p]^{2/p} <= e^{-2K tau*} d(x,y)^2 + (N+p-2) c(K tau*) (sqrt(t2)-sqrt(t1))^2.
 
-    The coupled walk realizes an admissible coupling, so the empirical
-    moment dominates W_p^2 and the check is on the stronger quantity.
+    (X1, X2) is the synchronous coupling of the two heat laws, an
+    admissible coupling, so its moment dominates W_p^2 and the check is
+    on the stronger quantity.  The moment comes from the law of the
+    coupled distance, a 1-D diffusion on the model spaces
+    (walk.coupled_distance_moment), and its discretization bound, carried
+    to the lhs by the delta method, is the lhs error.
     """
     p = spec.exponents.p
     if p < 2:
@@ -445,15 +444,10 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     arg = 2.0 * cd.K * ts
     rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * 2.0 * decay_mean(arg) * (
         math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
-    cfg = WalkConfig(k=spec.k, n_trajectories=spec.n_trajectories, seed=spec.seed + 1)
-    path = run_coupled(spec.space, spec.x, spec.y, spec.tau1, spec.tau2, cfg)
-    vals = path.terminal_distances**p
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+    mean, bound = coupled_distance_moment(spec.space, d0, spec.tau1, spec.tau2, p)
     lhs = mean ** (2.0 / p)
-    se_lhs = (2.0 / p) * mean ** (2.0 / p - 1.0) * se if mean > 0 else se
-    return _base_report(spec, lhs, rhs, se_lhs, 0.0,
-                        tau_star=ts, d0=d0, near_cut_events=path.near_cut_events)
+    se_lhs = (2.0 / p) * mean ** (2.0 / p - 1.0) * bound if mean > 0 else bound
+    return _base_report(spec, lhs, rhs, se_lhs, 0.0, tau_star=ts, d0=d0, sampler="coupled_law")
 
 
 def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
@@ -489,7 +483,7 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     # one walk for both u: the difference quotient uses common noise
     u1 = u + DU
     g0, g1 = _sampled_estimates(spec, ((u / lam, u * lam), (u1 / lam, u1 * lam)),
-                                PthPowerDistance(2.0), _swc_transform(kap))
+                                PthPowerDistance(2.0), comparison_transform(kap))
     deriv = (g1.value - g0.value) / DU
     se_deriv = math.hypot(g0.stderr, g1.stderr) / DU
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)

@@ -39,6 +39,7 @@ __all__ = [
     "bakry_ledoux",
     "TimeReparam",
     "comp_s",
+    "comp_s_inverse",
     "comp_c",
     "comp_t",
     "j_measure",
@@ -157,6 +158,15 @@ def comp_s(kappa: float, u):
     return s if u.ndim else float(s)
 
 
+def comp_s_inverse(kappa: float, y: float) -> float:
+    """The u in [0, pi/(2 sqrt(k))] (any u >= 0 for k <= 0) with comp_s(kappa, u) = y."""
+    if kappa > 0:
+        return math.asin(math.sqrt(kappa) * y) / math.sqrt(kappa)
+    if kappa < 0:
+        return math.asinh(math.sqrt(-kappa) * y) / math.sqrt(-kappa)
+    return y
+
+
 def comp_c(kappa: float, u):
     """cos(sqrt(k) u), continued to cosh for k < 0 and to 1 at k = 0."""
     u = _check_domain(kappa, u)
@@ -196,12 +206,7 @@ def _j_coordinate(K: float, N: float, r: float) -> float:
     at K = 0 and sqrt(N/-K) arccosh(e^{-Kr}) for K < 0; nothing in it
     cancels as K -> 0.
     """
-    kappa, u = K / N, math.sqrt(N * r * decay_mean(K * r) / 2.0)
-    if kappa > 0:
-        return 2.0 * math.asin(math.sqrt(kappa) * u) / math.sqrt(kappa)
-    if kappa < 0:
-        return 2.0 * math.asinh(math.sqrt(-kappa) * u) / math.sqrt(-kappa)
-    return 2.0 * u
+    return 2.0 * comp_s_inverse(K / N, math.sqrt(N * r * decay_mean(K * r) / 2.0))
 
 
 def _j_coordinate_inverse(K: float, N: float, y: float) -> float:

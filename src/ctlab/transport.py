@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .comparison import comp_s
+from .comparison import comp_c, comp_s
 from .geometry import ModelSpace
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "gaussian_w2",
     "wasserstein",
     "BlockEstimate",
+    "power_transform",
+    "comparison_transform",
     "block_cost_estimate",
 ]
 
@@ -257,11 +259,23 @@ class BlockEstimate:
         return self.block_values.size
 
 
-def _transform_slope(tf, v: float) -> float:
-    h = max(1e-6, 1e-6 * abs(v))
-    if v < h:  # the lower point is clipped to 0
-        return abs(tf(v + h) - tf(0.0)) / (v + h)
-    return abs(tf(v + h) - tf(v - h)) / (2 * h)
+def power_transform(q: float) -> tuple:
+    """(c -> c^q, its slope q c^(q-1)).  At c = 0 with q < 1 that slope is
+    infinite; the one-sided slope over [0, 1e-6] stands in."""
+    return (lambda c: c ** q,
+            lambda c: 1e-6 ** (q - 1.0) if c == 0.0 and q < 1.0 else q * c ** (q - 1.0))
+
+
+def comparison_transform(kappa: float) -> tuple:
+    """(c -> s_kappa(sqrt(c)/2)^2, its slope s_kappa(sqrt(c))/(4 sqrt(c))),
+    the slope written through u = sqrt(c)/2 so that its domain is the
+    map's own; it is 1/4 at c = 0."""
+
+    def slope(c):
+        u = math.sqrt(c) / 2.0
+        return comp_s(kappa, u) * comp_c(kappa, u) / (4.0 * u) if u else 0.25
+
+    return (lambda c: comp_s(kappa, math.sqrt(c) / 2.0) ** 2), slope
 
 
 def _solver_threads() -> int:
@@ -298,7 +312,7 @@ def _assignments(matrices):
 
 def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
                         cost: CostSpec,
-                        transform: Callable[[float], float] | None = None,
+                        transform: tuple[Callable, Callable] | None = None,
                         block_size: int = 500, seed: int = 0) -> BlockEstimate:
     """Estimate a transport cost between two equal-size samples.
 
@@ -306,12 +320,12 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     n_blocks = n // block_size aligned disjoint blocks of n // n_blocks
     points each, so a block holds between block_size and
     2 * block_size - 1 points and the last n % n_blocks points go
-    unused.  The exact cost (optionally transformed, e.g.
-    cost -> cost^(beta/p)) is computed per block, the blocks'
+    unused.  The exact cost (optionally transformed by a pair (f, f'),
+    e.g. power_transform(beta/p)) is computed per block, the blocks'
     assignments being solved concurrently, and the estimate is the
     block mean.  The standard error is the larger of a bootstrap over
     block values and the pooled within-block sampling error of the
-    matched pair costs (delta method through the transform); with few
+    matched pair costs (delta method through the transform's slope); with few
     blocks the between-block spread alone can badly understate the
     noise.  Smaller inputs form a single block of all n points and fall
     back to bootstrap resampling of the points themselves: each
@@ -327,7 +341,7 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     n = xs.shape[0]
     if n < 2:
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
-    tf = transform or (lambda v: v)
+    tf, slope = transform or (lambda v: v, lambda v: 1.0)
     rng = np.random.default_rng(seed)
 
     n_blocks = max(1, n // block_size)
@@ -355,7 +369,7 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
         raw = float(matched.mean())
         vals[b] = tf(raw)
         se_raw = float(matched.std(ddof=1)) / math.sqrt(matched.size)
-        within_var[b] = (_transform_slope(tf, raw) * se_raw) ** 2
+        within_var[b] = (slope(raw) * se_raw) ** 2
     boots = np.empty(_N_BOOT)
     for b in range(_N_BOOT):
         pick = rng.integers(0, n_blocks, size=n_blocks)

@@ -104,7 +104,7 @@ def test_criterion_04_coupled_walk_moment_contraction():
             exponents=ExponentPair(p, 2.0), n_trajectories=5000, k=30,
             seed=20260810))
         ok &= rep.margin >= -3 * rep.sigma
-        details.append(f"p={p:g}: lhs={rep.lhs:.4f} rhs={rep.rhs:.4f} sigma={rep.sigma:.4f}")
+        details.append(f"p={p:g}: lhs={rep.lhs:.4f} rhs={rep.rhs:.4f} sigma={rep.sigma:.2g}")
     elapsed = time.monotonic() - t0
     _announce(4, ok, "; ".join(details), elapsed, 120.0)
 

@@ -21,7 +21,7 @@ from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measur
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
 from ctlab.heat import default_backend, heat_apply
 from ctlab.transport import BlockEstimate, EmpiricalMeasure
-from ctlab.walk import WalkConfig, run_single, sample_heat
+from ctlab.walk import WalkConfig, coupled_distance_moment, run_single, sample_heat
 
 S2 = Sphere(2)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -42,11 +42,13 @@ def test_verdict_deterministic():
 
 
 def test_verdict_statistical():
-    # fail beyond z sigma; inconclusive when noise covers a small negative
-    # margin; pass otherwise
+    # fail beyond z sigma; inconclusive for any negative margin within z
+    # sigma; pass for a nonnegative one
     assert _verdict(0.2, 0.1) == "pass"
+    assert _verdict(0.0, 0.1) == "pass"
     assert _verdict(-0.05, 0.1) == "inconclusive"
-    assert _verdict(-0.2, 0.1) == "pass"
+    assert _verdict(-0.2, 0.1) == "inconclusive"
+    assert _verdict(-0.3, 0.1) == "inconclusive"
     assert _verdict(-0.5, 0.1) == "fail"
 
 
@@ -145,6 +147,36 @@ def test_prectl_flat_closed_form():
         tau1=0.25, tau2=1.0, exponents=ExponentPair(3.0, 2.0)))
     assert rep.rhs == pytest.approx(1.0 + 2 * 3 * 0.25, abs=1e-12)
     assert rep.verdict != "fail"
+
+
+def test_prectl_flat_quadratic_row_is_sharp_and_passes():
+    # E rho^2 = d0^2 + 2m (sqrt(t2) - sqrt(t1))^2 is the rhs at N = m: the
+    # law gives it in closed form with no error bar
+    rep = run_check(small(
+        "prectl", space=Euclidean(2), x=np.zeros(2), y=np.array([0.6, 0.8]),
+        tau1=0.2, tau2=0.4))
+    assert abs(rep.margin) <= 1e-12
+    assert rep.sigma == 0.0
+    assert rep.verdict == "pass"
+    assert rep.metadata["sampler"] == "coupled_law"
+
+
+def test_prectl_takes_its_lhs_from_the_law():
+    rep = run_check(small("prectl", space=S2, x=NORTH, y=sphere_point(1.0),
+                          tau1=0.2, tau2=0.4, exponents=ExponentPair(3.0, 2.0)))
+    mean, bound = coupled_distance_moment(S2, 1.0, 0.2, 0.4, 3.0)
+    assert rep.lhs == pytest.approx(mean ** (2.0 / 3.0), rel=1e-12)
+    assert rep.stderr_lhs == pytest.approx((2.0 / 3.0) * mean ** (-1.0 / 3.0) * bound, rel=1e-12)
+    assert rep.metadata["sampler"] == "coupled_law"
+    assert "near_cut_events" not in rep.metadata
+
+
+def test_prectl_refuses_ou_at_finite_n():
+    # OU reaches prectl only through a finite-N override
+    spec = small("prectl", space=EuclideanOU(1, 1.0), cd=CurvatureDimension(1.0, 2.0),
+                 x=np.zeros(1), y=np.ones(1), tau1=0.2, tau2=0.4)
+    with pytest.raises(ValueError, match="OU"):
+        run_check(spec)
 
 
 def test_lp2_equal_scales_pure_contraction():
@@ -371,7 +403,7 @@ def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
         raise AssertionError("a walk ran")
 
     monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
-    monkeypatch.setattr(ctlab.checks, "run_coupled", no_walk)
+    monkeypatch.setattr(ctlab.checks, "coupled_distance_moment", no_walk)
     monkeypatch.setattr(ctlab.checks, "sample_heat", no_walk)
     spec = CheckSpec(check_id=check_id, space=EuclideanOU(1, 1.0), x=np.zeros(1),
                      y=np.ones(1), n_trajectories=2000, k=30, **params)

@@ -2,7 +2,8 @@
 
 tests/data/golden_margins.json pins float.hex of the margin and sigma of
 a tiny Monte Carlo suite (n = 64 in two blocks, and n = 48 in one
-bootstrapped block; k = 3).  tests/data/golden_geometry.json pins the
+bootstrapped block; k = 3), and of the coupled walk's terminal moment
+E d^p and its standard error at the prectl plan.  tests/data/golden_geometry.json pins the
 sha256 of the output bytes of every geometry operation on a seeded batch
 per model space, including a point on a coordinate axis and an antipodal
 pair, and each space's curvature-dimension bound.  A change that is meant to
@@ -37,6 +38,7 @@ import ctlab.checks
 from ctlab.checks import CheckSpec, run_check
 from ctlab.comparison import ExponentPair
 from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere, UnsupportedParameterError
+from ctlab.walk import WalkConfig, run_coupled
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_margins.json"
 GEOMETRY_DATA = pathlib.Path(__file__).parent / "data" / "golden_geometry.json"
@@ -74,7 +76,9 @@ def cases():
     the bootstrap over resampled points.  The two-sided checks run on the
     exact heat laws as "<name>/exact" and again on the walk (walk True;
     the exact rows are listed first, so that adding them only added lines
-    to the data file)."""
+    to the data file).  prectl runs on the law of the coupled distance as
+    "<name>/law"; its walk row pins run_coupled's terminal moment at the
+    same plan."""
     out = []
 
     def add(name, **kwargs):
@@ -82,6 +86,8 @@ def cases():
         if kwargs["check_id"] != "prectl":
             out.append((f"{name}/exact", spec, False))
         out.append((name, spec, True))
+        if kwargs["check_id"] == "prectl":
+            out.append((f"{name}/law", spec, False))
 
     for label, (space, x, y) in _pairs().items():
         for i, (check, params) in enumerate(_PARAMS.items()):
@@ -97,9 +103,22 @@ def cases():
     return out
 
 
+def _coupled_moment(spec: CheckSpec) -> dict:
+    """E d^p and its standard error over the terminal distances of the
+    coupled walk at the spec's plan (seed + 1, as prectl once drew it)."""
+    cfg = WalkConfig(k=spec.k, n_trajectories=spec.n_trajectories, seed=spec.seed + 1)
+    path = run_coupled(spec.space, spec.x, spec.y, spec.tau1, spec.tau2, cfg)
+    vals = path.terminal_distances ** spec.exponents.p
+    return {"moment": float(vals.mean()).hex(),
+            "stderr": float(vals.std(ddof=1) / math.sqrt(vals.size)).hex()}
+
+
 def measure() -> dict:
     values = {}
     for name, spec, walk in cases():
+        if walk and spec.check_id == "prectl":
+            values[name] = _coupled_moment(spec)
+            continue
         # the walk rows draw their heat clouds as on a space without an exact law
         no_law = mock.patch.object(ctlab.checks, "has_heat_law", lambda space: False)
         with no_law if walk else contextlib.nullcontext():

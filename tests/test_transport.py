@@ -16,8 +16,10 @@ from ctlab.transport import (
     PthPowerDistance,
     SupportSizeError,
     block_cost_estimate,
+    comparison_transform,
     exact_cost,
     gaussian_w2,
+    power_transform,
     solve_transport,
     wasserstein,
 )
@@ -161,7 +163,7 @@ def test_block_estimate_blocks_and_transform():
     xs = rng.normal(size=(2000, 2))
     ys = rng.normal(size=(2000, 2))
     est = block_cost_estimate(sp, xs, ys, PthPowerDistance(2.0),
-                              transform=lambda c: c ** 0.5,
+                              transform=power_transform(0.5),
                               block_size=500, seed=2)
     assert est.n_blocks == 4
     assert est.value == pytest.approx(est.block_values.mean(), rel=1e-12)
@@ -185,7 +187,7 @@ def test_empirical_convergence_sanity():
 
 def _serial_block_estimate(space, xs, ys, cost, transform, block_size, n_boot, seed):
     """The multi-block estimate with its blocks solved one after another."""
-    tf = transform or (lambda v: v)
+    tf, slope = transform or (lambda v: v, lambda v: 1.0)
     n = xs.shape[0]
     n_blocks = n // block_size
     size = n // n_blocks
@@ -198,7 +200,7 @@ def _serial_block_estimate(space, xs, ys, cost, transform, block_size, n_boot, s
         raw = float(matched.mean())
         vals[b] = tf(raw)
         se_raw = float(matched.std(ddof=1)) / math.sqrt(matched.size)
-        within_var[b] = (transport._transform_slope(tf, raw) * se_raw) ** 2
+        within_var[b] = (slope(raw) * se_raw) ** 2
     rng = np.random.default_rng(seed)
     boots = np.empty(n_boot)
     for b in range(n_boot):
@@ -246,7 +248,7 @@ def test_solver_threads_is_the_cpus_available():
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2)],
                          ids=["S2", "H2", "E2"])
 @pytest.mark.parametrize("n_blocks", [2, 5, 9])
-@pytest.mark.parametrize("transform", [None, lambda c: c ** 0.75], ids=["plain", "power"])
+@pytest.mark.parametrize("transform", [None, power_transform(0.75)], ids=["plain", "power"])
 def test_concurrent_blocks_match_serial_reference(monkeypatch, space, n_blocks, transform):
     # four solver threads, whatever the host has, so that solves overlap
     monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
@@ -350,7 +352,7 @@ def test_block_layout_uses_equal_blocks_and_drops_the_remainder(monkeypatch):
 def _single_block_reference(space, xs, ys, cost, transform, n_boot, seed):
     """The single-block estimate with each resample's matrix rebuilt from
     the resampled points."""
-    tf = transform or (lambda v: v)
+    tf = transform[0] if transform else (lambda v: v)
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
     C = cost.matrix(space, xs, ys)
@@ -378,7 +380,7 @@ _COSTS = {
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2)],
                          ids=["S2", "H2", "E2"])
 @pytest.mark.parametrize("cost_name", list(_COSTS))
-@pytest.mark.parametrize("transform", [None, lambda c: c ** 0.75], ids=["plain", "power"])
+@pytest.mark.parametrize("transform", [None, power_transform(0.75)], ids=["plain", "power"])
 @pytest.mark.parametrize("n", [7, 48, 199])
 def test_single_block_bootstrap_matches_rebuilt_reference(monkeypatch, space, cost_name,
                                                           transform, n):
@@ -438,6 +440,23 @@ def test_block_estimate_needs_two_samples():
 
 @pytest.mark.parametrize("v", [0.0, 2e-7, 5e-6])
 def test_transform_slope_near_zero(v):
-    # below the step h = 1e-6 the lower point is clipped to 0; the slope
-    # divides by the spread actually taken
-    assert transport._transform_slope(lambda c: c / 4.0, v) == pytest.approx(0.25, rel=1e-9)
+    # s_k(sqrt(c))/(4 sqrt(c)) = (1 - k c/6 + ...)/4 tends to 1/4 at c = 0
+    for kappa in (1.0, 0.0, -1.0):
+        slope = comparison_transform(kappa)[1](v)
+        assert slope == pytest.approx(0.25 * (1.0 - kappa * v / 6.0), rel=1e-12)
+    # c^q with q < 1 keeps the one-sided slope over [0, 1e-6] at c = 0
+    expected = 1e-6 ** -0.25 if v == 0.0 else 0.75 * v ** -0.25
+    assert power_transform(0.75)[1](v) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("transform", [
+    power_transform(0.75), power_transform(2.0 / 3.0), power_transform(1.5),
+    comparison_transform(0.5), comparison_transform(-1.0), comparison_transform(0.0),
+], ids=["q0.75", "q2/3", "q1.5", "k0.5", "k-1", "k0"])
+def test_transform_slope_is_the_derivative(transform):
+    # against the Richardson extrapolation of two central differences
+    f, slope = transform
+    for c in (1e-3, 0.1, 0.7, 2.0, 6.0):
+        h = 1e-3 * c
+        d = lambda h: (f(c + h) - f(c - h)) / (2 * h)
+        assert slope(c) == pytest.approx((4 * d(h / 2) - d(h)) / 3, rel=1e-8)

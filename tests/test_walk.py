@@ -7,8 +7,10 @@ from scipy.stats import ks_2samp
 
 import ctlab.walk as walk_mod
 from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
+from ctlab.comparison import comp_c, comp_s
 from ctlab.walk import (
     WalkConfig,
+    coupled_distance_moment,
     run_coupled,
     run_single,
     sample_unit_ball,
@@ -593,3 +595,103 @@ def test_exact_sphere_law_at_small_time_has_no_cost_cliff(monkeypatch):
     assert peak < 1_000_000
     angle2 = np.arccos(np.clip(pts[0, :, 2], -1, 1)) ** 2
     assert abs(angle2.mean() - 4e-4) < 4 * angle2.std() / math.sqrt(angle2.size)
+
+
+# ---------------------------------------------------------------------------
+# the law of the coupled distance
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_flat_second_moment_is_the_closed_form(m):
+    # rho / sqrt(2D) is non-central chi with m degrees of freedom
+    for d0, a, b in ((1.0, 0.2, 0.4), (0.0, 0.25, 1.0), (2.5, 1.3, 0.1)):
+        D = (math.sqrt(b) - math.sqrt(a)) ** 2
+        value, bound = coupled_distance_moment(Euclidean(m), d0, a, b, 2.0)
+        assert value == pytest.approx(d0**2 + 2 * m * D, abs=1e-12)
+        assert bound == 0.0
+
+
+def _distance_ode(space, d0, tau, steps=4000):
+    """rho at u = 1 from d rho/du = 2(m-1) tau (c_k(rho) - 1)/s_k(rho), the
+    noise-free drift at a = b, by classical Runge-Kutta."""
+    m, k = space.dim, space.sectional_curvature
+    f = lambda r: 2 * (space.dim - 1) * tau * (comp_c(k, r) - 1.0) / comp_s(k, r)
+    r, h = d0, 1.0 / steps
+    for _ in range(steps):
+        k1 = f(r)
+        k2 = f(r + h / 2 * k1)
+        k3 = f(r + h / 2 * k2)
+        k4 = f(r + h * k3)
+        r += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return r
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Sphere(3, radius=2.0), Hyperbolic(2),
+                                   Hyperbolic(3, curvature=-0.5), Euclidean(2)],
+                         ids=["S2", "S3_r2", "H2", "H3_c0.5", "E2"])
+def test_equal_time_scales_leave_no_noise(space):
+    for d0 in (0.3, 1.0, 2.0):
+        for p in (2.0, 3.0):
+            value, bound = coupled_distance_moment(space, d0, 0.3, 0.3, p)
+            assert bound == 0.0
+            assert value == pytest.approx(_distance_ode(space, d0, 0.3) ** p, rel=1e-10)
+
+
+@pytest.mark.parametrize("space, d0", [(Sphere(2), 1.0), (Sphere(2), 2.8), (Hyperbolic(2), 1.0),
+                                       (Hyperbolic(2), 0.0)], ids=["S2", "S2_far", "H2", "H2_d0"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_four_times_finer_grid_stays_within_the_bound(monkeypatch, space, d0, p):
+    value, bound = coupled_distance_moment(space, d0, 0.2, 0.4, p)
+    monkeypatch.setattr(walk_mod, "_CELLS", 4 * walk_mod._CELLS)
+    finer, finer_bound = coupled_distance_moment(space, d0, 0.2, 0.4, p)
+    assert abs(finer - value) < bound
+    assert finer_bound < bound
+    if isinstance(space, Sphere) and d0 == 1.0:
+        assert abs(finer - value) < 1e-6
+
+
+def test_law_reproduces_the_one_dimensional_prototype():
+    # the acceptance prectl pair: Crank-Nicolson at 4000 cells gave 0.6303804
+    # on S2 and 1.8688567 on H2 at 2000 cells (d0 = 1, (0.2, 0.4))
+    s2, bound = coupled_distance_moment(Sphere(2), 1.0, 0.2, 0.4, 2.0)
+    assert abs(s2 - 0.6303804) < 1e-6 and bound < 1e-4
+    h2, bound = coupled_distance_moment(Hyperbolic(2), 1.0, 0.2, 0.4, 2.0)
+    assert abs(h2 - 1.8688567) < 1e-5 and bound < 1e-3
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.5])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_circle_distance_is_reflected_brownian_motion(radius, p):
+    # on S^1 rho is d0 + sqrt(2D) Z folded into [0, pi radius]
+    d0, a, b = 1.0, 0.2, 0.4
+    sd = math.sqrt(2.0) * (math.sqrt(b) - math.sqrt(a))
+    z = np.linspace(-12.0, 12.0, 400_001)
+    period = 2 * math.pi * radius
+    rho = np.abs((d0 + sd * z + period / 2) % period - period / 2)
+    dens = np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+    exact = float(np.sum(rho**p * dens) * (z[1] - z[0]))
+    value, bound = coupled_distance_moment(Sphere(1, radius=radius), d0, a, b, p)
+    assert abs(value - exact) <= bound + 1e-9
+
+
+def test_ou_and_bad_distances_are_refused():
+    with pytest.raises(ValueError, match="OU"):
+        coupled_distance_moment(EuclideanOU(2, 1.0), 1.0, 0.2, 0.4, 2.0)
+    with pytest.raises(ValueError, match="d0"):
+        coupled_distance_moment(Sphere(2), 3.2, 0.2, 0.4, 2.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        coupled_distance_moment(Sphere(2), 1.0, -0.2, 0.4, 2.0)
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)], ids=["S2", "H2"])
+def test_coupled_walk_matches_the_law_of_its_distance(space):
+    # the walk's E d^2 at k = 15 over seeds 0-5 against the law: |mean z| <= 3/sqrt(R)
+    x, y = _start_pair(space)
+    value, bound = coupled_distance_moment(space, 1.0, 0.2, 0.4, 2.0)
+    zs = []
+    for seed in range(6):
+        cfg = WalkConfig(k=15, n_trajectories=2000, seed=seed)
+        d2 = run_coupled(space, x, y, 0.2, 0.4, cfg).terminal_distances ** 2
+        se = d2.std(ddof=1) / math.sqrt(d2.size)
+        zs.append((d2.mean() - value) / math.hypot(se, bound))
+    assert abs(np.mean(zs)) <= 3 / math.sqrt(len(zs)), zs
