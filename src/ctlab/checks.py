@@ -210,7 +210,7 @@ def _base_report(spec: CheckSpec, lhs, rhs, se_lhs, se_rhs, **meta) -> Verificat
     rep = VerificationReport(
         lhs=float(lhs), rhs=float(rhs),
         stderr_lhs=float(se_lhs), stderr_rhs=float(se_rhs), verdict="",
-        metadata=dict(meta, k=spec.k, n_trajectories=spec.n_trajectories),
+        metadata=meta,
         **_spec_fields(spec))
     nan = [f"{name} is nan" for name, v in (("margin", rep.margin), ("sigma", rep.sigma))
            if math.isnan(v)]
@@ -346,6 +346,21 @@ def _sampled_estimates(spec: CheckSpec, pairs: tuple, cost, transform) -> list:
             for xs, ys in _two_sided_samples(spec, pairs)]
 
 
+def _sample_plan(spec: CheckSpec, estimates: list) -> dict:
+    """The metadata of a check that drew heat clouds: its sampler, the
+    trajectory count, k where the walk drew them, and the assignments
+    behind its block estimates, summed."""
+    sampler = _sampler(spec.space)
+    plan = dict(sampler=sampler, n_trajectories=spec.n_trajectories)
+    if sampler == "walk":
+        plan["k"] = spec.k
+    counts = [e.assignments for e in estimates]
+    plan["assignments"] = dict(certified=sum(c["certified"] for c in counts),
+                               solved=sum(c["solved"] for c in counts),
+                               size=counts[0]["size"])
+    return plan
+
+
 def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> VerificationReport:
     """The Monte Carlo transport pipeline: heat clouds at `times`, the block
     estimate of transform(cost) as the lhs, and rhs(exact base cost) ->
@@ -353,7 +368,7 @@ def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> Ve
     (est,) = _sampled_estimates(spec, (times,), cost, transform)
     value, meta = rhs(_exact_base(spec, cost))
     return _base_report(spec, est.value, value, est.stderr, 0.0,
-                        **meta, n_blocks=est.n_blocks, sampler=_sampler(spec.space))
+                        **meta, n_blocks=est.n_blocks, **_sample_plan(spec, [est]))
 
 
 def check_w2_control(spec: CheckSpec) -> VerificationReport:
@@ -489,7 +504,7 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     rhs = -cd.K * (lam + 1.0 / lam) * g0.value + cd.N / 2.0 * (lam + 1.0 / lam - 2.0)
     se_rhs = abs(cd.K) * (lam + 1.0 / lam) * g0.stderr
     return _base_report(spec, deriv, rhs, se_deriv, se_rhs,
-                        u=u, du=DU, lam=lam, w=w, sampler=_sampler(spec.space),
+                        u=u, du=DU, lam=lam, w=w, **_sample_plan(spec, [g0, g1]),
                         theta_ode_residuals=residuals, theta_ode_ratio=ratio)
 
 

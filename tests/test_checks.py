@@ -458,12 +458,30 @@ def test_reports_have_reproducibility_metadata():
         "w2_control", space=Euclidean(2), x=np.zeros(2), y=np.array([1.0, 0.0]),
         s=0.25, t=1.0))
     assert rep.seed == 123
-    assert rep.metadata["k"] == 10
+    # the sample plan that was used: exact clouds ignore k
+    assert rep.metadata["sampler"] == "exact"
     assert rep.metadata["n_trajectories"] == 800
+    assert "k" not in rep.metadata
+    # 200-point blocks are below the certificate's floor, so each is solved
+    assert rep.metadata["assignments"] == {"certified": 0, "solved": 4, "size": 200}
     again = run_check(small(
         "w2_control", space=Euclidean(2), x=np.zeros(2), y=np.array([1.0, 0.0]),
         s=0.25, t=1.0))
     assert again.lhs == rep.lhs and again.rhs == rep.rhs
+    s3 = Sphere(3)
+    walked = run_check(small(
+        "w2_control", space=s3, x=np.array([0.0, 0.0, 0.0, 1.0]),
+        y=np.array([0.0, 0.0, math.sin(0.5), math.cos(0.5)]), s=0.1, t=0.3,
+        n_trajectories=400, k=4))
+    assert walked.metadata["sampler"] == "walk"
+    assert (walked.metadata["k"], walked.metadata["n_trajectories"]) == (4, 400)
+    assert walked.metadata["assignments"]["size"] == 200
+    # no samples drawn: neither key
+    law = run_check(small("prectl", space=S2, x=NORTH, y=sphere_point(1.0),
+                          tau1=0.2, tau2=0.4))
+    grad = run_check(small("bl0", space=S2, t=0.5, f="cos_theta"))
+    for other in (law, grad):
+        assert not {"k", "n_trajectories", "assignments"} & set(other.metadata)
 
 
 def test_wvar_ode_check_small():

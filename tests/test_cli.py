@@ -152,6 +152,21 @@ def test_bundled_and_benchmark_suites_load_with_every_required_field(tmp_path):
             require_fields(check)
 
 
+def test_prectl_rows_load_alike_with_or_without_a_sample_plan(tmp_path):
+    # prectl draws no samples, so acceptance.json gives its rows no k or
+    # n_trajectories; suites that still carry them (perfbench's mc_suite)
+    # load and run as before
+    doc = json.loads(pathlib.Path(bundled_config("acceptance.json")).read_text())
+    rows = [c for c in doc["checks"] if c["id"] == "prectl"]
+    assert len(rows) == 2 and not any({"k", "n_trajectories"} & set(c) for c in rows)
+    planned = dict(doc, checks=[dict(c, k=30, n_trajectories=5000) for c in rows])
+    bare = dict(doc, checks=rows)
+    reports = [ctlab.checks.run_suite(load_suite(write_json(tmp_path / f"{i}.json", d)))
+               for i, d in enumerate((planned, bare))]
+    assert [vars(r) for r in reports[0]] == [vars(r) for r in reports[1]]
+    assert not any({"k", "n_trajectories"} & set(r.metadata) for r in reports[0])
+
+
 def _fresh_interpreter(code: str):
     """The JSON that code prints on its last line, run in a new interpreter
     that imports ctlab from this checkout."""

@@ -3,8 +3,12 @@ import os
 import threading
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 from ctlab import transport
@@ -234,8 +238,8 @@ class _Recording(PthPowerDistance):
         super().__init__(2.0)
         self.built = []
 
-    def matrix(self, space, xs, ys):
-        C = super().matrix(space, xs, ys)
+    def matrix(self, space, xs, ys, by_target=False):
+        C = super().matrix(space, xs, ys, by_target)
         self.built.append(C)
         return C
 
@@ -264,7 +268,10 @@ def test_concurrent_blocks_match_serial_reference(monkeypatch, space, n_blocks, 
 
 
 def test_blocks_solved_out_of_order_keep_block_order(monkeypatch):
+    # each block's certificate runs (and rejects) first; the solver then
+    # sees the very matrix that was built, in solve orientation
     monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
     cost = _Recording()
     finished = []
 
@@ -285,16 +292,73 @@ def test_blocks_solved_out_of_order_keep_block_order(monkeypatch):
     assert finished != sorted(finished)
     assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
     assert est.block_values.tobytes() == vals.tobytes()
+    assert est.assignments == {"certified": 0, "solved": 5, "size": 31}
+
+
+def test_certified_blocks_finish_first_and_keep_block_order(monkeypatch):
+    # blocks 0-2 are independent clouds, solved slowly; blocks 3-5 are
+    # common-noise flat clouds (ys = y + 2 (xs - x)), certified at once
+    monkeypatch.setattr(transport, "_solver_threads", lambda: 2)
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
+    cost = _Recording()
+    events = []
+    index = lambda C: next(i for i, M in enumerate(cost.built) if M is C)
+    certify = transport._identity_is_optimal
+
+    def recorded_certify(C):
+        certified = certify(C)
+        if certified:
+            events.append(("certified", index(C)))
+        return certified
+
+    def slow_solve(C):
+        time.sleep(0.05)
+        events.append(("solved", index(C)))
+        return scipy_assignment(C)
+
+    monkeypatch.setattr(transport, "_identity_is_optimal", recorded_certify)
+    monkeypatch.setattr(transport, "linear_sum_assignment", slow_solve)
+    sp = Euclidean(2)
+    rng = np.random.default_rng(8)
+    xs = rng.normal(size=(6 * 40, 2))
+    ys = rng.normal(size=(6 * 40, 2))
+    ys[120:] = np.array([1.0, 0.0]) + 2.0 * xs[120:]
+    est = block_cost_estimate(sp, xs, ys, cost, block_size=40, seed=2)
+    value, stderr, vals = _serial_block_estimate(sp, xs, ys, PthPowerDistance(2.0),
+                                                 None, 40, transport._N_BOOT, 2)
+    assert sorted(events) == [("certified", 3), ("certified", 4), ("certified", 5),
+                              ("solved", 0), ("solved", 1), ("solved", 2)]
+    assert events.index(("certified", 3)) < events.index(("solved", 2))
+    assert est.assignments == {"certified": 3, "solved": 3, "size": 40}
+    assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+    assert est.block_values.tobytes() == vals.tobytes()
+
+
+def _certifiable(rng, n):
+    """A paired matrix whose pairing the first sweep certifies: zero
+    diagonal, positive elsewhere."""
+    C = rng.random((n, n)) + 0.5
+    np.fill_diagonal(C, 0.0)
+    return C
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_assignments_hold_at_most_workers_plus_one_matrices(monkeypatch, workers):
+    # solves take 10 ms; with every other matrix certified at once, those
+    # finish ahead of the solves queued before them
     monkeypatch.setattr(transport, "_solver_threads", lambda: workers)
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
     monkeypatch.setattr(transport, "linear_sum_assignment",
                         lambda C: (time.sleep(0.01), scipy_assignment(C))[1])
+    for certify_every in (0, 2):
+        _hold_at_most_workers_plus_one(workers, certify_every)
+
+
+def _hold_at_most_workers_plus_one(workers, certify_every):
     rng = np.random.default_rng(3)
     built = yielded = outstanding = 0
-    matrices = [rng.random((20, 20)) for _ in range(12)]
+    certifiable = [bool(certify_every) and i % certify_every == 1 for i in range(12)]
+    matrices = [_certifiable(rng, 20) if c else rng.random((20, 20)) for c in certifiable]
 
     def build():
         nonlocal built, outstanding
@@ -303,16 +367,20 @@ def test_assignments_hold_at_most_workers_plus_one_matrices(monkeypatch, workers
             outstanding = max(outstanding, built - yielded)
             yield C
 
-    for C, rows, cols in transport._assignments(build()):
+    for C, rows, cols, certified in transport._assignments(build()):
         assert C is matrices[yielded]
-        assert np.array_equal(cols, scipy_assignment(C)[1])
+        assert certified == certifiable[yielded]
+        want_rows, want_cols = scipy_assignment(C)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
         yielded += 1
     assert yielded == 12
     assert outstanding == workers + 1
 
 
 def test_solver_error_in_a_block_raises_as_serial_and_joins_threads(monkeypatch):
+    # the certificate runs first and leaves the non-finite block to scipy
     monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
     sp = Euclidean(2)
     xs, ys = _block_clouds(sp, 5)
     xs[2 * 30 + 4] = np.nan  # a NaN cost row in the third block
@@ -338,11 +406,156 @@ def test_block_layout_uses_equal_blocks_and_drops_the_remainder(monkeypatch):
     est = block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=1)
     assert est.n_blocks == 2
     assert [C.shape for C in cost.built] == [(1499, 1499)] * 2
+    # built with ys as rows
     assert np.array_equal(cost.built[1], PthPowerDistance(2.0).matrix(sp, xs[1499:2998],
-                                                                      ys[1499:2998]))
+                                                                      ys[1499:2998]).T)
     xs[2998] += 100.0
     moved = block_cost_estimate(sp, xs, ys, cost, block_size=1000, seed=1)
     assert (moved.value, moved.stderr) == (est.value, est.stderr)
+
+
+# ---------------------------------------------------------------------------
+# the pairing certificate and the solve orientation
+
+
+def _dilated(seed, n, m, scale, shift):
+    """Flat clouds xs and ys = shift + scale * xs, the common-noise law of
+    two heat distributions at different times."""
+    xs = np.random.default_rng(seed).normal(size=(n, m))
+    return xs, np.asarray(shift, float)[:m] + scale * xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), m=st.integers(1, 3),
+       scale=st.floats(0.25, 4.0), shift=st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                                  max_size=3))
+def test_dilated_flat_clouds_are_certified(seed, n, m, scale, shift):
+    xs, ys = _dilated(seed, n, m, scale, shift)
+    sp = Euclidean(m)
+    for C in (PthPowerDistance(2.0).matrix(sp, xs, ys),
+              PthPowerDistance(2.0).matrix(sp, xs, ys, by_target=True)):
+        assert transport._identity_is_optimal(C)
+        rows, cols = scipy_assignment(C)
+        assert np.array_equal(cols, np.arange(n))
+        with mock.patch.object(transport, "_CERTIFY_FROM", 1):
+            got = transport._paired_assignment(C)
+        assert got[2] and np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), m=st.integers(1, 3),
+       scale=st.floats(0.25, 4.0), data=st.data())
+def test_a_swapped_pair_falls_back_to_the_solver(seed, n, m, scale, data):
+    # exchanging two columns of a certified matrix makes the pairing
+    # strictly worse: the optimum is the exchange itself
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    xs, ys = _dilated(seed, n, m, scale, [1.0, -0.5, 0.25])
+    C = PthPowerDistance(2.0).matrix(Euclidean(m), xs, ys)
+    C[:, [i, j]] = C[:, [j, i]]
+    assert not transport._identity_is_optimal(C)
+    want = np.arange(n)
+    want[[i, j]] = [j, i]
+    with mock.patch.object(transport, "_CERTIFY_FROM", 1):
+        rows, cols, certified = transport._paired_assignment(C)
+    assert not certified
+    assert np.array_equal(cols, want) and np.array_equal(cols, scipy_assignment(C)[1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), kind=st.sampled_from(
+    ["uniform", "diagonal-heavy", "diagonal-light"]))
+def test_certificate_agrees_with_the_solver_on_random_matrices(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    C = rng.random((n, n))
+    if kind != "uniform":  # push the diagonal toward or away from optimality
+        C[np.diag_indices(n)] *= 0.2 if kind == "diagonal-light" else 3.0
+    rows, cols = scipy_assignment(C)
+    if transport._identity_is_optimal(C):
+        assert np.array_equal(cols, np.arange(n))
+    with mock.patch.object(transport, "_CERTIFY_FROM", 1):
+        got_rows, got_cols, _ = transport._paired_assignment(C)
+    assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+
+
+def test_certificate_on_one_and_two_points():
+    assert transport._identity_is_optimal(np.full((1, 1), 3.0))
+    assert transport._identity_is_optimal(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert not transport._identity_is_optimal(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    # a tie: the pairing is optimal, and so is the exchange
+    assert transport._identity_is_optimal(np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_costs_defer_to_the_solver(monkeypatch, bad):
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
+    xs, ys = _dilated(4, 12, 2, 2.0, [1.0, 0.0])
+    C = PthPowerDistance(2.0).matrix(Euclidean(2), xs, ys)
+    C[3, 7] = bad
+    assert not transport._identity_is_optimal(C)
+    try:
+        want = scipy_assignment(C)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            transport._paired_assignment(C)
+        assert str(got.value) == str(exc)
+    else:
+        rows, cols, certified = transport._paired_assignment(C)
+        assert not certified
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2)],
+                         ids=["S2", "H2", "E2"])
+@pytest.mark.parametrize("cost_name", ["p2", "p3", "comparison"])
+def test_matrix_by_target_is_the_transpose_bit_for_bit(space, cost_name):
+    cost = _COSTS[cost_name](space)
+    rng = np.random.default_rng(21)
+    xs, ys = _cloud(space, 57, rng), _cloud(space, 43, rng)
+    plain = cost.matrix(space, xs, ys)
+    oriented = cost.matrix(space, xs, ys, by_target=True)
+    assert oriented.shape == (43, 57) and oriented.flags.c_contiguous
+    assert oriented.tobytes() == np.ascontiguousarray(plain.T).tobytes()
+
+
+def _solver_calls(monkeypatch):
+    sizes = []
+
+    def spy(C):
+        sizes.append(C.shape[0])
+        return scipy_assignment(C)
+
+    monkeypatch.setattr(transport, "linear_sum_assignment", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("space,share_noise,certified", [
+    (Euclidean(2), True, 2), (Euclidean(2), False, 0), (Sphere(2), True, 0)],
+    ids=["E2-shared", "E2-independent", "S2-shared"])
+def test_common_noise_flat_blocks_skip_the_solver(monkeypatch, space, share_noise,
+                                                  certified):
+    from ctlab.checks import CheckSpec, run_check
+
+    sizes = _solver_calls(monkeypatch)
+    x, y = (np.zeros(2), np.array([1.0, 0.0])) if space.kind == "euclidean" else (
+        np.array([0.0, 0.0, 1.0]), np.array([math.sin(1.0), 0.0, math.cos(1.0)]))
+    rep = run_check(CheckSpec(check_id="w2_control", space=space, x=x, y=y, s=0.25, t=1.0,
+                              n_trajectories=600, block_size=300, seed=4,
+                              share_noise=share_noise))
+    assert [k for k in sizes if k > 1] == [300] * (2 - certified)  # 1: the Dirac base cost
+    assert rep.metadata["assignments"] == {"certified": certified, "solved": 2 - certified,
+                                           "size": 300}
+
+
+def test_single_block_counts_its_resample_solves(monkeypatch):
+    sizes = _solver_calls(monkeypatch)
+    monkeypatch.setattr(transport, "_N_BOOT", 5)
+    xs, ys = _dilated(6, 300, 2, 2.0, [1.0, 0.0])
+    est = block_cost_estimate(Euclidean(2), xs, ys, PthPowerDistance(2.0), block_size=1000)
+    assert est.assignments == {"certified": 1, "solved": 5, "size": 300}
+    assert sizes == [300] * 5
+    small = block_cost_estimate(Euclidean(2), xs[:50], ys[:50], PthPowerDistance(2.0),
+                                block_size=1000)
+    assert small.assignments == {"certified": 0, "solved": 6, "size": 50}
 
 
 # ---------------------------------------------------------------------------
