@@ -40,7 +40,8 @@ print(f"gradient  |grad P_t f| = {grad:.8f}"
 print(f"generator  L P_t f     = {gen:+.8f}"
       f"   oracle {-2 * math.exp(-1.0) * math.cos(theta):+.8f}")
 
-vals = cos_theta(run_single(sphere, x, 0.5, WalkConfig(k=15, n_trajectories=3000, seed=5)).terminal)
+walked = run_single(sphere, (x,), (0.5,), WalkConfig(k=15, n_trajectories=3000, seed=5))[0]
+vals = cos_theta(walked)
 print(f"walk terminal mean     = {vals.mean():+.6f} +- {vals.std(ddof=1) / math.sqrt(vals.size):.6f}")
 
 print("\nlinear drift (rate 1): the transition kernel is Gaussian")

@@ -79,7 +79,6 @@ log = logging.getLogger("ctl")
 Z = 3.0
 EPS = 1e-5
 H = 1e-3              # space step of geodesic central differences
-BACKEND_MODES = 64    # nodes or modes of the deterministic heat backends
 DU = 1e-2             # step in u of wvar_ode's difference quotient
 GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's stencil evaluations
 MONO_VALUES = 2**16   # field values per batched backend call of mono_app
@@ -316,16 +315,13 @@ def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
     xa, xb = _starts(mu0, n, spec.seed + 3), _starts(mu1, n, spec.seed + 4)
     times = tuple(t for pair in pairs for t in pair)
     cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 1)
-    if _sampler(spec.space) == "exact":
-        draw = lambda starts, taus, cfg: sample_heat(spec.space, starts, taus, cfg)
-    else:
-        draw = lambda starts, taus, cfg: run_single(spec.space, starts, taus, cfg).terminal
+    draw = sample_heat if _sampler(spec.space) == "exact" else run_single
     if spec.share_noise:
-        clouds = draw((xa, xb) * len(pairs), times, cfg_a)
+        clouds = draw(spec.space, (xa, xb) * len(pairs), times, cfg_a)
         return list(zip(clouds[0::2], clouds[1::2]))
     cfg_b = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 2)
-    a = draw((xa,) * len(pairs), times[0::2], cfg_a)
-    b = draw((xb,) * len(pairs), times[1::2], cfg_b)
+    a = draw(spec.space, (xa,) * len(pairs), times[0::2], cfg_a)
+    b = draw(spec.space, (xb,) * len(pairs), times[1::2], cfg_b)
     return list(zip(a, b))
 
 
@@ -531,7 +527,7 @@ def _field_and_backend(spec: CheckSpec, h: float = H):
             _, plus, minus = frame_stencil(space, f, pts, h)
             comps = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
             return np.sqrt(np.sum(np.stack(comps, axis=-1) ** 2, axis=-1))
-    backend = default_backend(space, BACKEND_MODES)
+    backend = default_backend(space)
     return f, lambda pts: np.asarray(grad_f(pts), dtype=float) ** pstar, backend
 
 
@@ -674,17 +670,18 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
     The cases go to the backend as families of fields, one per case, in one
     heat_apply call per side and at most MONO_VALUES field values a call."""
     space = spec.space
-    backend = default_backend(space, BACKEND_MODES)
+    backend = default_backend(space)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
     grid = default_grid(space, 8)
+    # every case's (r, delta, a0, a1, a2), then every case's grid index
+    params = rng.uniform([0.05, 0.01, 0.0, 0.0, 0.0], [0.95, 2.0, 2.0, 2.0, 2.0],
+                         size=(n_cases, 5))
+    index = rng.integers(0, len(grid), size=n_cases)
     chunk = max(1, MONO_VALUES // backend.field_size[space.dim])
     worst, case, calls = (math.inf, math.nan, math.nan), (), 0
     for start in range(0, n_cases, chunk):
-        # each case draws (r, delta, a0, a1, a2, grid index) in turn
-        cases = np.array([[rng.uniform(0.05, 0.95), rng.uniform(0.01, 2.0),
-                           *rng.uniform(0.0, 2.0, size=3), rng.integers(0, grid.shape[0])]
-                          for _ in range(min(chunk, n_cases - start))])
+        cases = params[start:start + chunk]
         r, delta, a0, a1, a2 = (cases[:, k, None] for k in range(5))  # columns (cases, 1)
         if isinstance(space, Sphere) and space.dim == 2:
             g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 2] / space.radius) + \
@@ -697,7 +694,7 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
                 a2 * np.tanh(p[..., 0]) ** 2
         # the C library's pow on each case's scalars: NumPy's vectorized one moves last bits
         root = lambda v: np.array([a ** (1.0 / b) for a, b in zip(v.tolist(), r[:, 0].tolist())])
-        x = grid[cases[:, 5].astype(int)]
+        x = grid[index[start:start + chunk]]
         lifted = root(heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
                                  spec.t, x)) - delta[:, 0]
         plain = root(heat_apply(space, backend, lambda p: g(p) ** r, spec.t, x))
@@ -705,7 +702,7 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
         gap = lifted - plain
         i = int(np.argmin(np.where(np.isnan(gap), np.inf, gap)))  # the first least, nan skipped
         if gap[i] < worst[0]:
-            worst, case = (gap[i], plain[i], lifted[i]), (*cases[i, :5], int(cases[i, 5]))
+            worst, case = (gap[i], plain[i], lifted[i]), (*cases[i], int(index[start + i]))
     return _base_report(spec, worst[1], worst[2], 0.0, 0.0, n_cases=n_cases, backend_calls=calls,
                         worst_case=dict(zip(("r", "delta", "a0", "a1", "a2", "grid_index"), case)))
 

@@ -254,7 +254,7 @@ def write_reports(reports: list[VerificationReport], out_dir: str) -> tuple[str,
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for rep in reports:
-            writer.writerow({k: rep.to_row()[k] for k in CSV_COLUMNS})
+            writer.writerow(rep.to_row())
     with open(json_path, "w") as fh:
         json.dump({"schema": REPORT_SCHEMA,
                    "reports": [report_to_dict(r) for r in reports]}, fh, indent=2)
@@ -346,14 +346,11 @@ def cmd_simulate(args) -> int:
         print(f"bad geometry arguments: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.tau1 < 0 or args.tau2 < 0:
-            raise ValueError("time scales must be nonnegative")
-        cfg = WalkConfig(k=args.k, n_trajectories=args.n, seed=args.seed,
-                         retain_every=args.retain_every)
+        cfg = WalkConfig(k=args.k, n_trajectories=args.n, seed=args.seed)
+        path = run_coupled(space, x, y, args.tau1, args.tau2, cfg, retain_every=args.retain_every)
     except ValueError as exc:
         print(f"bad walk arguments: {exc}", file=sys.stderr)
         return 2
-    path = run_coupled(space, x, y, args.tau1, args.tau2, cfg)
     with open(args.out, "w") as fh:
         write_path_csv(path, space, fh)
     print(f"wrote {args.out} ({args.n} trajectories, {cfg.n_steps} steps, "

@@ -39,6 +39,8 @@ from numpy.polynomial.legendre import legder, leggauss, legvander
 
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
 
+MODES = 64   # nodes per axis or modes of every deterministic backend
+
 __all__ = [
     "HeatBackend",
     "GaussHermite",
@@ -75,11 +77,8 @@ class GaussHermite(HeatBackend):
     """P_t f(x) = E f(a x + sigma Z) by tensor Gauss-Hermite quadrature: the
     Gaussian kernel of the flat or the linear-drift generator."""
 
-    def __init__(self, nodes: int = 64):
-        if nodes < 8:
-            raise ValueError("need at least 8 nodes")
-        self.nodes = nodes
-        z, w = hermgauss(nodes)
+    def __init__(self):
+        z, w = hermgauss(MODES)
         # per dimension m: the nodes Z (n, m) and, as the columns of one
         # matrix, the weights of E[f], E[f (2|Z|^2 - m)] and E[f 2Z]
         self._tables, self.field_size = {}, {}
@@ -117,14 +116,11 @@ class GaussHermite(HeatBackend):
 class CircleFourier(HeatBackend):
     """Fourier-multiplier semigroup on a circle of radius rho."""
 
-    def __init__(self, n_modes: int = 64):
-        if n_modes < 8:
-            raise ValueError("need at least 8 modes")
-        self.n_modes = n_modes
-        n = 2 * n_modes
+    def __init__(self):
+        n = 2 * MODES
         self._unit_circle = slice_chart(Sphere(1), 2.0 * math.pi * np.arange(n) / n)
         self.field_size = {1: n}
-        self._ks = ks = np.arange(n_modes + 1)
+        self._ks = ks = np.arange(MODES + 1)
         # the real series c_0 + 2 Re sum_{k>=1} c_k e^{ik theta}, its first
         # and its second theta derivative, as the columns of one matrix
         twice = np.where(ks == 0, 1.0, 2.0)
@@ -154,11 +150,8 @@ class SphereZonal(HeatBackend):
     largest value raises ValueError.
     """
 
-    def __init__(self, n_modes: int = 64):
-        if n_modes < 8:
-            raise ValueError("need at least 8 modes")
-        self.n_modes = n_modes
-        u, w = leggauss(2 * n_modes)
+    def __init__(self):
+        u, w = leggauss(2 * MODES)
         # the nodes at polar angle arccos(u) on the unit sphere: along the
         # meridian towards e_x, then at two more azimuths, where a field
         # that is not zonal about e_z differs from the meridian
@@ -169,12 +162,12 @@ class SphereZonal(HeatBackend):
         self._rings = np.stack([u_col * e_z + np.sqrt(np.maximum(1 - u_col**2, 0.0)) * d
                                 for d in (e_x, *turned)])
         self.field_size = {2: self._rings[..., 0].size}
-        ls = np.arange(n_modes)
+        ls = np.arange(MODES)
         self._eig = -ls * (ls + 1.0)
         # c_l = (2l+1)/2 sum_j w_j f(u_j) P_l(u_j)
-        self._project = legvander(u, n_modes - 1) * (w[:, None] * (ls + 0.5))
+        self._project = legvander(u, MODES - 1) * (w[:, None] * (ls + 0.5))
         # series coefficients -> those of the derivative series (the last is 0)
-        self._deriv = np.vstack([legder(np.eye(n_modes)), np.zeros(n_modes)]).T
+        self._deriv = np.vstack([legder(np.eye(MODES)), np.zeros(MODES)]).T
 
     @classmethod
     def applies_to(cls, space):
@@ -195,7 +188,7 @@ class SphereZonal(HeatBackend):
         rho = space.radius
         series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
         u0 = np.clip(x[..., 2] / rho, -1.0, 1.0)
-        P = _legendre_table(self.n_modes, u0)
+        P = _legendre_table(MODES, u0)
         slope = (np.einsum("...n,nk->...k", series, self._deriv) * P).sum(-1)
         return ((series * P).sum(-1), np.sqrt(1.0 - u0**2) * np.abs(slope) / rho,
                 (series * self._eig * P).sum(-1) / rho**2)
@@ -226,12 +219,11 @@ def _legendre_table(n_modes: int, u) -> np.ndarray:
     return out
 
 
-def default_backend(space: ModelSpace, n_modes: int = 64) -> HeatBackend:
-    """The first deterministic backend that models the space, with n_modes
-    nodes or modes."""
+def default_backend(space: ModelSpace) -> HeatBackend:
+    """The first deterministic backend that models the space."""
     for backend in (GaussHermite, CircleFourier, SphereZonal):
         if backend.applies_to(space):
-            return backend(n_modes)
+            return backend()
     raise BackendMismatch(f"no deterministic backend for {space!r}")
 
 

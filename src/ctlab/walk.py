@@ -26,13 +26,20 @@ coupled_distance_moment takes them from its law: on E^m, S^m and H^m
 the distance of the synchronous coupling is itself a diffusion on
 [0, diam], whose backward equation is solved on a grid.
 
+One driver, _clouds, draws every cloud: it goes over the trajectories
+in chunks, stacks each side's start rows and frames, and hands them to
+a kernel that moves the chunk.  There are three kernels: run_coupled
+walks the pair (x, y), counts near-cut events and keeps snapshots;
+run_single walks any number of sides on common noise; sample_heat makes
+one exact jump per side.
+
 Reproducibility: trajectory j draws from its own counter-based Philox
-stream keyed by (seed, j), so results are bit-identical for any chunk
-size or degree of parallelism; aggregation happens in trajectory order.
-A chunk draws its streams through one Philox generator that is re-keyed
-per trajectory, and every side of a walk (the two heat clouds of a
-two-sided check, say) steps on that one noise chunk, so each stream is
-drawn once per walk.
+stream keyed by (seed, j), its Gaussians first and then its uniforms,
+so results are bit-identical for any chunk size or degree of
+parallelism; aggregation happens in trajectory order.  A chunk draws its
+streams through one Philox generator that is re-keyed per trajectory,
+and every side of a run (the two heat clouds of a two-sided check, say)
+moves on that one draw, so each stream is drawn once per run.
 """
 
 from __future__ import annotations
@@ -50,7 +57,6 @@ __all__ = [
     "WalkConfig",
     "CoupledState",
     "CoupledWalkPath",
-    "SingleWalkResult",
     "trajectory_rng",
     "sample_unit_ball",
     "run_coupled",
@@ -104,15 +110,12 @@ class WalkConfig:
     k: int = 20
     n_trajectories: int = 1000
     seed: int = 0
-    retain_every: Optional[int] = None  # keep every j-th step (plus endpoints)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.n_trajectories < 1:
             raise ValueError("n_trajectories must be >= 1")
-        if self.retain_every is not None and self.retain_every < 1:
-            raise ValueError("retain_every must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -133,7 +136,7 @@ class Snapshot:
     step: int
     t: float
     x1: np.ndarray
-    x2: Optional[np.ndarray] = None
+    x2: np.ndarray
 
 
 @dataclass
@@ -147,14 +150,6 @@ class CoupledWalkPath:
     snapshots: list = field(default_factory=list)
     near_cut_events: int = 0
     terminal_distances: Optional[np.ndarray] = None
-
-
-@dataclass
-class SingleWalkResult:
-    tau: float
-    config: WalkConfig
-    terminal: np.ndarray
-    snapshots: list = field(default_factory=list)
 
 
 def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -200,18 +195,23 @@ def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
     return new_x1, space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
 
 
-def _streams(seed, lo, hi):
-    """(row, generator) for trajectories lo..hi-1, row j - lo drawing from
-    trajectory_rng(seed, j) bit for bit.  One Philox generator serves them
-    all: per trajectory it is re-keyed with counter 0 and an empty buffer,
-    the state of a fresh generator."""
+def _draws(seed, lo, hi, normal_shape, uniform_shape):
+    """Gaussians (hi-lo, *normal_shape) and uniforms (hi-lo, *uniform_shape)
+    for trajectories lo..hi-1: row j - lo draws its Gaussians and then its
+    uniforms from trajectory_rng(seed, j), bit for bit.  One Philox
+    generator serves them all: per trajectory it is re-keyed with counter
+    0 and an empty buffer, the state of a fresh generator."""
+    g = np.empty((hi - lo, *normal_shape))
+    u = np.empty((hi - lo, *uniform_shape))
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     state = bits.state
     for j in range(lo, hi):
         state["state"]["key"][:] = _trajectory_key(seed, j)
         bits.state = state
-        yield j - lo, gen
+        gen.standard_normal(out=g[j - lo])
+        gen.random(out=u[j - lo])
+    return g, u
 
 
 def _draw_chunk_noise(seed, lo, hi, n_steps, m):
@@ -221,11 +221,7 @@ def _draw_chunk_noise(seed, lo, hi, n_steps, m):
     size=n_steps) bit for bit; the ball transform runs once over the
     whole chunk.
     """
-    g = np.empty((hi - lo, n_steps, m))
-    radii = np.empty((hi - lo, n_steps, 1))
-    for i, gen in _streams(seed, lo, hi):
-        gen.standard_normal(out=g[i])
-        gen.random(out=radii[i])
+    g, radii = _draws(seed, lo, hi, (n_steps, m), (n_steps, 1))
     norm = np.linalg.norm(g, axis=-1, keepdims=True)
     norm[norm == 0.0] = 1.0
     radii **= 1.0 / m
@@ -234,101 +230,34 @@ def _draw_chunk_noise(seed, lo, hi, n_steps, m):
     return g
 
 
-def _rows(start, lo, hi):
-    """Rows lo..hi-1 of per-trajectory starts, or a point repeated."""
-    return start[lo:hi] if start.ndim == 2 else np.broadcast_to(start, (hi - lo, start.shape[-1]))
+def _clouds(space: ModelSpace, starts: list, cfg: WalkConfig, move) -> np.ndarray:
+    """The clouds of cfg.n_trajectories trajectories from each side's start,
+    stacked as (sides, n, emb), in chunks of _CHUNK trajectories.
 
-
-def _drive(space: ModelSpace, sides: tuple, cfg: WalkConfig, step):
-    """Run cfg.n_trajectories walks in chunks of _CHUNK trajectories.
-
-    `sides` holds, per side, one start per walker, each a point or
-    per-trajectory rows.  A walker's points carry the sides on a leading
-    axis, shape (sides, chunk, emb); each side's frame rides with its
-    first walker and is built from that side's rows alone.
-    step(points, frames, zeta) advances every side of a chunk by one
-    step on the same noise.  Returns the terminal points of each walker
-    (sides, n, emb), the terminal frames (sides, n, m, emb) and the
-    snapshots at the retained steps, stacked the same way.
+    A start is a point or per-trajectory rows.  Per chunk lo..hi-1 the
+    sides' start rows are stacked as (sides, chunk, emb) and their frames,
+    each built from that side's rows alone, as (sides, chunk, m, emb);
+    move(lo, hi, points, frames) returns the chunk's cloud points.
     """
-    n, steps, m, emb = cfg.n_trajectories, cfg.n_steps, space.dim, space.emb_dim
-    n_walkers = len(sides[0])
-    terminal = tuple(np.empty((len(sides), n, emb)) for _ in range(n_walkers))
-    term_frame = np.empty((len(sides), n, m, emb))
-    retained: dict[int, list] = {}
-    if cfg.retain_every is not None:
-        retained = {s: [] for s in sorted({0, steps, *range(0, steps + 1, cfg.retain_every)})}
-
+    n = cfg.n_trajectories
+    out = np.empty((len(starts), n, space.emb_dim))
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, m)
-        pts = tuple(np.stack([_rows(side[w], lo, hi) for side in sides])
-                    for w in range(n_walkers))
-        fr = np.stack([space.frame(p) for p in pts[0]])
-        if 0 in retained:
-            retained[0].append(tuple(p.copy() for p in pts))
-        for i in range(steps):
-            pts, fr = step(pts, fr, noise[:, i, :])
-            if i + 1 in retained:
-                retained[i + 1].append(tuple(p.copy() for p in pts))
-        for out, p in zip(terminal, pts):
-            out[:, lo:hi] = p
-        term_frame[:, lo:hi] = fr
-
-    dt = 1.0 / steps
-    snapshots = [Snapshot(s, s * dt, *(np.concatenate(w, axis=1) for w in zip(*parts)))
-                 for s, parts in retained.items()]
-    return terminal, term_frame, snapshots
+        points = np.stack([s[lo:hi] if s.ndim == 2 else np.broadcast_to(s, (hi - lo, s.size))
+                           for s in starts])
+        frames = np.stack([space.frame(p) for p in points])
+        out[:, lo:hi] = move(lo, hi, points, frames)
+    return out
 
 
-def _first_side(snapshots):
-    """The snapshots of a one-side walk, without the side axis."""
-    return [Snapshot(s.step, s.t, s.x1[0], None if s.x2 is None else s.x2[0])
-            for s in snapshots]
-
-
-def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float,
-                cfg: WalkConfig) -> CoupledWalkPath:
-    """Run cfg.n_trajectories independent coupled walks from (x, y).
-
-    The terminal pair approximates a coupling of the heat distributions
-    at times tau1 (from x) and tau2 (from y).
-    """
-    if tau1 < 0 or tau2 < 0:
-        raise ValueError("time scales must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    space.check_point(x)
-    space.check_point(y)
-    near_cut = 0
-
-    def step(pts, fr, zeta):
-        nonlocal near_cut
-        x1, x2 = pts
-        near_cut += int(np.count_nonzero(space.is_near_cut(x1, x2)))
-        x1, x2, fr = _step_coupled_arrays(space, x1, x2, fr, zeta, tau1, tau2, cfg.k)
-        return (x1, x2), fr
-
-    (x1, x2), frame, snapshots = _drive(space, ((x, y),), cfg, step)
-    x1, x2 = x1[0], x2[0]
-    return CoupledWalkPath(
-        tau1=tau1, tau2=tau2, config=cfg,
-        terminal=CoupledState(x1=x1, x2=x2, frame1=frame[0]),
-        snapshots=_first_side(snapshots), near_cut_events=near_cut,
-        terminal_distances=space.distance(x1, x2))
-
-
-def _sides(space: ModelSpace, x, tau, cfg: WalkConfig):
-    """The starts and time scales of a one- or multi-side run, checked:
-    x a point, or per-trajectory rows; a tuple tau takes a matching
-    tuple of starts, one per side."""
-    multi = isinstance(tau, tuple)
-    taus = tau if multi else (tau,)
-    starts = [np.asarray(s, dtype=float) for s in (x if multi else (x,))]
+def _sides(space: ModelSpace, starts: tuple, taus: tuple, cfg: WalkConfig):
+    """The starts and time scales of a run, checked: one start per time
+    scale, each a point or per-trajectory rows."""
+    starts = [np.asarray(s, dtype=float) for s in starts]
     if len(starts) != len(taus):
         raise ValueError("need one start per time scale")
     if any(t < 0 for t in taus):
-        raise ValueError("time scale must be nonnegative")
+        raise ValueError("time scales must be nonnegative")
     for s in starts:
         space.check_point(s)
         if s.ndim == 2 and s.shape[0] != cfg.n_trajectories:
@@ -336,25 +265,65 @@ def _sides(space: ModelSpace, x, tau, cfg: WalkConfig):
     return starts, taus
 
 
-def run_single(space: ModelSpace, x, tau, cfg: WalkConfig) -> SingleWalkResult:
-    """Independent single walks from x (or per-trajectory rows of x).
+def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float, cfg: WalkConfig,
+                retain_every: Optional[int] = None) -> CoupledWalkPath:
+    """Run cfg.n_trajectories independent coupled walks from (x, y).
 
-    With a tuple of time scales, x is a matching sequence of starts, one
-    per side; every side walks on the same per-trajectory noise streams
-    (common random numbers) from its own start with its own frame, and
-    terminal and each snapshot are stacked as (sides, n, emb).
+    The terminal pair approximates a coupling of the heat distributions
+    at times tau1 (from x) and tau2 (from y).  With retain_every, the
+    path keeps a snapshot of both walkers at every retain_every-th step,
+    plus the first and the last.
     """
-    starts, taus = _sides(space, x, tau, cfg)
+    (x, y), _ = _sides(space, (x, y), (tau1, tau2), cfg)
+    if retain_every is not None and retain_every < 1:
+        raise ValueError("retain_every must be >= 1")
+    steps = cfg.n_steps
+    kept = () if retain_every is None else {0, steps, *range(0, steps + 1, retain_every)}
+    retained: dict[int, list] = {s: [] for s in sorted(kept)}
+    frame1 = np.empty((cfg.n_trajectories, space.dim, space.emb_dim))
+    near_cut = 0
+
+    def move(lo, hi, points, frames):
+        nonlocal near_cut
+        noise = _draw_chunk_noise(cfg.seed, lo, hi, steps, space.dim)
+        (x1, x2), fr = points, frames[0]
+        if 0 in retained:
+            retained[0].append(points)
+        for i in range(steps):
+            near_cut += int(np.count_nonzero(space.is_near_cut(x1, x2)))
+            x1, x2, fr = _step_coupled_arrays(space, x1, x2, fr, noise[:, i, :], tau1, tau2, cfg.k)
+            if i + 1 in retained:
+                retained[i + 1].append(np.stack([x1, x2]))
+        frame1[lo:hi] = fr
+        return np.stack([x1, x2])
+
+    x1, x2 = _clouds(space, (x, y), cfg, move)
+    dt = 1.0 / steps
+    snapshots = [Snapshot(s, s * dt, *np.concatenate(parts, axis=1))
+                 for s, parts in retained.items()]
+    return CoupledWalkPath(
+        tau1=tau1, tau2=tau2, config=cfg,
+        terminal=CoupledState(x1=x1, x2=x2, frame1=frame1),
+        snapshots=snapshots, near_cut_events=near_cut,
+        terminal_distances=space.distance(x1, x2))
+
+
+def run_single(space: ModelSpace, starts: tuple, taus: tuple, cfg: WalkConfig) -> np.ndarray:
+    """Independent single walks, one side per start and time scale, stacked
+    as (sides, n, emb) like sample_heat.  A start is a point or
+    per-trajectory rows; every side walks on the same per-trajectory noise
+    streams (common random numbers) from its own start with its own frame.
+    """
+    starts, taus = _sides(space, starts, taus, cfg)
     scales = np.reshape(np.asarray(taus, dtype=float), (-1, 1, 1))
 
-    def step(pts, fr, zeta):
-        new_x, fr, _ = _step_single(space, pts[0], fr, zeta, scales, cfg.k)
-        return (new_x,), fr
+    def move(lo, hi, points, frames):
+        noise = _draw_chunk_noise(cfg.seed, lo, hi, cfg.n_steps, space.dim)
+        for i in range(cfg.n_steps):
+            points, frames, _ = _step_single(space, points, frames, noise[:, i, :], scales, cfg.k)
+        return points
 
-    (terminal,), _, snapshots = _drive(space, tuple((s,) for s in starts), cfg, step)
-    if not isinstance(tau, tuple):
-        terminal, snapshots = terminal[0], _first_side(snapshots)
-    return SingleWalkResult(tau=tau, config=cfg, terminal=terminal, snapshots=snapshots)
+    return _clouds(space, starts, cfg, move)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +530,9 @@ def _radius(space: ModelSpace, t: float):
 
 def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.ndarray:
     """Exact samples of the heat laws P_tau delta_x, stacked as (sides, n, emb)
-    like the terminal of a multi-side run_single, on a space with
-    has_heat_law.  x holds one start per side, a point or per-trajectory
-    rows, and tau one time per side; cfg.k is not used.
+    like run_single's walked clouds, on a space with has_heat_law.  x holds
+    one start per side, a point or per-trajectory rows, and tau one time
+    per side; cfg.k is not used.
 
     Trajectory j draws from its stream trajectory_rng(cfg.seed, j) a
     Gaussian g in R^m and two uniforms u, v.  Each side sets
@@ -577,30 +546,25 @@ def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.
     if not has_heat_law(space):
         raise ValueError(f"no exact heat law on {space.label}")
     starts, taus = _sides(space, x, tau, cfg)
-    n, m = cfg.n_trajectories, space.dim
+    m = space.dim
     radii = [_radius(space, t) if t > 0 else None for t in taus]
-    out = np.empty((len(starts), n, space.emb_dim))
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        g = np.empty((hi - lo, m))
-        uv = np.empty((hi - lo, 2))
-        for i, gen in _streams(cfg.seed, lo, hi):
-            gen.standard_normal(out=g[i])
-            gen.random(out=uv[i])
+
+    def move(lo, hi, points, frames):
+        g, uv = _draws(cfg.seed, lo, hi, (m,), (2,))
         norm = np.linalg.norm(g, axis=-1)
         g /= np.where(norm == 0.0, 1.0, norm)[:, None]
-        for side, (start, t, radius) in enumerate(zip(starts, taus, radii)):
-            rows = _rows(start, lo, hi)
+        for side, (t, radius) in enumerate(zip(taus, radii)):
             if radius is None:
-                out[side, lo:hi] = rows
                 continue
-            frame = space.frame(rows)
-            direction = sum(g[:, i, None] * frame[:, i] for i in range(m))
+            direction = sum(g[:, i, None] * frames[side, :, i] for i in range(m))
+            rows = points[side]
             if isinstance(space, EuclideanOU):
                 rows = math.exp(-space.lam * t) * rows
             r = radius(norm, uv[:, 0], uv[:, 1])
-            out[side, lo:hi] = space.exp_map(rows, r[:, None] * direction)
-    return out
+            points[side] = space.exp_map(rows, r[:, None] * direction)
+        return points
+
+    return _clouds(space, starts, cfg, move)
 
 
 def write_path_csv(path: CoupledWalkPath, space: ModelSpace, fh) -> None:

@@ -240,14 +240,15 @@ def _mono_app_case_by_case(spec):
     """check_mono_app as one pair of heat_apply calls per case on scalars:
     (worst lhs, worst rhs, worst case's (r, delta, a0, a1, a2, grid index))."""
     space = spec.space
-    backend = default_backend(space, ctlab.checks.BACKEND_MODES)
+    backend = default_backend(space)
     rng = np.random.default_rng(spec.seed)
     grid = default_grid(space, 8)
+    n_cases = spec.extra["n_cases"]
+    params = rng.uniform([0.05, 0.01, 0.0, 0.0, 0.0], [0.95, 2.0, 2.0, 2.0, 2.0],
+                         size=(n_cases, 5))
+    indices = rng.integers(0, 8, size=n_cases)
     worst, found = math.inf, (math.nan, math.nan, None)
-    for _ in range(spec.extra["n_cases"]):
-        r = rng.uniform(0.05, 0.95)
-        delta = rng.uniform(0.01, 2.0)
-        a0, a1, a2 = rng.uniform(0.0, 2.0, size=3)
+    for (r, delta, a0, a1, a2), index in zip(params.tolist(), indices.tolist()):
         if isinstance(space, Sphere) and space.dim == 2:
             g = lambda p: a0 + 0.1 + a1 * (1 + p[..., 2] / space.radius) + \
                 a2 * (p[..., 2] / space.radius) ** 2
@@ -257,7 +258,6 @@ def _mono_app_case_by_case(spec):
         else:
             g = lambda p: a0 + 0.1 + a1 * np.exp(-0.5 * np.sum(p**2, -1)) + \
                 a2 * np.tanh(p[..., 0]) ** 2
-        index = int(rng.integers(0, grid.shape[0]))
         x = grid[index]
         lifted = heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
                             spec.t, x) ** (1.0 / r) - delta
@@ -284,7 +284,7 @@ def test_mono_app_batches_equal_the_case_by_case_loop(space, t):
     assert tuple(meta["worst_case"].values()) == case
     # a call holds as many fields as fit in MONO_VALUES values at the
     # backend's points per field
-    nodes = default_backend(space, ctlab.checks.BACKEND_MODES).field_size[space.dim]
+    nodes = default_backend(space).field_size[space.dim]
     per_call = ctlab.checks.MONO_VALUES // nodes
     assert 1100 > per_call and meta["backend_calls"] == 2 * -(-1100 // per_call)
 
@@ -357,10 +357,10 @@ def test_two_sided_samples_seeds(share, monkeypatch):
     clouds = _two_sided_samples(spec, pairs)
     seed_b = 8 if share else 9
     for (xs, ys), (ta, tb) in zip(clouds, pairs):
-        want_a = run_single(S2, NORTH, ta, WalkConfig(k=4, n_trajectories=30, seed=8))
-        want_b = run_single(S2, y, tb, WalkConfig(k=4, n_trajectories=30, seed=seed_b))
-        assert np.array_equal(xs, want_a.terminal)
-        assert np.array_equal(ys, want_b.terminal)
+        want_a = run_single(S2, (NORTH,), (ta,), WalkConfig(k=4, n_trajectories=30, seed=8))[0]
+        want_b = run_single(S2, (y,), (tb,), WalkConfig(k=4, n_trajectories=30, seed=seed_b))[0]
+        assert np.array_equal(xs, want_a)
+        assert np.array_equal(ys, want_b)
 
 
 @pytest.mark.parametrize("share", [True, False])

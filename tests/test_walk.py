@@ -112,26 +112,26 @@ def test_flat_coupled_second_moment():
 def test_single_walk_gaussian_variance():
     sp = Euclidean(2)
     cfg = WalkConfig(k=20, n_trajectories=4000, seed=6)
-    res = run_single(sp, np.zeros(2), 0.5, cfg)
+    pts = run_single(sp, (np.zeros(2),), (0.5,), cfg)[0]
     # heat kernel at time tau has per-coordinate variance 2 tau
-    var = res.terminal.var(axis=0, ddof=1)
-    se = np.sqrt(np.var(res.terminal**2, axis=0) / res.terminal.shape[0])
+    var = pts.var(axis=0, ddof=1)
+    se = np.sqrt(np.var(pts**2, axis=0) / pts.shape[0])
     assert np.all(np.abs(var - 1.0) < 3 * se)
 
 
 def test_single_walk_ou_mean():
     ou = EuclideanOU(1, 1.0)
     cfg = WalkConfig(k=20, n_trajectories=6000, seed=7)
-    res = run_single(ou, np.array([1.0]), 0.5, cfg)
-    se = res.terminal.std() / math.sqrt(res.terminal.shape[0])
-    assert abs(res.terminal.mean() - math.exp(-0.5)) < 3 * se
+    pts = run_single(ou, (np.array([1.0]),), (0.5,), cfg)[0]
+    se = pts.std() / math.sqrt(pts.shape[0])
+    assert abs(pts.mean() - math.exp(-0.5)) < 3 * se
 
 
 def test_sphere_walk_stays_on_sphere():
     sp = Sphere(2)
     cfg = WalkConfig(k=10, n_trajectories=100, seed=8)
-    res = run_single(sp, np.array([0.0, 0.0, 1.0]), 0.5, cfg)
-    assert np.max(np.abs(np.linalg.norm(res.terminal, axis=-1) - 1.0)) < 1e-10
+    pts = run_single(sp, (np.array([0.0, 0.0, 1.0]),), (0.5,), cfg)[0]
+    assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-10
 
 
 def test_determinism_and_chunk_invariance():
@@ -139,35 +139,32 @@ def test_determinism_and_chunk_invariance():
     x = np.array([0.0, 0.0, 1.0])
     y = sp.exp_map(x, np.array([1.0, 0.0, 0.0]))
     cfg = WalkConfig(k=6, n_trajectories=50, seed=9)
-    a = run_coupled(sp, x, y, 0.2, 0.4, cfg)
-    b = run_coupled(sp, x, y, 0.2, 0.4, cfg)
+    a = run_coupled(sp, x, y, 0.2, 0.4, cfg, retain_every=5)
+    b = run_coupled(sp, x, y, 0.2, 0.4, cfg, retain_every=5)
     assert np.array_equal(a.terminal.x1, b.terminal.x1)
     assert np.array_equal(a.terminal.x2, b.terminal.x2)
     old = walk_mod._CHUNK
     try:
         walk_mod._CHUNK = 7
-        c = run_coupled(sp, x, y, 0.2, 0.4, cfg)
+        c = run_coupled(sp, x, y, 0.2, 0.4, cfg, retain_every=5)
     finally:
         walk_mod._CHUNK = old
-    assert np.array_equal(a.terminal.x1, c.terminal.x1)
-    assert np.array_equal(a.terminal.x2, c.terminal.x2)
-    # single walks from per-trajectory starts, with snapshots
-    starts = sp.exp_map(np.broadcast_to(x, (50, 3)),
-                        np.stack([np.linspace(0.0, 1.0, 50), np.zeros(50), np.zeros(50)], -1))
-    cfg_r = WalkConfig(k=6, n_trajectories=50, seed=9, retain_every=5)
-    s_a = run_single(sp, starts, 0.3, cfg_r)
-    try:
-        walk_mod._CHUNK = 7
-        s_c = run_single(sp, starts, 0.3, cfg_r)
-    finally:
-        walk_mod._CHUNK = old
-    assert np.array_equal(s_a.terminal, s_c.terminal)
+    for path in (b, c):
+        assert np.array_equal(a.terminal.x1, path.terminal.x1)
+        assert np.array_equal(a.terminal.x2, path.terminal.x2)
+        assert np.array_equal(a.terminal.frame1, path.terminal.frame1)
+        assert a.near_cut_events == path.near_cut_events
+    # every snapshot, both walkers, for any chunking
     steps = [0, 5, 10, 15, 20, 25, 30, 35, 36]
-    assert [s.step for s in s_a.snapshots] == [s.step for s in s_c.snapshots] == steps
-    for u, v in zip(s_a.snapshots, s_c.snapshots):
-        assert np.array_equal(u.x1, v.x1)
-    assert np.array_equal(s_a.snapshots[0].x1, starts)
-    assert np.array_equal(s_a.snapshots[-1].x1, s_a.terminal)
+    assert [s.step for s in a.snapshots] == [s.step for s in c.snapshots] == steps
+    for u, v in zip(a.snapshots, c.snapshots):
+        assert u.t == v.t
+        assert np.array_equal(u.x1, v.x1) and np.array_equal(u.x2, v.x2)
+    assert np.array_equal(a.snapshots[0].x1, np.broadcast_to(x, (50, 3)))
+    assert np.array_equal(a.snapshots[0].x2, np.broadcast_to(y, (50, 3)))
+    assert np.array_equal(a.snapshots[-1].x1, a.terminal.x1)
+    assert np.array_equal(a.snapshots[-1].x2, a.terminal.x2)
+    assert run_coupled(sp, x, y, 0.2, 0.4, cfg).snapshots == []
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2), EuclideanOU(2, 1.0)],
@@ -182,8 +179,8 @@ def test_coupled_first_walker_is_single_walk(space):
         x, y = _flat_pair(space)
     cfg = WalkConfig(k=5, n_trajectories=40, seed=14)
     coupled = run_coupled(space, x, y, 0.3, 0.6, cfg)
-    single = run_single(space, x, 0.3, cfg)
-    assert np.array_equal(coupled.terminal.x1, single.terminal)
+    single = run_single(space, (x,), (0.3,), cfg)[0]
+    assert np.array_equal(coupled.terminal.x1, single)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -226,16 +223,14 @@ def test_multi_side_walk_matches_separate_walks(space):
     elif isinstance(space, Hyperbolic):
         x, y = _hyper_pair(space)
     rows = _starts_on(space, 40, np.random.default_rng(3))
-    cfg = WalkConfig(k=5, n_trajectories=40, seed=15, retain_every=10)
+    cfg = WalkConfig(k=5, n_trajectories=40, seed=15)
     sides = (x, y, rows, x)
     taus = (0.3, 0.6, 0.45, 0.0)
     multi = run_single(space, sides, taus, cfg)
-    assert multi.terminal.shape == (4, 40, space.emb_dim)
+    assert multi.shape == (4, 40, space.emb_dim)
     for i, (start, tau) in enumerate(zip(sides, taus)):
-        lone = run_single(space, start, tau, cfg)
-        assert np.array_equal(multi.terminal[i], lone.terminal)
-        for u, v in zip(multi.snapshots, lone.snapshots):
-            assert np.array_equal(u.x1[i], v.x1)
+        lone = run_single(space, (start,), (tau,), cfg)
+        assert np.array_equal(multi[i], lone[0])
     with pytest.raises(ValueError):
         run_single(space, (x, y), (0.3,), cfg)
 
@@ -246,11 +241,11 @@ def test_sphere_walk_does_not_depend_on_batch_neighbours():
     sp = Sphere(2)
     starts = _starts_on(sp, 6, np.random.default_rng(0))
     cfg = WalkConfig(k=4, n_trajectories=6, seed=16)
-    together = run_single(sp, starts, 0.5, cfg).terminal
+    together = run_single(sp, (starts,), (0.5,), cfg)[0]
     old = walk_mod._CHUNK
     try:
         walk_mod._CHUNK = 1
-        alone = run_single(sp, starts, 0.5, cfg).terminal
+        alone = run_single(sp, (starts,), (0.5,), cfg)[0]
     finally:
         walk_mod._CHUNK = old
     assert np.array_equal(together, alone)
@@ -261,9 +256,9 @@ def test_sphere_walk_does_not_depend_on_batch_neighbours():
 
 def test_seed_changes_output():
     sp = Euclidean(2)
-    a = run_single(sp, np.zeros(2), 0.5, WalkConfig(k=5, n_trajectories=10, seed=1))
-    b = run_single(sp, np.zeros(2), 0.5, WalkConfig(k=5, n_trajectories=10, seed=2))
-    assert not np.array_equal(a.terminal, b.terminal)
+    a = run_single(sp, (np.zeros(2),), (0.5,), WalkConfig(k=5, n_trajectories=10, seed=1))
+    b = run_single(sp, (np.zeros(2),), (0.5,), WalkConfig(k=5, n_trajectories=10, seed=2))
+    assert not np.array_equal(a, b)
 
 
 class _RotatedFrameSphere(Sphere):
@@ -328,8 +323,8 @@ def test_trajectory_rng_is_stream_per_index():
 
 def test_path_csv_rows():
     sp = Euclidean(2)
-    cfg = WalkConfig(k=1, n_trajectories=1, seed=0, retain_every=1)
-    path = run_coupled(sp, np.zeros(2), np.array([1.0, 0.0]), 0.3, 0.3, cfg)
+    cfg = WalkConfig(k=1, n_trajectories=1, seed=0)
+    path = run_coupled(sp, np.zeros(2), np.array([1.0, 0.0]), 0.3, 0.3, cfg, retain_every=1)
     buf = io.StringIO()
     write_path_csv(path, sp, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -343,8 +338,9 @@ def test_config_validation():
         WalkConfig(k=0)
     with pytest.raises(ValueError):
         WalkConfig(n_trajectories=0)
-    with pytest.raises(ValueError):
-        WalkConfig(retain_every=0)
+    with pytest.raises(ValueError, match="retain_every"):
+        run_coupled(Euclidean(2), np.zeros(2), np.ones(2), 0.3, 0.3, WalkConfig(k=1),
+                    retain_every=0)
 
 
 def test_near_cut_counting():
@@ -401,7 +397,7 @@ def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
     calls = []
     log_map = space.log_map
     monkeypatch.setattr(space, "log_map", lambda a, b: calls.append(1) or log_map(a, b))
-    run_single(space, x, 0.5, WalkConfig(k=1, n_trajectories=4))
+    run_single(space, (x,), (0.5,), WalkConfig(k=1, n_trajectories=4))
     assert calls == []
     walk_mod._step_coupled_arrays(space, x, y, space.frame(x),
                                   sample_unit_ball(space.dim, trajectory_rng(0, 0)), 0.5, 0.5, 3)
