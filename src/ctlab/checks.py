@@ -25,10 +25,10 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebvander
 
 from .comparison import (
     CurvatureDimension,
@@ -45,7 +45,7 @@ from .comparison import (
     theta_exponent,
 )
 from .geometry import Euclidean, EuclideanOU, ModelSpace, Sphere
-from .heat import default_backend, frame_stencil, heat_apply, heat_jet, slice_chart
+from .heat import MODES, default_backend, frame_stencil, heat_apply, heat_jet, slice_chart
 from .transport import (
     ComparisonCost,
     EmpiricalMeasure,
@@ -80,7 +80,7 @@ Z = 3.0
 EPS = 1e-5
 H = 1e-3              # space step of geodesic central differences
 DU = 1e-2             # step in u of wvar_ode's difference quotient
-GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's stencil evaluations
+GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's series evaluation
 MONO_VALUES = 2**16   # field values per batched backend call of mono_app
 
 #: the least value of each sample size; a two-sample standard error needs
@@ -584,56 +584,56 @@ def check_bl_int(spec: CheckSpec) -> VerificationReport:
 
 def check_gamma2(spec: CheckSpec) -> VerificationReport:
     """Pointwise curvature-dimension condition with the p-dependent
-    sharpening, by nested finite differences on 1-D reductions.
-
+    sharpening, by spectral differentiation on 1-D reductions:
     (|grad f|^2 + delta)(Gamma2(f) - K |grad f|^2 - (Lf)^2/(N+p-2))
-      >= (p-2)/(4(p-1)) |grad |grad f|^2|^2
-    on Euclidean lines, circles, and zonal fields on 2-spheres.  The grid
-    goes GAMMA2_CHUNK points at a time; in a chunk each stencil quantity is
-    cached by its path of +-H shifts, so f runs once on each of 7 grids.
+      >= (p-2)/(4(p-1)) |grad |grad f|^2|^2,  Gamma2(f) = L|grad f|^2/2 - <grad f, grad Lf>,
+    on Euclidean lines, circles, and zonal fields on 2-spheres.  f runs once: an FFT
+    at 2 MODES uniform nodes of a circle or of the great circle through a 2-sphere's
+    poles (a zonal field is even there), or the Chebyshev interpolant at MODES nodes
+    of [-2, 2] on E^1.  Its series stops after the last coefficient above 1e-13 of the
+    largest, in the first 3/4 of the modes or f is not resolved (ValueError).  Per
+    GAMMA2_CHUNK grid points, one contraction of a row-major basis (any chunk size
+    sums each row alike) with the derivative table gives f', f'' and f'''.
     """
-    cd = spec.resolved_cd()
-    p, delta = spec.exponents.p, spec.delta
-    space = spec.space
+    cd, space, p, delta = spec.resolved_cd(), spec.space, spec.exponents.p, spec.delta
     if not (isinstance(space, Sphere) and space.dim <= 2 or isinstance(space, Euclidean)
             and space.dim == 1 and not isinstance(space, EuclideanOU)):
         raise ValueError("pointwise condition check supports E^1, circles and zonal 2-spheres")
-    f, _ = _resolve_field(spec)
-    zonal = space.dim == 2
-    scale = space.radius if isinstance(space, Sphere) else 1.0
-
-    def chunk(thetas):  # (lhs, rhs, field evaluations) on the points thetas
-        at = cache(lambda q: at(q[:-1]) + q[-1] if q else thetas)  # the grid along path q
-        F = cache(lambda q: np.asarray(f(slice_chart(space, at(q))), dtype=float))
-
-        d1 = lambda g, q: (g(q + (H,)) - g(q + (-H,))) / (2 * H)            # d/dtheta
-        d2 = lambda g, q: (g(q + (H,)) - 2 * g(q) + g(q + (-H,))) / H**2    # d^2/dtheta^2
-        deriv = lambda g: lambda q: d1(g, q) / scale                        # arclength derivative
-
-        def lap(g):  # arclength Laplacian; for a zonal field on S^2 it adds cot(theta) d/dtheta
-            if zonal:
-                return lambda q: (d2(g, q) + d1(g, q) / np.tan(at(q))) / scale**2
-            return lambda q: d2(g, q) / scale**2
-
-        Fp = cache(deriv(F))
-        grad2 = cache(lambda q: Fp(q) ** 2)
-        lap_f = cache(lap(F))
-        gamma2 = 0.5 * lap(grad2)(()) - Fp(()) * deriv(lap_f)(())
-        dim_term = lap_f(()) ** 2 / (cd.N + p - 2.0) if cd.finite else 0.0
-        lhs = (grad2(()) + delta) * (gamma2 - cd.K * grad2(()) - dim_term)
-        rhs = (p - 2.0) / (4.0 * (p - 1.0)) * np.abs(deriv(grad2)(())) ** 2
-        return lhs, rhs, F.cache_info().currsize
-
+    values = lambda theta: _resolve_field(spec)[0](slice_chart(space, theta))
+    if isinstance(space, Sphere):
+        evals = 2 * MODES
+        coeffs = np.fft.rfft(values(2.0 * math.pi * np.arange(evals) / evals)) / evals
+    else:
+        evals, coeffs = MODES, chebinterpolate(lambda x: values(2.0 * x), MODES - 1)
+    mag = np.abs(coeffs)
+    n = 1 + max(np.flatnonzero(~(mag <= 1e-13 * mag.max())), default=0)  # a nan counts as above
+    if n > 3 * MODES // 4:
+        raise ValueError(f"{evals} nodes do not resolve f: |c_{n - 1}| > 1e-13 max |c_k|")
+    if isinstance(space, Sphere):  # c_0 + 2 Re sum_{k>=1} c_k e^{ik theta}, theta = arclength / rho
+        ks = np.arange(n)
+        table = 2.0 * coeffs[:n] * (1j * ks / space.radius) ** np.arange(1, 4)[:, None]
+        basis = lambda th: np.exp(1j * th[:, None] * ks)
+    else:
+        table = np.array([np.pad(chebder(coeffs[:n], m, scl=0.5), (0, m))[:n] for m in (1, 2, 3)])
+        basis = lambda th: np.ascontiguousarray(chebvander(th / 2.0, n - 1))
     thetas = _slice_params(space, spec.grid_n, pole_gap=0.3)
-    worst, evals = (math.inf, math.nan, math.nan, math.nan), 0
+    worst = (math.inf, math.nan, math.nan, math.nan)
     for start in range(0, len(thetas), GAMMA2_CHUNK):
-        lv, rv, n = chunk(thetas[start:start + GAMMA2_CHUNK])
-        evals += n
+        th = thetas[start:start + GAMMA2_CHUNK]
+        f1, f2, f3 = np.einsum("cn,kn->kc", basis(th), table).real
+        # Lf = f'' + c f', where c = cot(theta) / rho for a zonal field on S^2 and 0 else
+        c, dc = ((1.0 / np.tan(th) / space.radius, -1.0 / (space.radius * np.sin(th)) ** 2)
+                 if space.dim == 2 else (0.0, 0.0))
+        lap_f, grad2 = f2 + c * f1, f1**2
+        gamma2 = f2**2 + f1 * f3 + c * f1 * f2 - f1 * (f3 + c * f2 + dc * f1)  # as defined above
+        dim_term = lap_f**2 / (cd.N + p - 2.0) if cd.finite else 0.0
+        lv = (grad2 + delta) * (gamma2 - cd.K * grad2 - dim_term)
+        rv = (p - 2.0) / (4.0 * (p - 1.0)) * (2.0 * f1 * f2) ** 2
         margins = lv - rv
         i = int(np.argmin(margins))
         # strict <, so ties go to the first point; a nan wins, as in argmin
         if margins[i] < worst[0] or math.isnan(margins[i]) > math.isnan(worst[0]):
-            worst = (margins[i], rv[i], lv[i], thetas[start + i])
+            worst = (margins[i], rv[i], lv[i], th[i])
     # report the condition as rhs <= lhs: margin = lhs - rhs
     return _base_report(spec, float(worst[1]), float(worst[2]), 0.0, 0.0, grid_points=len(thetas),
                         min_margin=float(worst[0]), field_evaluations=evals, worst_theta=worst[3])

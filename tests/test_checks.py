@@ -19,7 +19,7 @@ from ctlab.checks import (
 )
 from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
 from ctlab.geometry import Euclidean, EuclideanOU, Sphere
-from ctlab.heat import default_backend, heat_apply
+from ctlab.heat import MODES, default_backend, heat_apply
 from ctlab.transport import BlockEstimate, EmpiricalMeasure
 from ctlab.walk import WalkConfig, coupled_distance_moment, run_single, sample_heat
 
@@ -290,20 +290,73 @@ def test_mono_app_batches_equal_the_case_by_case_loop(space, t):
 
 
 @pytest.mark.parametrize("space,f", [(S2, "cos_theta"), (Sphere(1), "sin"),
-                                     (Euclidean(1), "sin")])
+                                     (Euclidean(1), "sin"), (Euclidean(1), "gaussian_bump")])
 def test_gamma2_chunks_equal_one_pass_over_the_grid(space, f, monkeypatch):
-    chunk = ctlab.checks.GAMMA2_CHUNK
-    spec = CheckSpec(check_id="gamma2", space=space, f=f, delta=0.1, grid_n=3 * chunk + 5)
-    chunked = run_check(spec)
-    monkeypatch.setattr(ctlab.checks, "GAMMA2_CHUNK", spec.grid_n)
-    whole = run_check(spec)
-    for a, b in ((chunked.lhs, whole.lhs), (chunked.rhs, whole.rhs),
-                 (chunked.metadata["min_margin"], whole.metadata["min_margin"]),
-                 (chunked.metadata["worst_theta"], whole.metadata["worst_theta"])):
-        assert a.hex() == b.hex()
-    # f runs once on each of the 7 shifted grids of a chunk
-    assert chunked.metadata["field_evaluations"] == 4 * 7
-    assert whole.metadata["field_evaluations"] == 7
+    # GAMMA2_CHUNK points per chunk, then one, with a 5-point last chunk
+    for chunk in (ctlab.checks.GAMMA2_CHUNK, 1):
+        monkeypatch.setattr(ctlab.checks, "GAMMA2_CHUNK", chunk)
+        spec = CheckSpec(check_id="gamma2", space=space, f=f, delta=0.1, grid_n=3 * chunk + 5)
+        chunked = run_check(spec)
+        monkeypatch.setattr(ctlab.checks, "GAMMA2_CHUNK", spec.grid_n)
+        whole = run_check(spec)
+        for a, b in ((chunked.lhs, whole.lhs), (chunked.rhs, whole.rhs),
+                     (chunked.metadata["min_margin"], whole.metadata["min_margin"]),
+                     (chunked.metadata["worst_theta"], whole.metadata["worst_theta"])):
+            assert a.hex() == b.hex()
+        # f runs once, on the nodes of its slice, however the grid is chunked
+        nodes = 2 * MODES if isinstance(space, Sphere) else MODES
+        assert chunked.metadata["field_evaluations"] == whole.metadata["field_evaluations"] == nodes
+
+
+_P3 = ExponentPair(3.0, 2.0)
+
+
+@pytest.mark.parametrize("space,f,kwargs,closed_form", [
+    # Gamma2(cos) - |grad cos|^2 / rho^2 - (L cos)^2 / 2 = 0 on a 2-sphere of any radius
+    (S2, "cos_theta", {}, lambda th: 0.0 * th),
+    (Sphere(2, radius=2.0), "cos_theta", {}, lambda th: 0.0 * th),
+    (S2, "cos_theta", dict(exponents=_P3),
+     lambda th: np.cos(th) ** 2 * (np.sin(th) ** 2 / 6 + 2 * 0.1 / 3)),
+    # S^1 and E^1 have N = 1: at p = 2 the margin vanishes for every f, at p = 3
+    # it is delta f''^2 / 2
+    (Sphere(1, radius=1.5), "sin", dict(exponents=_P3, delta=0.05),
+     lambda th: 0.05 * np.sin(th) ** 2 / (2 * 1.5**4)),
+    (Sphere(1, radius=1.5), "smooth_mix", dict(delta=0.05), lambda th: 0.0 * th),
+    (Euclidean(1), "sin", {}, lambda x: 0.0 * x),
+    (Euclidean(1), "quadratic", dict(exponents=_P3), lambda x: 0.0 * x + 2 * 0.1),
+], ids=["S2", "S2_r2", "S2_p3", "S1_r1.5_p3", "S1_r1.5_smooth_mix", "E1", "E1_p3_quadratic"])
+def test_gamma2_matches_its_closed_form(space, f, kwargs, closed_form):
+    rep = run_check(CheckSpec(check_id="gamma2", space=space, f=f, **{"delta": 0.1, **kwargs}))
+    if isinstance(space, Sphere) and space.dim == 2:
+        thetas = np.linspace(0.3, math.pi - 0.3, 64)
+    elif isinstance(space, Sphere):
+        thetas = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    else:
+        thetas = np.linspace(-2.0, 2.0, 64)
+    assert rep.metadata["grid_points"] == 64
+    assert abs(rep.metadata["min_margin"] - closed_form(thetas).min()) <= 1e-12
+    assert rep.verdict == "pass"
+
+
+def test_gamma2_fails_a_false_dimension_bound_by_its_exact_amount():
+    # N' = 1.9 < 2 on S^2: the margin is -4 (sin^2 + delta) cos^2 (1/1.9 - 1/2)
+    rep = run_check(CheckSpec(check_id="gamma2", space=S2, f="cos_theta", delta=0.1,
+                              cd=CurvatureDimension(1.0, 1.9)))
+    th = np.linspace(0.3, math.pi - 0.3, 64)
+    exact = (-4 * (np.sin(th) ** 2 + 0.1) * np.cos(th) ** 2 * (1 / 1.9 - 1 / 2)).min()
+    assert exact == pytest.approx(-0.03184, abs=1e-5)
+    assert abs(rep.metadata["min_margin"] - exact) <= 1e-12
+    assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("space,f", [
+    (Euclidean(1), lambda p: np.abs(p[..., 0])),   # a kink at 0
+    (Sphere(1), lambda p: np.abs(p[..., 1])),      # kinks at 0 and pi
+])
+def test_gamma2_reports_an_unresolved_field_as_an_error(space, f):
+    (rep,) = run_suite([CheckSpec(check_id="gamma2", space=space, f=f)])
+    assert rep.verdict == "error"
+    assert "do not resolve f" in rep.error
 
 
 def test_run_suite_records_errors_and_continues():
@@ -516,12 +569,11 @@ def test_bl_int_constant_field():
 
 
 def test_gamma2_circle_p3_reduction():
-    # on a flat circle with p = 3 the condition reduces to delta >= 0
-    # after cancelling f'^2 f''^2 terms; margins stay within the
-    # finite-difference budget
+    # on a flat circle with p = 3 the condition reduces to delta f''^2 / 2 >= 0
+    # after cancelling f'^2 f''^2 terms; its minimum over the grid is 0
     rep = run_check(CheckSpec(check_id="gamma2", space=Sphere(1), f="sin",
                               exponents=ExponentPair(3.0, 2.0), delta=0.05))
-    assert rep.metadata["min_margin"] >= -1e-4
+    assert abs(rep.metadata["min_margin"]) <= 1e-12
     assert rep.verdict == "pass"
 
 
