@@ -740,7 +740,7 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "mono_app": ("t",),
 }
 
-#: the checks that solve assignment problems, by scipy.optimize
+#: the checks that solve assignment problems, by scipy's compiled solver scipy.optimize._lsap
 ASSIGNMENT_CHECKS = frozenset(("w2_control", "swc", "wp", "lp2", "wvar_ode"))
 
 

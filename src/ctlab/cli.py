@@ -47,9 +47,10 @@ from .transport import (
     ComparisonCost,
     EmpiricalMeasure,
     PthPowerDistance,
+    _lsap,
     exact_cost,
 )
-from .walk import WalkConfig, run_coupled, write_path_csv
+from .walk import WalkConfig, moment_is_numerical, run_coupled, write_path_csv
 
 log = logging.getLogger("ctl")
 
@@ -210,9 +211,15 @@ def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
     if not isinstance(checks, list):
         raise ConfigError("'checks' must be a list")
     specs = [build_check(c, seed, i) for i, c in enumerate(checks)]
+    # the solvers' loads are set-up, not part of the first check to solve;
+    # the transport checks also draw with numpy's lazily imported numpy.random
     if any(spec.check_id in ASSIGNMENT_CHECKS for spec in specs):
-        # the solver's import is set-up, not part of the first check to solve
-        import scipy.optimize  # noqa: F401
+        _lsap()
+        import numpy.random  # noqa: F401
+    if any(spec.check_id == "prectl"
+           and moment_is_numerical(spec.space, spec.tau1, spec.tau2, spec.exponents.p)
+           for spec in specs):
+        import scipy.linalg.lapack  # noqa: F401
     return specs
 
 

@@ -8,8 +8,12 @@ per available CPU, while the calling thread builds the next cost
 matrix; its results are bit-for-bit those of solving the blocks one
 after another.  A paired block (row i and column i from one trajectory)
 whose index pairing a potential certificate proves optimal skips the
-solver.  scipy's solvers are imported on first use, so that importing
-this module does not load scipy.optimize.
+solver.  The assignment solver is scipy's compiled module
+scipy.optimize._lsap (Crouse's shortest augmenting path), loaded from its
+file on first use without the scipy.optimize package, which would also
+load scipy.linalg and scipy.sparse (verified on scipy 1.17.1); a later
+import of scipy.optimize reuses the loaded module.  The LP solver is
+imported from scipy.optimize on first use.
 
 Costs are always built from the manifold geodesic distance, never the
 chordal embedding distance.
@@ -17,8 +21,12 @@ chordal embedding distance.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -167,12 +175,49 @@ class ComparisonCost(CostSpec):
 # exact solvers
 
 
+_LSAP = "scipy.optimize._lsap"
+_lsap_lock = threading.Lock()
+
+
+def _lsap():
+    """scipy's compiled assignment module, scipy.optimize._lsap, loaded once
+    from its file and registered in sys.modules under its own name, so
+    that scipy.optimize re-exports this very module's solver if it is
+    imported later.  Its initialization needs numpy alone."""
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        with _lsap_lock:
+            module = sys.modules.get(_LSAP) or _load_lsap(
+                importlib.util.find_spec("scipy").submodule_search_locations)
+    return module
+
+
+def _load_lsap(roots):
+    """Load optimize/_lsap<extension suffix> from the first of the scipy
+    package directories roots that holds it."""
+    paths = [os.path.join(root, "optimize", "_lsap" + suffix)
+             for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled assignment solver "
+                          f"at {paths[0]}", name=_LSAP, path=paths[0])
+    spec = importlib.util.spec_from_file_location(_LSAP, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_LSAP] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_LSAP]
+        raise
+    return module
+
+
 def linear_sum_assignment(cost: np.ndarray):
     """scipy.optimize.linear_sum_assignment(cost): the rows and columns of
     a least-cost assignment."""
-    from scipy.optimize import linear_sum_assignment as solve
-
-    return solve(cost)
+    return _lsap().linear_sum_assignment(cost)
 
 
 def solve_transport(cost: np.ndarray, mu_w: np.ndarray, nu_w: np.ndarray,
@@ -354,11 +399,10 @@ def _assignments(matrices):
     Certificates and solves release the GIL, so they run on one thread
     per CPU while the caller's iterator builds the next matrix on the
     calling thread.  At most workers + 1 matrices are built and not yet
-    yielded, the one being built included.  scipy.optimize is imported
-    here, on the calling thread, before any solve starts.
+    yielded, the one being built included.  The solver is loaded here,
+    on the calling thread, before any solve starts.
     """
-    import scipy.optimize  # noqa: F401
-
+    _lsap()
     workers = _solver_threads()
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()

@@ -201,15 +201,80 @@ print(json.dumps([imported, {_SCIPY_MODULES}, rc]))
 
 
 def test_suite_with_assignments_imports_the_solver_when_loaded():
-    # the import is set-up, not charged to the first check that solves
+    # the load is set-up, not charged to the first check that solves, and
+    # it is scipy's compiled solver alone, not the scipy.optimize package
     loaded = _fresh_interpreter(f"""
 import json, sys
 import ctlab.cli
-before = "scipy.optimize" in sys.modules
+before = {_SCIPY_MODULES}
 ctlab.cli.load_suite({bundled_config("acceptance.json")!r})
-print(json.dumps([before, "scipy.optimize" in sys.modules]))
+print(json.dumps([before, [m in sys.modules for m in
+                           ("scipy.optimize._lsap", "scipy.optimize", "scipy.sparse")]]))
 """)
-    assert loaded == [False, True]
+    assert loaded == [[], [True, False, False]]
+
+
+def _suite_document(suite, tmp_path):
+    """The path of a bundled suite, a perfbench input at seed 1, or one of
+    two prectl-only suites: acceptance's S^2 rows, and E^2 at p = 2 (whose
+    moment is closed-form)."""
+    if suite in ("acceptance", "deterministic"):
+        return bundled_config(f"{suite}.json")
+    if suite in ("mc_suite", "transport_blocks"):
+        doc = _workloads().generate(suite, 1, str(ROOT / "src"))
+    else:
+        doc = json.loads(pathlib.Path(bundled_config("acceptance.json")).read_text())
+        doc["checks"] = [c for c in doc["checks"] if c["id"] == "prectl"]
+        if suite == "prectl_flat":
+            doc["checks"] = [dict(c, space={"kind": "euclidean", "dim": 2}, x=[0.0, 0.0],
+                                  y=[1.0, 0.0], p=2.0) for c in doc["checks"]]
+    return write_json(tmp_path / "suite.json", doc)
+
+
+_LSAP, _LAPACK = "scipy.optimize._lsap", "scipy.linalg.lapack"
+
+
+@pytest.mark.parametrize("suite,solvers", [
+    ("acceptance", [_LSAP, _LAPACK]),
+    ("deterministic", []),
+    ("prectl_sphere", [_LAPACK]),
+    ("prectl_flat", []),
+    ("mc_suite", [_LSAP, _LAPACK]),
+    ("transport_blocks", [_LSAP]),
+])
+def test_no_check_imports_a_module(tmp_path, suite, solvers):
+    # every import a suite's checks need happens while it is loaded, and
+    # the assignment solver comes without scipy.optimize and scipy.sparse;
+    # the gradient checks still import numpy's lazy numpy.random and
+    # numpy.fft (about 7 ms) on first use, so that case imports them first
+    lazy = "import numpy.fft, numpy.random" if suite == "deterministic" else ""
+    loaded = _fresh_interpreter(f"""
+import json, sys
+import ctlab.checks, ctlab.cli
+{lazy}
+specs = ctlab.cli.load_suite({_suite_document(suite, tmp_path)!r})
+after_load = sorted(sys.modules)
+ctlab.checks.run_suite(specs)
+print(json.dumps([after_load, sorted(sys.modules), {_SCIPY_MODULES}]))
+""")
+    after_load, after_run, scipy_modules = loaded
+    assert after_run == after_load
+    assert [m for m in (_LSAP, _LAPACK) if m in scipy_modules] == solvers
+    assert not {"scipy.optimize", "scipy.sparse"} & set(scipy_modules)
+    if _LAPACK not in solvers:
+        assert scipy_modules == solvers
+
+
+def test_scipy_optimize_reexports_the_solver_loaded_before_it():
+    loaded = _fresh_interpreter("""
+import json
+from ctlab import transport
+solver = transport._lsap()
+import scipy.optimize
+print(json.dumps([scipy.optimize.linear_sum_assignment is solver.linear_sum_assignment,
+                  transport.linear_sum_assignment([[1.0, 0.0], [0.0, 1.0]])[1].tolist()]))
+""")
+    assert loaded == [True, [1, 0]]
 
 
 _W2 = {"id": "w2_control", "space": {"kind": "sphere", "dim": 2},

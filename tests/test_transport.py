@@ -1,5 +1,7 @@
+import importlib.metadata
 import math
 import os
+import sys
 import threading
 import time
 
@@ -245,6 +247,44 @@ class _Recording(PthPowerDistance):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
+def test_two_threads_loading_the_solver_first_get_one_module(monkeypatch):
+    monkeypatch.delitem(sys.modules, transport._LSAP)
+    load, calls = transport._load_lsap, []
+
+    def slow_load(roots):
+        calls.append(roots)
+        time.sleep(0.05)  # both threads are in _lsap before the first load ends
+        return load(roots)
+
+    monkeypatch.setattr(transport, "_load_lsap", slow_load)
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def first_call(i):
+        start.wait()
+        got[i] = transport._lsap()
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(calls) == 1
+    assert got[0] is got[1] is sys.modules[transport._LSAP]
+    C = np.array([[3.0, 1.0], [1.0, 3.0]])
+    assert [v.tolist() for v in got[0].linear_sum_assignment(C)] == [[0, 1], [1, 0]]
+
+
+def test_a_missing_solver_file_raises_import_error_naming_it(tmp_path):
+    before = sys.modules[transport._LSAP]
+    with pytest.raises(ImportError) as err:
+        transport._load_lsap([str(tmp_path)])
+    path = os.path.join(str(tmp_path), "optimize", "_lsap")
+    assert path in str(err.value) and err.value.path.startswith(path)
+    assert f"scipy {importlib.metadata.version('scipy')} " in str(err.value)
+    assert sys.modules[transport._LSAP] is before
+
+
 def test_solver_threads_is_the_cpus_available():
     assert transport._solver_threads() == len(os.sched_getaffinity(0))
 
