@@ -14,6 +14,10 @@ The verdict levels, the difference steps, the heat backends'
 resolution and the chunk sizes are module constants, not spec fields,
 so no spec can redefine what "pass" means.
 
+The two-sided transport checks from Dirac starts first compare their rhs
+with the noise-free upper side of the synchronous coupling
+(_coupling_bound); a claim that side settles passes with no cloud drawn.
+
 Seeds, discretization parameters and sampling plans are recorded in
 every report, so each number is reproducible bit for bit.
 """
@@ -55,7 +59,14 @@ from .transport import (
     exact_cost,
     power_transform,
 )
-from .walk import WalkConfig, coupled_distance_moment, has_heat_law, run_single, sample_heat
+from .walk import (
+    WalkConfig,
+    coupled_distance_moment,
+    has_heat_law,
+    moment_is_numerical,
+    run_single,
+    sample_heat,
+)
 
 __all__ = [
     "CheckSpec",
@@ -67,6 +78,7 @@ __all__ = [
     "REQUIRED_FIELDS",
     "ASSIGNMENT_CHECKS",
     "require_fields",
+    "solves_coupled_moment",
     "named_field",
     "default_grid",
 ]
@@ -330,6 +342,65 @@ def _exact_base(spec: CheckSpec, cost) -> float:
     return value
 
 
+def _start_distance(spec: CheckSpec) -> float:
+    return float(spec.space.distance(np.asarray(spec.x, float), np.asarray(spec.y, float)))
+
+
+def _moment_plan(spec: CheckSpec) -> Optional[tuple]:
+    """(time_a, time_b, cost) of the transport between the heat laws at
+    time_a from x and time_b from y that spec's check bounds (w2_control,
+    wp, swc, lp2) or whose coupled moment it takes (prectl); None for any
+    other check."""
+    p = spec.exponents.p
+    if spec.check_id == "lp2":
+        return spec.tau1, spec.tau2, ComparisonCost(p=p, kstar=spec.resolved_cd().k_star)
+    if spec.check_id == "prectl":
+        return spec.tau1, spec.tau2, PthPowerDistance(p)
+    if spec.check_id in ("w2_control", "wp", "swc"):
+        return spec.s, spec.t, PthPowerDistance(2.0 if spec.check_id == "swc" else p)
+    return None
+
+
+def _coupled(spec: CheckSpec) -> bool:
+    """Whether the synchronous coupling of spec's heat laws has a law of its
+    distance (walk.coupled_distance_moment): Dirac starts, off OU."""
+    return spec.mu0 is None and spec.mu1 is None and not isinstance(spec.space, EuclideanOU)
+
+
+def solves_coupled_moment(spec: CheckSpec) -> bool:
+    """Whether spec's check solves the backward equation of the coupled
+    distance, with scipy's LAPACK (walk.moment_is_numerical): prectl's lhs,
+    or the upper side of w2_control, wp, swc or lp2.  A spec that its check
+    rejects for its (K, N) or p solves nothing."""
+    try:
+        plan = _moment_plan(spec) if _coupled(spec) else None
+    except ValueError:
+        return False
+    return plan is not None and moment_is_numerical(spec.space, *plan)
+
+
+def _coupling_bound(spec: CheckSpec, transform, rising_to: float) -> Optional[tuple]:
+    """The coupling's upper side (upper, err) of spec's lhs: upper =
+    tf(E h(rho_1)) for the synchronous coupling, with h the cost of spec's
+    _moment_plan and (tf, slope) = transform, and err = slope(E h(rho_1))
+    times the moment's bound.  Any coupling's cost bounds the optimal cost
+    from above, and tf keeps that order where it rises on [0, E h(rho_1)],
+    as it does up to rising_to.  None where no bound is computed: starts
+    that are not Diracs, OU, E h(rho_1) past rising_to, or h undefined on
+    part of the law's grid."""
+    if not _coupled(spec):
+        return None
+    a, b, cost = _moment_plan(spec)
+    try:
+        mean, bound = coupled_distance_moment(spec.space, _start_distance(spec), a, b, cost)
+    except ValueError:  # lp2's s_{K*}(r/2) past r = 2 pi/sqrt(K*)
+        return None
+    if not mean <= rising_to:
+        return None
+    tf, slope = transform
+    return tf(mean), slope(mean) * bound
+
+
 # ---------------------------------------------------------------------------
 # Wasserstein-side checks (Monte Carlo)
 
@@ -357,12 +428,23 @@ def _sample_plan(spec: CheckSpec, estimates: list) -> dict:
     return plan
 
 
-def _transport_report(spec: CheckSpec, times: tuple, cost, transform, rhs) -> VerificationReport:
-    """The Monte Carlo transport pipeline: heat clouds at `times`, the block
-    estimate of transform(cost) as the lhs, and rhs(exact base cost) ->
-    (closed-form rhs, metadata)."""
-    (est,) = _sampled_estimates(spec, (times,), cost, transform)
+def _transport_report(spec: CheckSpec, transform, rhs,
+                      rising_to: float = math.inf) -> VerificationReport:
+    """The transport pipeline of a check with a _moment_plan: first
+    rhs(exact base cost) -> (closed-form rhs, metadata), then the
+    coupling's upper side, recorded as metadata["bounds"].  Where the rhs
+    clears the upper side by Z times its error the check passes on it, with
+    sampler "bounds" and no cloud drawn; else the lhs is the block estimate
+    of transform(cost) between heat clouds at the plan's times."""
+    a, b, cost = _moment_plan(spec)
     value, meta = rhs(_exact_base(spec, cost))
+    bound = _coupling_bound(spec, transform, rising_to)
+    if bound is not None:
+        upper, err = bound
+        meta["bounds"] = dict(upper=upper, err=err)
+        if value - upper >= Z * err:
+            return _base_report(spec, upper, value, err, 0.0, **meta, sampler="bounds")
+    (est,) = _sampled_estimates(spec, ((a, b),), cost, transform)
     return _base_report(spec, est.value, value, est.stderr, 0.0,
                         **meta, n_blocks=est.n_blocks, **_sample_plan(spec, [est]))
 
@@ -386,8 +468,7 @@ def check_w2_control(spec: CheckSpec) -> VerificationReport:
         W0 = base ** (1.0 / p)
         return A**beta * W0**beta + J**beta, dict(coeff_A=A, j_mass=J, W0=W0)
 
-    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(p),
-                             power_transform(beta / p), rhs)
+    return _transport_report(spec, power_transform(beta / p), rhs)
 
 
 def check_swc(spec: CheckSpec) -> VerificationReport:
@@ -409,8 +490,9 @@ def check_swc(spec: CheckSpec) -> VerificationReport:
                  + cd.N / 2.0 * decay_mean(Ksum) * (math.sqrt(spec.t) - math.sqrt(spec.s)) ** 2)
         return value, dict(W0=W0)
 
-    return _transport_report(spec, (spec.s, spec.t), PthPowerDistance(2.0),
-                             comparison_transform(kap), rhs)
+    # s_kap(sqrt(c)/2)^2 rises while sqrt(c)/2 <= pi/(2 sqrt(kap))
+    return _transport_report(spec, comparison_transform(kap), rhs,
+                             rising_to=math.pi**2 / kap if kap > 0 else math.inf)
 
 
 def check_lp2(spec: CheckSpec) -> VerificationReport:
@@ -429,8 +511,7 @@ def check_lp2(spec: CheckSpec) -> VerificationReport:
             math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
         return value, dict(theta=theta, base_cost=base)
 
-    return _transport_report(spec, (spec.tau1, spec.tau2), ComparisonCost(p=p, kstar=cd.k_star),
-                             power_transform(2.0 / p), rhs)
+    return _transport_report(spec, power_transform(2.0 / p), rhs)
 
 
 def check_prectl(spec: CheckSpec) -> VerificationReport:
@@ -451,11 +532,11 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     if not cd.finite:
         raise ValueError("requires finite N")
     ts = tau_star(spec.tau1, spec.tau2, cd.K)
-    d0 = float(spec.space.distance(np.asarray(spec.x, float), np.asarray(spec.y, float)))
+    d0 = _start_distance(spec)
     arg = 2.0 * cd.K * ts
     rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * 2.0 * decay_mean(arg) * (
         math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
-    mean, bound = coupled_distance_moment(spec.space, d0, spec.tau1, spec.tau2, p)
+    mean, bound = coupled_distance_moment(spec.space, d0, *_moment_plan(spec))
     lhs = mean ** (2.0 / p)
     se_lhs = (2.0 / p) * mean ** (2.0 / p - 1.0) * bound if mean > 0 else bound
     return _base_report(spec, lhs, rhs, se_lhs, 0.0, tau_star=ts, d0=d0, sampler="coupled_law")

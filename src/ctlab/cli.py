@@ -39,6 +39,7 @@ from .checks import (
     VerificationReport,
     require_fields,
     run_suite,
+    solves_coupled_moment,
 )
 from .comparison import CurvatureDimension, ExponentPair
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
@@ -47,10 +48,11 @@ from .transport import (
     ComparisonCost,
     EmpiricalMeasure,
     PthPowerDistance,
+    _flapack,
     _lsap,
     exact_cost,
 )
-from .walk import WalkConfig, moment_is_numerical, run_coupled, write_path_csv
+from .walk import WalkConfig, run_coupled, write_path_csv
 
 log = logging.getLogger("ctl")
 
@@ -216,10 +218,8 @@ def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
     if any(spec.check_id in ASSIGNMENT_CHECKS for spec in specs):
         _lsap()
         import numpy.random  # noqa: F401
-    if any(spec.check_id == "prectl"
-           and moment_is_numerical(spec.space, spec.tau1, spec.tau2, spec.exponents.p)
-           for spec in specs):
-        import scipy.linalg.lapack  # noqa: F401
+    if any(map(solves_coupled_moment, specs)):
+        _flapack()
     return specs
 
 

@@ -7,13 +7,16 @@ estimate solves its blocks' assignments concurrently, one solver thread
 per available CPU, while the calling thread builds the next cost
 matrix; its results are bit-for-bit those of solving the blocks one
 after another.  A paired block (row i and column i from one trajectory)
-whose index pairing a potential certificate proves optimal skips the
-solver.  The assignment solver is scipy's compiled module
-scipy.optimize._lsap (Crouse's shortest augmenting path), loaded from its
-file on first use without the scipy.optimize package, which would also
-load scipy.linalg and scipy.sparse (verified on scipy 1.17.1); a later
-import of scipy.optimize reuses the loaded module.  The LP solver is
-imported from scipy.optimize on first use.
+on a flat space whose index pairing a potential certificate proves
+optimal skips the solver; curved blocks go to the solver directly.  The
+assignment solver is scipy's compiled module scipy.optimize._lsap
+(Crouse's shortest augmenting path), loaded from its file on first use
+without the scipy.optimize package, which would also load scipy.linalg
+and scipy.sparse (verified on scipy 1.17.1); a later import of
+scipy.optimize reuses the loaded module.  The same loader, _compiled,
+loads walk.coupled_distance_moment's LAPACK, scipy.linalg._flapack,
+without the scipy.linalg package.  The LP solver is imported from
+scipy.optimize on first use.
 
 Costs are always built from the manifold geodesic distance, never the
 chordal embedding distance.
@@ -135,10 +138,11 @@ class CostSpec:
     def matrix(self, space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
                by_target: bool = False) -> np.ndarray:
         if by_target:
-            return self._of_distance(space.distance(xs[None, :, :], ys[:, None, :]))
-        return self._of_distance(space.distance(xs[:, None, :], ys[None, :, :]))
+            return self.of_distance(space.distance(xs[None, :, :], ys[:, None, :]))
+        return self.of_distance(space.distance(xs[:, None, :], ys[None, :, :]))
 
-    def _of_distance(self, d):
+    def of_distance(self, d):
+        """The cost h(r) at distances d, entrywise."""
         raise NotImplementedError
 
 
@@ -152,7 +156,7 @@ class PthPowerDistance(CostSpec):
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
-    def _of_distance(self, d):
+    def of_distance(self, d):
         return d**self.p
 
 
@@ -167,7 +171,7 @@ class ComparisonCost(CostSpec):
         if self.p < 1:
             raise ValueError("p must be >= 1")
 
-    def _of_distance(self, d):
+    def of_distance(self, d):
         return comp_s(self.kstar, d / 2.0) ** self.p
 
 
@@ -175,43 +179,54 @@ class ComparisonCost(CostSpec):
 # exact solvers
 
 
-_LSAP = "scipy.optimize._lsap"
-_lsap_lock = threading.Lock()
+_LSAP, _FLAPACK = "scipy.optimize._lsap", "scipy.linalg._flapack"
+_load_lock = threading.Lock()
 
 
-def _lsap():
-    """scipy's compiled assignment module, scipy.optimize._lsap, loaded once
-    from its file and registered in sys.modules under its own name, so
-    that scipy.optimize re-exports this very module's solver if it is
-    imported later.  Its initialization needs numpy alone."""
-    module = sys.modules.get(_LSAP)
+def _compiled(name: str):
+    """scipy's compiled module `name`, loaded once from its file and
+    registered in sys.modules under its own name, so that a package that
+    is imported later (scipy.optimize, scipy.linalg) re-exports this very
+    module's functions.  Its initialization needs numpy alone."""
+    module = sys.modules.get(name)
     if module is None:
-        with _lsap_lock:
-            module = sys.modules.get(_LSAP) or _load_lsap(
-                importlib.util.find_spec("scipy").submodule_search_locations)
+        with _load_lock:
+            module = sys.modules.get(name) or _load_compiled(
+                name, importlib.util.find_spec("scipy").submodule_search_locations)
     return module
 
 
-def _load_lsap(roots):
-    """Load optimize/_lsap<extension suffix> from the first of the scipy
-    package directories roots that holds it."""
-    paths = [os.path.join(root, "optimize", "_lsap" + suffix)
+def _load_compiled(name: str, roots):
+    """Load the extension module `name` (scipy.<package>.<module>) from the
+    first of the scipy package directories roots that holds it."""
+    *package, module_name = name.split(".")[1:]
+    paths = [os.path.join(root, *package, module_name + suffix)
              for root in roots for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
         from importlib.metadata import version
 
-        raise ImportError(f"scipy {version('scipy')} has no compiled assignment solver "
-                          f"at {paths[0]}", name=_LSAP, path=paths[0])
-    spec = importlib.util.spec_from_file_location(_LSAP, path)
+        raise ImportError(f"scipy {version('scipy')} has no compiled module {name} "
+                          f"at {paths[0]}", name=name, path=paths[0])
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_LSAP] = module
+    sys.modules[name] = module
     try:
         spec.loader.exec_module(module)
     except BaseException:
-        del sys.modules[_LSAP]
+        del sys.modules[name]
         raise
     return module
+
+
+def _lsap():
+    """scipy.optimize._lsap, the assignment solver, without scipy.optimize."""
+    return _compiled(_LSAP)
+
+
+def _flapack():
+    """scipy.linalg._flapack, LAPACK's Fortran wrappers, without scipy.linalg."""
+    return _compiled(_FLAPACK)
 
 
 def linear_sum_assignment(cost: np.ndarray):
@@ -383,18 +398,19 @@ def _identity_is_optimal(C: np.ndarray) -> bool:
     return False
 
 
-def _paired_assignment(C: np.ndarray):
+def _paired_assignment(C: np.ndarray, certify: bool):
     """(rows, cols, certified) of a least-cost assignment of C, whose row i
-    and column i come from one trajectory."""
-    if C.shape[0] >= _CERTIFY_FROM and _identity_is_optimal(C):
+    and column i come from one trajectory; the index pairing is tried
+    first only where certify holds."""
+    if certify and C.shape[0] >= _CERTIFY_FROM and _identity_is_optimal(C):
         pairs = np.arange(C.shape[0])
         return pairs, pairs, True
     return (*linear_sum_assignment(C), False)
 
 
-def _assignments(matrices):
-    """Yield (C, rows, cols, certified) of _paired_assignment(C) for each
-    paired cost matrix C, in input order.
+def _assignments(matrices, certify: bool):
+    """Yield (C, rows, cols, certified) of _paired_assignment(C, certify)
+    for each paired cost matrix C, in input order.
 
     Certificates and solves release the GIL, so they run on one thread
     per CPU while the caller's iterator builds the next matrix on the
@@ -407,7 +423,7 @@ def _assignments(matrices):
     with ThreadPoolExecutor(workers) as pool:
         pending = deque()
         for C in matrices:
-            pending.append((C, pool.submit(_paired_assignment, C)))
+            pending.append((C, pool.submit(_paired_assignment, C, certify)))
             if len(pending) > workers:
                 done, solve = pending.popleft()
                 yield (done, *solve.result())
@@ -442,10 +458,12 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
 
     xs[i] and ys[i] are one trajectory's sides; where _identity_is_optimal
     certifies that pairing (common noise on a flat space) nothing is
-    solved.  Blocks have ys, the checks' later, more dispersed cloud, as
-    rows, which cuts the solver's work by a quarter to a third; the
-    unpaired resamples keep xs as rows, as another orientation may break
-    their ties otherwise.
+    solved.  The certificate is tried on flat spaces only: on a curved
+    one the pairing of common noise is not optimal, and each rejected
+    certificate costs up to 5 % of a solve.  Blocks have ys, the checks'
+    later, more dispersed cloud, as rows, which cuts the solver's work by
+    a quarter to a third; the unpaired resamples keep xs as rows, as
+    another orientation may break their ties otherwise.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -456,11 +474,12 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
         raise ValueError(f"a standard error needs at least 2 samples, got {n}")
     tf, slope = transform or (lambda v: v, lambda v: 1.0)
     rng = np.random.default_rng(seed)
+    certify = space.sectional_curvature == 0
 
     n_blocks = max(1, n // block_size)
     if n_blocks == 1:
         C = cost.matrix(space, xs, ys)
-        rows, cols, certified = _paired_assignment(C)
+        rows, cols, certified = _paired_assignment(C, certify)
         value = tf(float(C[rows, cols].mean()))
         boots = np.empty(_N_BOOT)
         for b in range(_N_BOOT):
@@ -480,7 +499,7 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     certified, matched = 0, np.empty(size)
     blocks = (slice(b * size, (b + 1) * size) for b in range(n_blocks))
     matrices = (cost.matrix(space, xs[sl], ys[sl], by_target=True) for sl in blocks)
-    for b, (M, rows, cols, cert) in enumerate(_assignments(matrices)):
+    for b, (M, rows, cols, cert) in enumerate(_assignments(matrices, certify)):
         matched[cols] = M[rows, cols]  # ys[rows] matched to xs[cols], in xs order
         certified += cert
         raw = float(matched.mean())

@@ -21,10 +21,13 @@ flat space and an inverse CDF of the radial law on S^2 (a zonal Legendre
 series) and H^2 (McKean's kernel).  All sides of a trajectory share its
 Gaussian and its uniforms, a quantile coupling of the sides.
 
-Where a check needs only the moments of the coupled distance at time 1,
-coupled_distance_moment takes them from its law: on E^m, S^m and H^m
-the distance of the synchronous coupling is itself a diffusion on
-[0, diam], whose backward equation is solved on a grid.
+Where a check needs only a moment E h(rho_1) of the coupled distance at
+time 1, coupled_distance_moment takes it from its law: on E^m, S^m and
+H^m the distance of the synchronous coupling is itself a diffusion on
+[0, diam], whose backward equation is solved on a grid from h, a
+transport cost as a function of the distance.  prectl's lhs is such a
+moment, and so is the upper side of the two-sided transport checks: the
+coupling is one of the couplings that W_p minimizes over.
 
 One driver, _clouds, draws every cloud: it goes over the trajectories
 in chunks, stacks each side's start rows and frames, and hands them to
@@ -52,6 +55,7 @@ import numpy as np
 
 from .comparison import comp_c, comp_s, comp_s_inverse, decay_mean
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
+from .transport import CostSpec, PthPowerDistance, _flapack
 
 __all__ = [
     "WalkConfig",
@@ -332,11 +336,14 @@ def run_single(space: ModelSpace, starts: tuple, taus: tuple, cfg: WalkConfig) -
 
 
 def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: float,
-                            p: float) -> tuple[float, float]:
-    """(E rho_1^p, bound) for the distance rho = d(X, Y) of the synchronous
+                            cost: CostSpec) -> tuple[float, float]:
+    """(E h(rho_1), bound) for the distance rho = d(X, Y) of the synchronous
     coupling that run_coupled realizes, started at distance d0, with X at
-    time scale a = tau1 and Y at b = tau2; bound bounds the error of the
-    value.
+    time scale a = tau1 and Y at b = tau2, and h(r) the cost's function
+    of the distance (r^p for PthPowerDistance(p)); bound bounds the error
+    of the value.  As the law of an admissible coupling, it bounds from
+    above the optimal transport cost between the heat laws P_a delta_x and
+    P_b delta_y with that cost.
 
     On E^m, S^m and H^m the isometries act transitively on pairs at a
     given distance and the coupling is equivariant under them, so rho is
@@ -366,7 +373,7 @@ def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: flo
     converge at second order (a smooth law) or at first order (noise
     small against a cell).
 
-    Two cases are exact, with bound 0: E^m at p = 2, where
+    Two cases are exact, with bound 0: E^m with h(r) = r^2, where
     E rho^2 = d0^2 + 2mD, and a = b, where no noise is left and
     s_k(rho/2) = s_k(d0/2) e^{-(m-1) k a}.  OU is refused: with a != b
     its coupling is not isometry-equivariant.
@@ -382,8 +389,9 @@ def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: flo
     D = (math.sqrt(tau1) - math.sqrt(tau2)) ** 2
     if D == 0.0:
         shrink = math.exp(-(m - 1) * kap * tau1)
-        return (2.0 * comp_s_inverse(kap, comp_s(kap, d0 / 2.0) * shrink)) ** p, 0.0
-    if kap == 0.0 and p == 2.0:
+        rho = 2.0 * comp_s_inverse(kap, comp_s(kap, d0 / 2.0) * shrink)
+        return float(cost.of_distance(rho)), 0.0
+    if kap == 0.0 and cost == PthPowerDistance(2.0):
         return d0 * d0 + 2.0 * m * D, 0.0
     if kap > 0:
         lo, hi = 0.0, diam
@@ -392,35 +400,34 @@ def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: flo
         lo, hi = max(0.0, d0 - spread), d0 + (m - 1) * math.sqrt(-kap) * (tau1 + tau2) + spread
     weight = 4.0 * math.sqrt(tau1 * tau2) / D
     log_w = lambda r: (m - 1) * (np.log(comp_s(kap, r)) + weight * np.log(comp_c(kap, r / 2.0)))
-    coarse, fine = (_backward_moment(log_w, D, lo, hi, cells, d0, p)
+    coarse, fine = (_backward_moment(log_w, D, lo, hi, cells, d0, cost.of_distance)
                     for cells in (_CELLS, 2 * _CELLS))
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
-def moment_is_numerical(space: ModelSpace, tau1: float, tau2: float, p: float) -> bool:
-    """Whether coupled_distance_moment(space, d0, tau1, tau2, p) solves the
-    backward equation, with scipy's LAPACK, rather than taking a closed
+def moment_is_numerical(space: ModelSpace, tau1: float, tau2: float, cost: CostSpec) -> bool:
+    """Whether coupled_distance_moment(space, d0, tau1, tau2, cost) solves
+    the backward equation, with scipy's LAPACK, rather than taking a closed
     form or refusing the space."""
     return (not isinstance(space, EuclideanOU) and min(tau1, tau2) >= 0
             and (math.sqrt(tau1) - math.sqrt(tau2)) ** 2 != 0.0
-            and not (space.sectional_curvature == 0.0 and p == 2.0))
+            and not (space.sectional_curvature == 0.0 and cost == PthPowerDistance(2.0)))
 
 
 def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: float,
-                     p: float) -> float:
-    """E rho_1^p from rho_0 = d0: the backward equation of the generator
-    (1/w)(D w f')' from f(r) = r^p over unit time, on `cells` cells of
+                     h) -> float:
+    """E h(rho_1) from rho_0 = d0: the backward equation of the generator
+    (1/w)(D w f')' from f = h over unit time, on `cells` cells of
     [lo, hi] with a quarter as many Crank-Nicolson steps (the time error
     stays far below the space error), read at d0 by cubic interpolation
     through the four nearest cell centres."""
-    from scipy.linalg import lapack
-
-    h = (hi - lo) / cells
-    r = lo + (np.arange(cells) + 0.5) * h
+    lapack = _flapack()
+    dr = (hi - lo) / cells
+    r = lo + (np.arange(cells) + 0.5) * dr
     jump = np.diff(log_w(r))
     with np.errstate(over="ignore", invalid="ignore"):
-        up = np.where(jump == 0.0, 1.0, -jump / np.expm1(-jump)) * (D / h**2)
-        down = np.where(jump == 0.0, 1.0, jump / np.expm1(jump)) * (D / h**2)
+        up = np.where(jump == 0.0, 1.0, -jump / np.expm1(-jump)) * (D / dr**2)
+        down = np.where(jump == 0.0, 1.0, jump / np.expm1(jump)) * (D / dr**2)
     diag = np.zeros(cells)
     diag[:-1] -= up
     diag[1:] -= down
@@ -428,14 +435,14 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
     half = 0.5 / steps
     # I - (dt/2) A is strictly diagonally dominant, so the factorization exists
     *lu, _ = lapack.dgttrf(-half * down, 1.0 - half * diag, -half * up)
-    v = r**p
+    v = h(r)
     for _ in range(steps):
         rhs = v + half * diag * v
         rhs[:-1] += half * up * v[1:]
         rhs[1:] += half * down * v[:-1]
         v, _ = lapack.dgttrs(*lu, rhs)
-    j = min(max(math.floor((d0 - lo) / h - 0.5) - 1, 0), cells - 4)
-    t = (d0 - r[j]) / h
+    j = min(max(math.floor((d0 - lo) / dr - 0.5) - 1, 0), cells - 4)
+    t = (d0 - r[j]) / dr
     weights = (-(t - 1) * (t - 2) * (t - 3) / 6, t * (t - 2) * (t - 3) / 2,
                -t * (t - 1) * (t - 3) / 2, t * (t - 1) * (t - 2) / 6)
     return float(np.dot(weights, v[j:j + 4]))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import ctlab.checks
 from ctlab.checks import CheckSpec, run_check
 from ctlab.comparison import (
     CurvatureDimension,
@@ -40,7 +41,7 @@ def _announce(num, ok, detail, elapsed, budget):
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget ({elapsed:.1f}s)"
 
 
-def test_criterion_01_flat_sharpness_of_space_time_control():
+def test_criterion_01_flat_sharpness_of_space_time_control(monkeypatch):
     t0 = time.monotonic()
     oracle = gaussian_w2(2, [0.0, 0.0], [1.0, 0.0], 0.25, 1.0) ** 2
     assert oracle == pytest.approx(2.0, abs=1e-12)
@@ -48,14 +49,22 @@ def test_criterion_01_flat_sharpness_of_space_time_control():
         check_id="w2_control", space=Euclidean(2),
         x=np.zeros(2), y=np.array([1.0, 0.0]), s=0.25, t=1.0,
         n_trajectories=5000, k=30, seed=20260810)
+    # the coupling's upper side decides the row: on E^2 at p = 2 it is the
+    # oracle itself, with no error
+    decided = run_check(spec)
+    # the sampled estimate, with that side patched out, is sharp too
+    monkeypatch.setattr(ctlab.checks, "_coupling_bound", lambda *args: None)
     rep = run_check(spec)
     elapsed = time.monotonic() - t0
-    ok = (rep.rhs == pytest.approx(2.0, abs=1e-12)
+    ok = (decided.metadata["sampler"] == "bounds" and decided.verdict == "pass"
+          and decided.lhs == pytest.approx(oracle, abs=1e-12) and decided.sigma == 0.0
+          and rep.metadata["sampler"] == "exact"
+          and rep.rhs == pytest.approx(2.0, abs=1e-12)
           and rep.sigma <= 0.05
           and abs(rep.lhs - rep.rhs) <= 3 * rep.sigma)
     _announce(1, ok,
-              f"lhs={rep.lhs:.4f} rhs={rep.rhs:.4f} sigma={rep.sigma:.4f}",
-              elapsed, 60.0)
+              f"decided lhs={decided.lhs:.4f}; sampled lhs={rep.lhs:.4f} rhs={rep.rhs:.4f} "
+              f"sigma={rep.sigma:.4f}", elapsed, 60.0)
 
 
 def test_criterion_02_deterministic_gradient_estimate_on_sphere():

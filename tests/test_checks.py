@@ -6,6 +6,7 @@ import pytest
 
 import ctlab.checks
 from ctlab.checks import (
+    Z,
     CheckSpec,
     DiameterError,
     VerificationReport,
@@ -18,9 +19,17 @@ from ctlab.checks import (
     run_suite,
 )
 from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
-from ctlab.geometry import Euclidean, EuclideanOU, Sphere
+from ctlab.cli import bundled_config, load_suite
+from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
 from ctlab.heat import MODES, default_backend, heat_apply
-from ctlab.transport import BlockEstimate, EmpiricalMeasure
+from ctlab.transport import (
+    BlockEstimate,
+    EmpiricalMeasure,
+    PthPowerDistance,
+    comparison_transform,
+    gaussian_w2,
+    power_transform,
+)
 from ctlab.walk import WalkConfig, coupled_distance_moment, run_single, sample_heat
 
 S2 = Sphere(2)
@@ -161,10 +170,113 @@ def test_prectl_flat_quadratic_row_is_sharp_and_passes():
     assert rep.metadata["sampler"] == "coupled_law"
 
 
+# ---------------------------------------------------------------------------
+# the coupling's upper side
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_flat_upper_side_at_p2_is_the_gaussian_w2(m):
+    # the true claim is sharp here, so whether the upper side decides it
+    # rests on the last bit of the rhs; the false claim K' = 2 is sampled
+    x, y = np.zeros(m), np.linspace(0.3, 0.9, m)
+    for s, t in ((0.25, 1.0), (0.1, 0.15)):
+        oracle = gaussian_w2(m, x, y, s, t) ** 2
+        true, false = (run_check(small("w2_control", space=Euclidean(m), cd=cd, x=x, y=y,
+                                       s=s, t=t)) for cd in (None, CurvatureDimension(2.0, m)))
+        for rep in (true, false):
+            assert rep.metadata["bounds"] == {"upper": pytest.approx(oracle, rel=1e-14),
+                                              "err": 0.0}
+        assert true.rhs == pytest.approx(oracle, rel=1e-14)
+        assert false.metadata["sampler"] == "exact"
+
+
+def test_acceptance_transport_rows_are_decided_by_the_upper_side():
+    # the S^2 lp2 and swc rows of acceptance.json, to the quoted 4 decimals
+    specs = load_suite(bundled_config("acceptance.json"))
+    for spec, upper in ((specs[4], 0.2750), (specs[5], 0.5370)):
+        rep = run_check(spec)
+        assert (rep.check_id, rep.verdict, rep.metadata["sampler"]) == (
+            spec.check_id, "pass", "bounds")
+        assert rep.lhs == rep.metadata["bounds"]["upper"] == pytest.approx(upper, abs=5e-5)
+        assert rep.stderr_lhs == rep.metadata["bounds"]["err"] < 5e-5
+        assert rep.margin >= Z * rep.sigma
+
+
+def test_a_true_claim_on_s3_is_decided_without_a_cloud(monkeypatch):
+    def no_cloud(*args, **kwargs):
+        raise AssertionError("a cloud was drawn")
+
+    monkeypatch.setattr(ctlab.checks, "run_single", no_cloud)
+    monkeypatch.setattr(ctlab.checks, "sample_heat", no_cloud)
+    s3 = Sphere(3)
+    x, y = np.eye(4)[3], np.array([0.0, 0.0, math.sin(1.0), math.cos(1.0)])
+    for check_id, params in (("w2_control", dict(s=0.1, t=0.4)),
+                             ("lp2", dict(tau1=0.2, tau2=0.4, cd=CurvatureDimension(1.8, 3.0)))):
+        rep = run_check(small(check_id, space=s3, x=x, y=y, **params))
+        assert (rep.verdict, rep.metadata["sampler"]) == ("pass", "bounds")
+        assert rep.sigma > 0 and rep.margin >= Z * rep.sigma
+
+
+def _report_fields(rep):
+    return (rep.lhs, rep.rhs, rep.stderr_lhs, rep.stderr_rhs, rep.verdict, rep.metadata)
+
+
+def test_measures_and_ou_are_not_bounded(monkeypatch):
+    # the coupled distance has a law of its own only from Dirac starts off
+    # OU: such rows sample as they did before the upper side existed
+    rng = np.random.default_rng(5)
+    mu0 = EmpiricalMeasure.uniform(rng.normal(size=(20, 2)))
+    specs = [
+        small("w2_control", space=Euclidean(2), mu0=mu0, y=np.ones(2), s=0.25, t=1.0),
+        small("lp2", space=S2, cd=CurvatureDimension(0.9, 2.0), x=NORTH,
+              mu1=EmpiricalMeasure.uniform(np.stack([sphere_point(1.0), sphere_point(1.2)])),
+              tau1=0.2, tau2=0.4),
+        small("w2_control", space=EuclideanOU(1, 1.0), cd=CurvatureDimension(1.0, 2.0),
+              x=np.zeros(1), y=np.ones(1), s=0.25, t=1.0),
+    ]
+    reports = [run_check(spec) for spec in specs]
+    monkeypatch.setattr(ctlab.checks, "_coupling_bound", lambda *args: None)
+    for spec, rep in zip(specs, reports):
+        assert "bounds" not in rep.metadata and rep.metadata["sampler"] == "exact"
+        assert _report_fields(rep) == _report_fields(run_check(spec))
+
+
+def test_rows_that_solve_the_coupled_moment_are_known_before_they_run():
+    # cli.load_suite loads LAPACK for these rows, and only for these
+    pair = dict(x=NORTH, y=sphere_point(1.0))
+    flat = dict(x=np.zeros(2), y=np.array([1.0, 0.0]))
+    solves = ctlab.checks.solves_coupled_moment
+    assert solves(small("lp2", space=S2, tau1=0.2, tau2=0.4, **pair))
+    assert solves(small("lp2", space=Euclidean(2), tau1=0.2, tau2=0.4, **flat))
+    assert solves(small("prectl", space=S2, tau1=0.2, tau2=0.4, **pair))
+    assert not solves(small("w2_control", space=Euclidean(2), s=0.25, t=1.0, **flat))
+    assert not solves(small("wvar_ode", space=S2, t=0.3, **pair))
+    assert not solves(small("w2_control", space=S2, mu0=EmpiricalMeasure.dirac(NORTH),
+                            y=sphere_point(1.0), s=0.25, t=1.0))
+    # a claim that lp2 rejects at run time is no set-up error
+    rejected = small("lp2", space=S2, cd=CurvatureDimension(0.9, 1.0), tau1=0.2, tau2=0.4, **pair)
+    assert not solves(rejected)
+    with pytest.raises(ValueError, match="N > 1"):
+        run_check(rejected)
+
+
+def test_upper_side_refuses_a_falling_transform_and_an_undefined_cost():
+    e2 = small("swc", space=Euclidean(2), x=np.zeros(2), y=np.array([2.0, 0.0]), s=0.1, t=0.4)
+    transform = comparison_transform(0.5)
+    upper, err = ctlab.checks._coupling_bound(e2, transform, math.inf)
+    assert (upper, err) == (transform[0](4.0 + 4.0 * (math.sqrt(0.4) - math.sqrt(0.1)) ** 2), 0.0)
+    assert ctlab.checks._coupling_bound(e2, transform, 4.0) is None
+    # s_4(r/2) is undefined past r = pi, which H^2's grid passes
+    h2 = Hyperbolic(2)
+    lp2 = small("lp2", space=h2, cd=CurvatureDimension(4.0, 2.0), x=h2.origin(),
+                y=h2.exp_map(h2.origin(), np.array([0.0, 1.0, 0.0])), tau1=0.2, tau2=0.4)
+    assert ctlab.checks._coupling_bound(lp2, power_transform(1.0), math.inf) is None
+
+
 def test_prectl_takes_its_lhs_from_the_law():
     rep = run_check(small("prectl", space=S2, x=NORTH, y=sphere_point(1.0),
                           tau1=0.2, tau2=0.4, exponents=ExponentPair(3.0, 2.0)))
-    mean, bound = coupled_distance_moment(S2, 1.0, 0.2, 0.4, 3.0)
+    mean, bound = coupled_distance_moment(S2, 1.0, 0.2, 0.4, PthPowerDistance(3.0))
     assert rep.lhs == pytest.approx(mean ** (2.0 / 3.0), rel=1e-12)
     assert rep.stderr_lhs == pytest.approx((2.0 / 3.0) * mean ** (-1.0 / 3.0) * bound, rel=1e-12)
     assert rep.metadata["sampler"] == "coupled_law"
@@ -436,11 +548,18 @@ def test_two_sided_exact_samples_seeds(share):
 
 
 def test_report_records_the_sampler_of_its_space():
+    # twice the true K is a false claim that the coupling's upper side
+    # leaves undecided, so the check draws its clouds; the true claim is
+    # decided by that side, with no cloud drawn
     kw = dict(check_id="w2_control", s=0.1, t=0.3, n_trajectories=40, k=2, block_size=20)
-    rep = run_check(CheckSpec(space=S2, x=NORTH, y=sphere_point(0.5), **kw))
-    assert rep.metadata["sampler"] == "exact"
-    rep = run_check(CheckSpec(space=Sphere(3), x=np.eye(4)[3], y=np.eye(4)[0], **kw))
-    assert rep.metadata["sampler"] == "walk"
+    for space, x, y, sampler in ((S2, NORTH, sphere_point(0.5), "exact"),
+                                 (Sphere(3), np.eye(4)[3], np.eye(4)[0], "walk")):
+        false = CurvatureDimension(2.0 * space.cd.K, space.cd.N)
+        rep = run_check(CheckSpec(space=space, x=x, y=y, cd=false, **kw))
+        assert rep.metadata["sampler"] == sampler
+        assert rep.rhs < rep.metadata["bounds"]["upper"]
+        rep = run_check(CheckSpec(space=space, x=x, y=y, **kw))
+        assert rep.metadata["sampler"] == "bounds"
 
 
 @pytest.mark.parametrize("check_id,params", [
@@ -507,8 +626,10 @@ def test_monotonicity_audit_rhs_increasing_in_n_at_flat():
 
 
 def test_reports_have_reproducibility_metadata():
+    # K' = 2 is a false claim on E^2, left to the sampled estimate
+    false = CurvatureDimension(2.0, 2.0)
     rep = run_check(small(
-        "w2_control", space=Euclidean(2), x=np.zeros(2), y=np.array([1.0, 0.0]),
+        "w2_control", space=Euclidean(2), cd=false, x=np.zeros(2), y=np.array([1.0, 0.0]),
         s=0.25, t=1.0))
     assert rep.seed == 123
     # the sample plan that was used: exact clouds ignore k
@@ -518,22 +639,26 @@ def test_reports_have_reproducibility_metadata():
     # 200-point blocks are below the certificate's floor, so each is solved
     assert rep.metadata["assignments"] == {"certified": 0, "solved": 4, "size": 200}
     again = run_check(small(
-        "w2_control", space=Euclidean(2), x=np.zeros(2), y=np.array([1.0, 0.0]),
+        "w2_control", space=Euclidean(2), cd=false, x=np.zeros(2), y=np.array([1.0, 0.0]),
         s=0.25, t=1.0))
     assert again.lhs == rep.lhs and again.rhs == rep.rhs
     s3 = Sphere(3)
     walked = run_check(small(
-        "w2_control", space=s3, x=np.array([0.0, 0.0, 0.0, 1.0]),
+        "w2_control", space=s3, cd=CurvatureDimension(4.0, 3.0), x=np.array([0.0, 0.0, 0.0, 1.0]),
         y=np.array([0.0, 0.0, math.sin(0.5), math.cos(0.5)]), s=0.1, t=0.3,
         n_trajectories=400, k=4))
     assert walked.metadata["sampler"] == "walk"
     assert (walked.metadata["k"], walked.metadata["n_trajectories"]) == (4, 400)
     assert walked.metadata["assignments"]["size"] == 200
-    # no samples drawn: neither key
+    # no samples drawn: none of the keys, also where the upper side decides
     law = run_check(small("prectl", space=S2, x=NORTH, y=sphere_point(1.0),
                           tau1=0.2, tau2=0.4))
     grad = run_check(small("bl0", space=S2, t=0.5, f="cos_theta"))
-    for other in (law, grad):
+    decided = run_check(small(
+        "w2_control", space=Euclidean(2), x=np.zeros(2), y=np.array([1.0, 0.0]),
+        s=0.25, t=1.0))
+    assert decided.metadata["sampler"] == "bounds"
+    for other in (law, grad, decided):
         assert not {"k", "n_trajectories", "assignments"} & set(other.metadata)
 
 

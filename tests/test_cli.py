@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ctlab.checks
-from ctlab.checks import CHECKS, REQUIRED_FIELDS, require_fields
+from ctlab.checks import CHECKS, REQUIRED_FIELDS, Z, require_fields
 from ctlab.cli import (
     ConfigError,
     build_check,
@@ -167,6 +167,37 @@ def test_prectl_rows_load_alike_with_or_without_a_sample_plan(tmp_path):
     assert not any({"k", "n_trajectories"} & set(r.metadata) for r in reports[0])
 
 
+_BOUNDED = ("w2_control", "wp", "swc", "lp2")
+
+
+_SUITE_SEEDS = [("acceptance", None)] + [
+    (name, seed) for name in ("mc_suite", "transport_blocks") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("suite,seed", _SUITE_SEEDS, ids=[
+    name if seed is None else f"{name}-{seed}" for name, seed in _SUITE_SEEDS])
+def test_sampled_lhs_stays_below_the_coupling_upper_side(monkeypatch, suite, seed):
+    # the synchronous coupling bounds W_p from above, so no sampled lhs may
+    # exceed its upper side by more than Z sigma; each row computes that
+    # side, withholds it and samples as if it had none
+    if seed is None:
+        doc = json.loads(pathlib.Path(bundled_config(f"{suite}.json")).read_text())
+    else:
+        doc = _workloads().generate(suite, seed, str(ROOT / "src"))
+    bound, seen = ctlab.checks._coupling_bound, []
+    monkeypatch.setattr(ctlab.checks, "_coupling_bound", lambda *args: seen.append(bound(*args)))
+    rows = [build_check(c, doc["seed"], i) for i, c in enumerate(doc["checks"])]
+    rows = [spec for spec in rows if spec.check_id in _BOUNDED]
+    for spec in rows:
+        seen.clear()
+        rep = ctlab.checks.run_check(spec)
+        (upper, err), = seen
+        assert rep.metadata["sampler"] == "exact" and rep.sigma > 0
+        assert rep.lhs <= upper + Z * rep.sigma, (spec.check_id, spec.space.label,
+                                                  (rep.lhs - upper) / rep.sigma)
+    assert len(rows) == (3 if seed is None else 12 if suite == "mc_suite" else 9)
+
+
 def _fresh_interpreter(code: str):
     """The JSON that code prints on its last line, run in a new interpreter
     that imports ctlab from this checkout."""
@@ -231,7 +262,7 @@ def _suite_document(suite, tmp_path):
     return write_json(tmp_path / "suite.json", doc)
 
 
-_LSAP, _LAPACK = "scipy.optimize._lsap", "scipy.linalg.lapack"
+_LSAP, _LAPACK = "scipy.optimize._lsap", "scipy.linalg._flapack"
 
 
 @pytest.mark.parametrize("suite,solvers", [
@@ -240,13 +271,14 @@ _LSAP, _LAPACK = "scipy.optimize._lsap", "scipy.linalg.lapack"
     ("prectl_sphere", [_LAPACK]),
     ("prectl_flat", []),
     ("mc_suite", [_LSAP, _LAPACK]),
-    ("transport_blocks", [_LSAP]),
+    ("transport_blocks", [_LSAP, _LAPACK]),
 ])
 def test_no_check_imports_a_module(tmp_path, suite, solvers):
     # every import a suite's checks need happens while it is loaded, and
-    # the assignment solver comes without scipy.optimize and scipy.sparse;
-    # the gradient checks still import numpy's lazy numpy.random and
-    # numpy.fft (about 7 ms) on first use, so that case imports them first
+    # the compiled solvers come alone: without scipy.optimize, scipy.sparse
+    # and the scipy.linalg package; the gradient checks still import
+    # numpy's lazy numpy.random and numpy.fft (about 7 ms) on first use,
+    # so that case imports them first
     lazy = "import numpy.fft, numpy.random" if suite == "deterministic" else ""
     loaded = _fresh_interpreter(f"""
 import json, sys
@@ -259,10 +291,7 @@ print(json.dumps([after_load, sorted(sys.modules), {_SCIPY_MODULES}]))
 """)
     after_load, after_run, scipy_modules = loaded
     assert after_run == after_load
-    assert [m for m in (_LSAP, _LAPACK) if m in scipy_modules] == solvers
-    assert not {"scipy.optimize", "scipy.sparse"} & set(scipy_modules)
-    if _LAPACK not in solvers:
-        assert scipy_modules == solvers
+    assert scipy_modules == sorted(solvers)
 
 
 def test_scipy_optimize_reexports_the_solver_loaded_before_it():
@@ -275,6 +304,18 @@ print(json.dumps([scipy.optimize.linear_sum_assignment is solver.linear_sum_assi
                   transport.linear_sum_assignment([[1.0, 0.0], [0.0, 1.0]])[1].tolist()]))
 """)
     assert loaded == [True, [1, 0]]
+
+
+def test_scipy_linalg_lapack_reexports_the_lapack_loaded_before_it():
+    loaded = _fresh_interpreter("""
+import json
+from ctlab import transport
+lapack = transport._flapack()
+import scipy.linalg.lapack
+print(json.dumps([scipy.linalg.lapack.dgttrf is lapack.dgttrf,
+                  scipy.linalg.lapack.dgttrs is lapack.dgttrs]))
+""")
+    assert loaded == [True, True]
 
 
 _W2 = {"id": "w2_control", "space": {"kind": "sphere", "dim": 2},

@@ -2,8 +2,10 @@
 
 tests/data/golden_margins.json pins float.hex of the margin and sigma of
 a tiny Monte Carlo suite (n = 64 in two blocks, and n = 48 in one
-bootstrapped block; k = 3), and of the coupled walk's terminal moment
-E d^p and its standard error at the prectl plan.  tests/data/golden_geometry.json pins the
+bootstrapped block; k = 3), sampled with the coupling's upper side
+patched out, of each of its reports that the upper side decides (the
+"/bounds" rows), and of the coupled walk's terminal moment E d^p and its
+standard error at the prectl plan.  tests/data/golden_geometry.json pins the
 sha256 of the output bytes of every geometry operation on a seeded batch
 per model space, including a point on a coordinate axis and an antipodal
 pair, and each space's curvature-dimension bound.  A change that is meant to
@@ -113,18 +115,29 @@ def _coupled_moment(spec: CheckSpec) -> dict:
             "stderr": float(vals.std(ddof=1) / math.sqrt(vals.size)).hex()}
 
 
+def _pinned(rep) -> dict:
+    return {"margin": float(rep.margin).hex(), "sigma": float(rep.sigma).hex(),
+            "verdict": rep.verdict}
+
+
 def measure() -> dict:
     values = {}
     for name, spec, walk in cases():
         if walk and spec.check_id == "prectl":
             values[name] = _coupled_moment(spec)
             continue
-        # the walk rows draw their heat clouds as on a space without an exact law
+        # every row draws its heat clouds: the coupling's upper side is
+        # patched out, and the walk rows draw as on a space without an exact law
+        no_bound = mock.patch.object(ctlab.checks, "_coupling_bound", lambda *args: None)
         no_law = mock.patch.object(ctlab.checks, "has_heat_law", lambda space: False)
-        with no_law if walk else contextlib.nullcontext():
+        with no_bound, no_law if walk else contextlib.nullcontext():
+            values[name] = _pinned(run_check(spec))
+    # the rows that the upper side decides, as "<check>/<space>/bounds"
+    for name, spec, walk in cases():
+        if name.endswith("/exact"):
             rep = run_check(spec)
-        values[name] = {"margin": float(rep.margin).hex(), "sigma": float(rep.sigma).hex(),
-                        "verdict": rep.verdict}
+            if rep.metadata.get("sampler") == "bounds":
+                values[name.removesuffix("exact") + "bounds"] = _pinned(rep)
     return {"numpy": np.__version__, "scipy": scipy.__version__, "values": values}
 
 

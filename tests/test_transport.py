@@ -249,14 +249,14 @@ class _Recording(PthPowerDistance):
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity call")
 def test_two_threads_loading_the_solver_first_get_one_module(monkeypatch):
     monkeypatch.delitem(sys.modules, transport._LSAP)
-    load, calls = transport._load_lsap, []
+    load, calls = transport._load_compiled, []
 
-    def slow_load(roots):
+    def slow_load(name, roots):
         calls.append(roots)
         time.sleep(0.05)  # both threads are in _lsap before the first load ends
-        return load(roots)
+        return load(name, roots)
 
-    monkeypatch.setattr(transport, "_load_lsap", slow_load)
+    monkeypatch.setattr(transport, "_load_compiled", slow_load)
     start = threading.Barrier(2)
     got = [None, None]
 
@@ -278,7 +278,7 @@ def test_two_threads_loading_the_solver_first_get_one_module(monkeypatch):
 def test_a_missing_solver_file_raises_import_error_naming_it(tmp_path):
     before = sys.modules[transport._LSAP]
     with pytest.raises(ImportError) as err:
-        transport._load_lsap([str(tmp_path)])
+        transport._load_compiled(transport._LSAP, [str(tmp_path)])
     path = os.path.join(str(tmp_path), "optimize", "_lsap")
     assert path in str(err.value) and err.value.path.startswith(path)
     assert f"scipy {importlib.metadata.version('scipy')} " in str(err.value)
@@ -308,8 +308,8 @@ def test_concurrent_blocks_match_serial_reference(monkeypatch, space, n_blocks, 
 
 
 def test_blocks_solved_out_of_order_keep_block_order(monkeypatch):
-    # each block's certificate runs (and rejects) first; the solver then
-    # sees the very matrix that was built, in solve orientation
+    # curved blocks go to the solver directly, which sees the very matrix
+    # that was built, in solve orientation
     monkeypatch.setattr(transport, "_solver_threads", lambda: 4)
     monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
     cost = _Recording()
@@ -374,6 +374,20 @@ def test_certified_blocks_finish_first_and_keep_block_order(monkeypatch):
     assert est.block_values.tobytes() == vals.tobytes()
 
 
+@pytest.mark.parametrize("space,tries", [(Sphere(2), 0), (Hyperbolic(2), 0), (Euclidean(2), 4)],
+                         ids=["S2", "H2", "E2"])
+def test_only_flat_blocks_try_the_certificate(monkeypatch, space, tries):
+    # three blocks and one single-block estimate: on a curved space the
+    # common-noise pairing is never optimal, so no certificate is tried
+    monkeypatch.setattr(transport, "_CERTIFY_FROM", 1)
+    certify, calls = transport._identity_is_optimal, []
+    monkeypatch.setattr(transport, "_identity_is_optimal", lambda C: calls.append(C) or certify(C))
+    xs, ys = _block_clouds(space, 3)
+    block_cost_estimate(space, xs, ys, PthPowerDistance(2.0), block_size=30, seed=5)
+    block_cost_estimate(space, xs[:20], ys[:20], PthPowerDistance(2.0), block_size=30, seed=5)
+    assert len(calls) == tries
+
+
 def _certifiable(rng, n):
     """A paired matrix whose pairing the first sweep certifies: zero
     diagonal, positive elsewhere."""
@@ -407,7 +421,7 @@ def _hold_at_most_workers_plus_one(workers, certify_every):
             outstanding = max(outstanding, built - yielded)
             yield C
 
-    for C, rows, cols, certified in transport._assignments(build()):
+    for C, rows, cols, certified in transport._assignments(build(), True):
         assert C is matrices[yielded]
         assert certified == certifiable[yielded]
         want_rows, want_cols = scipy_assignment(C)
@@ -478,7 +492,7 @@ def test_dilated_flat_clouds_are_certified(seed, n, m, scale, shift):
         rows, cols = scipy_assignment(C)
         assert np.array_equal(cols, np.arange(n))
         with mock.patch.object(transport, "_CERTIFY_FROM", 1):
-            got = transport._paired_assignment(C)
+            got = transport._paired_assignment(C, True)
         assert got[2] and np.array_equal(got[0], rows) and np.array_equal(got[1], cols)
 
 
@@ -496,7 +510,7 @@ def test_a_swapped_pair_falls_back_to_the_solver(seed, n, m, scale, data):
     want = np.arange(n)
     want[[i, j]] = [j, i]
     with mock.patch.object(transport, "_CERTIFY_FROM", 1):
-        rows, cols, certified = transport._paired_assignment(C)
+        rows, cols, certified = transport._paired_assignment(C, True)
     assert not certified
     assert np.array_equal(cols, want) and np.array_equal(cols, scipy_assignment(C)[1])
 
@@ -513,7 +527,7 @@ def test_certificate_agrees_with_the_solver_on_random_matrices(seed, n, kind):
     if transport._identity_is_optimal(C):
         assert np.array_equal(cols, np.arange(n))
     with mock.patch.object(transport, "_CERTIFY_FROM", 1):
-        got_rows, got_cols, _ = transport._paired_assignment(C)
+        got_rows, got_cols, _ = transport._paired_assignment(C, True)
     assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
 
 
@@ -536,10 +550,10 @@ def test_non_finite_costs_defer_to_the_solver(monkeypatch, bad):
         want = scipy_assignment(C)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            transport._paired_assignment(C)
+            transport._paired_assignment(C, True)
         assert str(got.value) == str(exc)
     else:
-        rows, cols, certified = transport._paired_assignment(C)
+        rows, cols, certified = transport._paired_assignment(C, True)
         assert not certified
         assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
 
@@ -573,8 +587,12 @@ def _solver_calls(monkeypatch):
     ids=["E2-shared", "E2-independent", "S2-shared"])
 def test_common_noise_flat_blocks_skip_the_solver(monkeypatch, space, share_noise,
                                                   certified):
+    import ctlab.checks
     from ctlab.checks import CheckSpec, run_check
 
+    # these true claims are decided by the coupling's upper side, so it is
+    # patched out: the check draws its clouds and solves its blocks
+    monkeypatch.setattr(ctlab.checks, "_coupling_bound", lambda *args: None)
     sizes = _solver_calls(monkeypatch)
     x, y = (np.zeros(2), np.array([1.0, 0.0])) if space.kind == "euclidean" else (
         np.array([0.0, 0.0, 1.0]), np.array([math.sin(1.0), 0.0, math.cos(1.0)]))

@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 import ctlab.walk as walk_mod
 from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
 from ctlab.comparison import comp_c, comp_s
+from ctlab.transport import ComparisonCost, PthPowerDistance
 from ctlab.walk import (
     WalkConfig,
     coupled_distance_moment,
@@ -603,9 +604,20 @@ def test_flat_second_moment_is_the_closed_form(m):
     # rho / sqrt(2D) is non-central chi with m degrees of freedom
     for d0, a, b in ((1.0, 0.2, 0.4), (0.0, 0.25, 1.0), (2.5, 1.3, 0.1)):
         D = (math.sqrt(b) - math.sqrt(a)) ** 2
-        value, bound = coupled_distance_moment(Euclidean(m), d0, a, b, 2.0)
+        value, bound = coupled_distance_moment(Euclidean(m), d0, a, b, PthPowerDistance(2.0))
         assert value == pytest.approx(d0**2 + 2 * m * D, abs=1e-12)
         assert bound == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_moment_of_a_cost_is_solved_from_that_cost(m):
+    # lp2's cost s_0(r/2)^2 = r^2/4 on E^m: the backward equation starts
+    # from h(r), with no closed form, and lands on E rho^2 / 4
+    for d0, a, b in ((1.0, 0.2, 0.4), (0.0, 0.25, 1.0)):
+        D = (math.sqrt(b) - math.sqrt(a)) ** 2
+        value, bound = coupled_distance_moment(Euclidean(m), d0, a, b, ComparisonCost(2.0, 0.0))
+        assert bound > 0.0
+        assert abs(value - (d0**2 + 2 * m * D) / 4) <= bound + 1e-12
 
 
 def _distance_ode(space, d0, tau, steps=4000):
@@ -629,7 +641,7 @@ def _distance_ode(space, d0, tau, steps=4000):
 def test_equal_time_scales_leave_no_noise(space):
     for d0 in (0.3, 1.0, 2.0):
         for p in (2.0, 3.0):
-            value, bound = coupled_distance_moment(space, d0, 0.3, 0.3, p)
+            value, bound = coupled_distance_moment(space, d0, 0.3, 0.3, PthPowerDistance(p))
             assert bound == 0.0
             assert value == pytest.approx(_distance_ode(space, d0, 0.3) ** p, rel=1e-10)
 
@@ -638,9 +650,9 @@ def test_equal_time_scales_leave_no_noise(space):
                                        (Hyperbolic(2), 0.0)], ids=["S2", "S2_far", "H2", "H2_d0"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_a_four_times_finer_grid_stays_within_the_bound(monkeypatch, space, d0, p):
-    value, bound = coupled_distance_moment(space, d0, 0.2, 0.4, p)
+    value, bound = coupled_distance_moment(space, d0, 0.2, 0.4, PthPowerDistance(p))
     monkeypatch.setattr(walk_mod, "_CELLS", 4 * walk_mod._CELLS)
-    finer, finer_bound = coupled_distance_moment(space, d0, 0.2, 0.4, p)
+    finer, finer_bound = coupled_distance_moment(space, d0, 0.2, 0.4, PthPowerDistance(p))
     assert abs(finer - value) < bound
     assert finer_bound < bound
     if isinstance(space, Sphere) and d0 == 1.0:
@@ -650,9 +662,9 @@ def test_a_four_times_finer_grid_stays_within_the_bound(monkeypatch, space, d0, 
 def test_law_reproduces_the_one_dimensional_prototype():
     # the acceptance prectl pair: Crank-Nicolson at 4000 cells gave 0.6303804
     # on S2 and 1.8688567 on H2 at 2000 cells (d0 = 1, (0.2, 0.4))
-    s2, bound = coupled_distance_moment(Sphere(2), 1.0, 0.2, 0.4, 2.0)
+    s2, bound = coupled_distance_moment(Sphere(2), 1.0, 0.2, 0.4, PthPowerDistance(2.0))
     assert abs(s2 - 0.6303804) < 1e-6 and bound < 1e-4
-    h2, bound = coupled_distance_moment(Hyperbolic(2), 1.0, 0.2, 0.4, 2.0)
+    h2, bound = coupled_distance_moment(Hyperbolic(2), 1.0, 0.2, 0.4, PthPowerDistance(2.0))
     assert abs(h2 - 1.8688567) < 1e-5 and bound < 1e-3
 
 
@@ -667,17 +679,18 @@ def test_circle_distance_is_reflected_brownian_motion(radius, p):
     rho = np.abs((d0 + sd * z + period / 2) % period - period / 2)
     dens = np.exp(-z * z / 2) / math.sqrt(2 * math.pi)
     exact = float(np.sum(rho**p * dens) * (z[1] - z[0]))
-    value, bound = coupled_distance_moment(Sphere(1, radius=radius), d0, a, b, p)
+    value, bound = coupled_distance_moment(Sphere(1, radius=radius), d0, a, b,
+                                           PthPowerDistance(p))
     assert abs(value - exact) <= bound + 1e-9
 
 
 def test_ou_and_bad_distances_are_refused():
     with pytest.raises(ValueError, match="OU"):
-        coupled_distance_moment(EuclideanOU(2, 1.0), 1.0, 0.2, 0.4, 2.0)
+        coupled_distance_moment(EuclideanOU(2, 1.0), 1.0, 0.2, 0.4, PthPowerDistance(2.0))
     with pytest.raises(ValueError, match="d0"):
-        coupled_distance_moment(Sphere(2), 3.2, 0.2, 0.4, 2.0)
+        coupled_distance_moment(Sphere(2), 3.2, 0.2, 0.4, PthPowerDistance(2.0))
     with pytest.raises(ValueError, match="nonnegative"):
-        coupled_distance_moment(Sphere(2), 1.0, -0.2, 0.4, 2.0)
+        coupled_distance_moment(Sphere(2), 1.0, -0.2, 0.4, PthPowerDistance(2.0))
 
 
 @pytest.mark.parametrize("space, tau1, tau2, p", [
@@ -686,21 +699,21 @@ def test_ou_and_bad_distances_are_refused():
     (EuclideanOU(2, 1.0), 0.2, 0.4, 3.0), (Sphere(2), -0.2, 0.4, 3.0)])
 def test_moment_is_numerical_where_the_backward_equation_is_solved(monkeypatch, space,
                                                                     tau1, tau2, p):
-    # cli.load_suite loads LAPACK at set-up exactly when a prectl row will solve
+    # cli.load_suite loads LAPACK at set-up exactly when a row will solve
     solved = []
     monkeypatch.setattr(walk_mod, "_backward_moment", lambda *a: solved.append(a) or 1.0)
     try:
-        coupled_distance_moment(space, 1.0, tau1, tau2, p)
+        coupled_distance_moment(space, 1.0, tau1, tau2, PthPowerDistance(p))
     except ValueError:
         pass
-    assert moment_is_numerical(space, tau1, tau2, p) == bool(solved)
+    assert moment_is_numerical(space, tau1, tau2, PthPowerDistance(p)) == bool(solved)
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)], ids=["S2", "H2"])
 def test_coupled_walk_matches_the_law_of_its_distance(space):
     # the walk's E d^2 at k = 15 over seeds 0-5 against the law: |mean z| <= 3/sqrt(R)
     x, y = _start_pair(space)
-    value, bound = coupled_distance_moment(space, 1.0, 0.2, 0.4, 2.0)
+    value, bound = coupled_distance_moment(space, 1.0, 0.2, 0.4, PthPowerDistance(2.0))
     zs = []
     for seed in range(6):
         cfg = WalkConfig(k=15, n_trajectories=2000, seed=seed)
