@@ -29,7 +29,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebvander
@@ -63,7 +63,6 @@ from .walk import (
     WalkConfig,
     coupled_distance_moment,
     has_heat_law,
-    moment_is_numerical,
     run_single,
     sample_heat,
 )
@@ -76,9 +75,8 @@ __all__ = [
     "run_check",
     "run_suite",
     "REQUIRED_FIELDS",
-    "ASSIGNMENT_CHECKS",
+    "TRANSPORT_CHECKS",
     "require_fields",
-    "solves_coupled_moment",
     "named_field",
     "default_grid",
 ]
@@ -168,6 +166,11 @@ class VerificationReport:
     metadata: dict = field(default_factory=dict)
     error: Optional[str] = None
 
+    #: the columns of a report row (to_row), in order: report.csv's header
+    COLUMNS: ClassVar[tuple[str, ...]] = (
+        "check_id", "space", "K", "N", "p", "beta", "s", "t", "tau1", "tau2",
+        "lhs", "rhs", "sigma", "margin", "verdict", "seed")
+
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
@@ -182,13 +185,7 @@ class VerificationReport:
         return _verdict(self.margin, self.sigma)
 
     def to_row(self) -> dict:
-        return {
-            "check_id": self.check_id, "space": self.space,
-            "K": self.K, "N": self.N, "p": self.p, "beta": self.beta,
-            "s": self.s, "t": self.t, "tau1": self.tau1, "tau2": self.tau2,
-            "lhs": self.lhs, "rhs": self.rhs, "sigma": self.sigma,
-            "margin": self.margin, "verdict": self.verdict, "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in self.COLUMNS}
 
 
 def _verdict(margin: float, sigma: float) -> str:
@@ -361,24 +358,6 @@ def _moment_plan(spec: CheckSpec) -> Optional[tuple]:
     return None
 
 
-def _coupled(spec: CheckSpec) -> bool:
-    """Whether the synchronous coupling of spec's heat laws has a law of its
-    distance (walk.coupled_distance_moment): Dirac starts, off OU."""
-    return spec.mu0 is None and spec.mu1 is None and not isinstance(spec.space, EuclideanOU)
-
-
-def solves_coupled_moment(spec: CheckSpec) -> bool:
-    """Whether spec's check solves the backward equation of the coupled
-    distance, with scipy's LAPACK (walk.moment_is_numerical): prectl's lhs,
-    or the upper side of w2_control, wp, swc or lp2.  A spec that its check
-    rejects for its (K, N) or p solves nothing."""
-    try:
-        plan = _moment_plan(spec) if _coupled(spec) else None
-    except ValueError:
-        return False
-    return plan is not None and moment_is_numerical(spec.space, *plan)
-
-
 def _coupling_bound(spec: CheckSpec, transform, rising_to: float) -> Optional[tuple]:
     """The coupling's upper side (upper, err) of spec's lhs: upper =
     tf(E h(rho_1)) for the synchronous coupling, with h the cost of spec's
@@ -388,7 +367,7 @@ def _coupling_bound(spec: CheckSpec, transform, rising_to: float) -> Optional[tu
     as it does up to rising_to.  None where no bound is computed: starts
     that are not Diracs, OU, E h(rho_1) past rising_to, or h undefined on
     part of the law's grid."""
-    if not _coupled(spec):
+    if spec.mu0 is not None or spec.mu1 is not None or isinstance(spec.space, EuclideanOU):
         return None
     a, b, cost = _moment_plan(spec)
     try:
@@ -550,7 +529,8 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     -K(lam + 1/lam) * (that quantity) + N/2 (lam + 1/lam - 2), and
     reports the residual of the linearized time change against the
     exact geodesic equation theta'' = -(K w^2 / 2N) s_{K/N}(2 theta)
-    at h in {1e-2, 1e-3}.
+    at h in {1e-2, 1e-3}.  theta_h weighs s_{K/N}(w r) and s_{K/N}(w (1 - r)),
+    so its second derivative is -(K/N) w^2 theta_h exactly.
     """
     u = spec.t
     lam = spec.lam
@@ -564,10 +544,8 @@ def check_wvar_ode(spec: CheckSpec) -> VerificationReport:
     residuals = {}
     for h in (1e-2, 1e-3):
         _, theta_h, _ = swc_reparam(w, lam, h, cd)
-        rr = np.linspace(0.05, 0.95, 31)
-        fd = 1e-4
-        th = theta_h(rr)
-        d2 = (theta_h(rr + fd) - 2 * th + theta_h(rr - fd)) / fd**2
+        th = theta_h(np.linspace(0.05, 0.95, 31))
+        d2 = -kap * w**2 * th
         ode_rhs = -(cd.K * w**2 / (2.0 * cd.N)) * comp_s(kap, 2 * th)
         residuals[h] = float(np.max(np.abs(d2 - ode_rhs)))
     ratio = residuals[1e-2] / residuals[1e-3] if residuals[1e-3] > 0 else math.inf
@@ -821,8 +799,9 @@ REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
     "mono_app": ("t",),
 }
 
-#: the checks that solve assignment problems, by scipy's compiled solver scipy.optimize._lsap
-ASSIGNMENT_CHECKS = frozenset(("w2_control", "swc", "wp", "lp2", "wvar_ode"))
+#: the transport checks: each solves assignment problems with scipy.optimize._lsap
+#: or the coupled distance's backward equation with scipy.linalg._flapack, or both
+TRANSPORT_CHECKS = frozenset(("w2_control", "swc", "wp", "lp2", "wvar_ode", "prectl"))
 
 
 def require_fields(spec: CheckSpec) -> None:

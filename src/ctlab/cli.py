@@ -11,8 +11,11 @@ on any other key (in 'extra' too), a value of the wrong type, a sample size
 below its least value, an 'extra' n_cases below 1 or grid that is not a
 non-empty list of points, or a missing field before any check runs.
 
-Exit codes: 0 all pass, 1 any fail (or check error), 2 configuration or
-input error, 3 inconclusive results without any failure.  The log level
+Exit codes: 0 all pass, 1 any fail (or check error), 2 configuration,
+input, set-up or output error (a suite whose compiled solver cannot be
+loaded, or an --out directory that cannot be created, exits 2 before any
+check runs; a report that cannot be written, after), 3 inconclusive
+results without any failure.  The log level
 comes from the CTL_LOG_LEVEL environment variable.
 """
 
@@ -31,15 +34,14 @@ from importlib import resources
 import numpy as np
 
 from .checks import (
-    ASSIGNMENT_CHECKS,
     CHECKS,
     EPS,
+    TRANSPORT_CHECKS,
     Z,
     CheckSpec,
     VerificationReport,
     require_fields,
     run_suite,
-    solves_coupled_moment,
 )
 from .comparison import CurvatureDimension, ExponentPair
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
@@ -58,9 +60,6 @@ log = logging.getLogger("ctl")
 
 SUITE_SCHEMA = "ctl-suite/1"
 REPORT_SCHEMA = "ctl-report/1"
-
-CSV_COLUMNS = ["check_id", "space", "K", "N", "p", "beta", "s", "t",
-               "tau1", "tau2", "lhs", "rhs", "sigma", "margin", "verdict", "seed"]
 
 
 class ConfigError(ValueError):
@@ -214,11 +213,12 @@ def load_suite(path: str, seed_override: int | None = None) -> list[CheckSpec]:
         raise ConfigError("'checks' must be a list")
     specs = [build_check(c, seed, i) for i, c in enumerate(checks)]
     # the solvers' loads are set-up, not part of the first check to solve;
-    # the transport checks also draw with numpy's lazily imported numpy.random
-    if any(spec.check_id in ASSIGNMENT_CHECKS for spec in specs):
+    # the transport checks also draw with numpy's lazily imported numpy.random.
+    # LAPACK comes last: the OpenBLAS threads it starts spin for a while, and
+    # would slow the import of numpy.random on a machine with few CPUs
+    if any(spec.check_id in TRANSPORT_CHECKS for spec in specs):
         _lsap()
         import numpy.random  # noqa: F401
-    if any(map(solves_coupled_moment, specs)):
         _flapack()
     return specs
 
@@ -254,11 +254,10 @@ def report_to_dict(rep: VerificationReport) -> dict:
 
 
 def write_reports(reports: list[VerificationReport], out_dir: str) -> tuple[str, str]:
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     json_path = os.path.join(out_dir, "report.json")
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=VerificationReport.COLUMNS)
         writer.writeheader()
         for rep in reports:
             writer.writerow(rep.to_row())
@@ -270,7 +269,8 @@ def write_reports(reports: list[VerificationReport], out_dir: str) -> tuple[str,
 
 _VERDICTS = {"pass", "fail", "inconclusive", "error"}
 _REPORT_STRINGS = ("check_id", "space", "verdict")
-_REQUIRED_REPORT_KEYS = set(CSV_COLUMNS) | {"stderr_lhs", "stderr_rhs", "metadata", "error"}
+_REQUIRED_REPORT_KEYS = set(VerificationReport.COLUMNS) | {"stderr_lhs", "stderr_rhs",
+                                                          "metadata", "error"}
 
 
 def load_report(path: str) -> list[dict]:
@@ -322,8 +322,20 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ImportError as exc:  # a compiled solver that cannot be loaded
+        print(f"set-up error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     reports = run_suite(specs, jobs=args.jobs)
-    csv_path, json_path = write_reports(reports, args.out)
+    try:
+        csv_path, json_path = write_reports(reports, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     for rep in reports:
         msg = (f"{rep.verdict.upper():12s} {rep.check_id:22s} {rep.space:18s} "
                f"margin={rep.margin:+.4e} sigma={rep.sigma:.3e}")

@@ -66,7 +66,6 @@ __all__ = [
     "run_coupled",
     "run_single",
     "coupled_distance_moment",
-    "moment_is_numerical",
     "has_heat_law",
     "sample_heat",
     "write_path_csv",
@@ -403,15 +402,6 @@ def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: flo
     coarse, fine = (_backward_moment(log_w, D, lo, hi, cells, d0, cost.of_distance)
                     for cells in (_CELLS, 2 * _CELLS))
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
-
-
-def moment_is_numerical(space: ModelSpace, tau1: float, tau2: float, cost: CostSpec) -> bool:
-    """Whether coupled_distance_moment(space, d0, tau1, tau2, cost) solves
-    the backward equation, with scipy's LAPACK, rather than taking a closed
-    form or refusing the space."""
-    return (not isinstance(space, EuclideanOU) and min(tau1, tau2) >= 0
-            and (math.sqrt(tau1) - math.sqrt(tau2)) ** 2 != 0.0
-            and not (space.sectional_curvature == 0.0 and cost == PthPowerDistance(2.0)))
 
 
 def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: float,

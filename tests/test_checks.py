@@ -18,7 +18,14 @@ from ctlab.checks import (
     run_check,
     run_suite,
 )
-from ctlab.comparison import CurvatureDimension, ExponentPair, coeff_A, j_measure
+from ctlab.comparison import (
+    CurvatureDimension,
+    ExponentPair,
+    coeff_A,
+    comp_s,
+    j_measure,
+    swc_reparam,
+)
 from ctlab.cli import bundled_config, load_suite
 from ctlab.geometry import Euclidean, EuclideanOU, Hyperbolic, Sphere
 from ctlab.heat import MODES, default_backend, heat_apply
@@ -239,25 +246,6 @@ def test_measures_and_ou_are_not_bounded(monkeypatch):
     for spec, rep in zip(specs, reports):
         assert "bounds" not in rep.metadata and rep.metadata["sampler"] == "exact"
         assert _report_fields(rep) == _report_fields(run_check(spec))
-
-
-def test_rows_that_solve_the_coupled_moment_are_known_before_they_run():
-    # cli.load_suite loads LAPACK for these rows, and only for these
-    pair = dict(x=NORTH, y=sphere_point(1.0))
-    flat = dict(x=np.zeros(2), y=np.array([1.0, 0.0]))
-    solves = ctlab.checks.solves_coupled_moment
-    assert solves(small("lp2", space=S2, tau1=0.2, tau2=0.4, **pair))
-    assert solves(small("lp2", space=Euclidean(2), tau1=0.2, tau2=0.4, **flat))
-    assert solves(small("prectl", space=S2, tau1=0.2, tau2=0.4, **pair))
-    assert not solves(small("w2_control", space=Euclidean(2), s=0.25, t=1.0, **flat))
-    assert not solves(small("wvar_ode", space=S2, t=0.3, **pair))
-    assert not solves(small("w2_control", space=S2, mu0=EmpiricalMeasure.dirac(NORTH),
-                            y=sphere_point(1.0), s=0.25, t=1.0))
-    # a claim that lp2 rejects at run time is no set-up error
-    rejected = small("lp2", space=S2, cd=CurvatureDimension(0.9, 1.0), tau1=0.2, tau2=0.4, **pair)
-    assert not solves(rejected)
-    with pytest.raises(ValueError, match="N > 1"):
-        run_check(rejected)
 
 
 def test_upper_side_refuses_a_falling_transform_and_an_undefined_cost():
@@ -669,6 +657,32 @@ def test_wvar_ode_check_small():
         t=0.15, lam=2.0, n_trajectories=1500))
     assert rep.verdict in ("pass", "inconclusive")
     assert rep.metadata["theta_ode_ratio"] >= 10.0
+
+
+@pytest.mark.parametrize("space, cd, x, y", [
+    (S2, CurvatureDimension(0.9, 2.0), NORTH, sphere_point(1.0)),
+    (Hyperbolic(2), None, Hyperbolic(2).origin(),
+     Hyperbolic(2).exp_map(Hyperbolic(2).origin(), np.array([0.0, 1.0, 0.0]))),
+    (Euclidean(2), None, np.zeros(2), np.array([1.0, 0.0])),
+], ids=["S2", "H2", "E2"])
+def test_wvar_ode_residual_is_the_closed_form(space, cd, x, y):
+    # theta_h'' = -(K/N) w^2 theta_h exactly, which a difference quotient
+    # confirms; the residual against the geodesic equation follows from it
+    rep = run_check(small("wvar_ode", space=space, cd=cd, x=x, y=y, t=0.15, lam=2.0,
+                          n_trajectories=50, block_size=50))
+    cd, w = cd or space.cd, rep.metadata["w"]
+    rr, fd = np.linspace(0.05, 0.95, 31), 1e-3
+    for h, residual in rep.metadata["theta_ode_residuals"].items():
+        _, theta_h, _ = swc_reparam(w, 2.0, h, cd)
+        th = theta_h(rr)
+        d2 = -cd.kappa * w**2 * th
+        quotient = (theta_h(rr + fd) - 2 * th + theta_h(rr - fd)) / fd**2
+        assert np.allclose(quotient, d2, rtol=1e-5, atol=1e-9)
+        ode = -(cd.K * w**2 / (2.0 * cd.N)) * comp_s(cd.kappa, 2 * th)
+        assert residual == np.max(np.abs(d2 - ode))
+    if cd.K == 0:
+        assert rep.metadata["theta_ode_residuals"] == {1e-2: 0.0, 1e-3: 0.0}
+        assert rep.metadata["theta_ode_ratio"] == math.inf
 
 
 def test_wvar_ode_flat_dirac_derivative_matches_oracle():

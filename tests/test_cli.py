@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import ctlab.checks
-from ctlab.checks import CHECKS, REQUIRED_FIELDS, Z, require_fields
+import ctlab.cli
+import ctlab.transport
+from ctlab.checks import CHECKS, REQUIRED_FIELDS, Z, require_fields, run_suite
 from ctlab.cli import (
     ConfigError,
     build_check,
@@ -76,6 +78,51 @@ def test_config_errors_exit_two(tmp_path):
     assert main(["verify", "--config", bad3, "--out", str(tmp_path)]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path)]) == 2
+
+
+def _no_check_runs(monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(ctlab.cli, "run_suite", no_suite)
+
+
+def test_missing_compiled_solver_exits_two(tmp_path, capsys, monkeypatch):
+    # a suite with a transport check loads scipy's compiled solvers at set-up
+    monkeypatch.setattr(ctlab.transport, "_LSAP", "scipy.optimize._no_such_module")
+    _no_check_runs(monkeypatch)
+    assert main(["verify", "--config", bundled_config("acceptance.json"),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "set-up error" in err and "_no_such_module" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_out_directory_that_cannot_be_made_exits_two_before_any_check(tmp_path, capsys,
+                                                                      monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    _no_check_runs(monkeypatch)
+    assert main(["verify", "--config", bundled_config("deterministic.json"),
+                 "--out", str(blocker / "out")]) == 2
+    assert "output error" in capsys.readouterr().err
+
+
+def test_report_that_cannot_be_written_exits_two(tmp_path, capsys):
+    (tmp_path / "report.csv").mkdir()
+    cfg = write_json(tmp_path / "empty.json", {"schema": "ctl-suite/1", "checks": []})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "output error" in capsys.readouterr().err
+
+
+def test_a_claim_its_check_rejects_loads_and_errors_when_it_runs(tmp_path):
+    # lp2 needs N > 1: the suite loads, and the row is an error row at run time
+    cfg = write_json(tmp_path / "lp2.json", {"schema": "ctl-suite/1", "checks": [
+        {"id": "lp2", "space": {"kind": "sphere", "dim": 2}, "K": 0.9, "N": 1.0,
+         "x": [0.0, 0.0, 1.0], "y": [math.sin(1.0), 0.0, math.cos(1.0)],
+         "tau1": 0.2, "tau2": 0.4}]})
+    (rep,) = run_suite(load_suite(cfg))
+    assert rep.verdict == "error" and "N > 1" in rep.error
 
 
 def test_build_space_and_check_strictness():
@@ -268,15 +315,16 @@ _LSAP, _LAPACK = "scipy.optimize._lsap", "scipy.linalg._flapack"
 @pytest.mark.parametrize("suite,solvers", [
     ("acceptance", [_LSAP, _LAPACK]),
     ("deterministic", []),
-    ("prectl_sphere", [_LAPACK]),
-    ("prectl_flat", []),
+    ("prectl_sphere", [_LSAP, _LAPACK]),
+    ("prectl_flat", [_LSAP, _LAPACK]),
     ("mc_suite", [_LSAP, _LAPACK]),
     ("transport_blocks", [_LSAP, _LAPACK]),
 ])
 def test_no_check_imports_a_module(tmp_path, suite, solvers):
     # every import a suite's checks need happens while it is loaded, and
     # the compiled solvers come alone: without scipy.optimize, scipy.sparse
-    # and the scipy.linalg package; the gradient checks still import
+    # and the scipy.linalg package.  A suite with any transport check,
+    # prectl alone included, loads both solvers; the gradient checks still import
     # numpy's lazy numpy.random and numpy.fft (about 7 ms) on first use,
     # so that case imports them first
     lazy = "import numpy.fft, numpy.random" if suite == "deterministic" else ""

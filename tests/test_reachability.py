@@ -13,10 +13,14 @@ subcommand and every value of ``CHECKS``.
 Delete what no check, command or allow-list reason needs, together with
 the tests that exist only for it.  An entry leaves the allow-list once the
 code is reached or gone; record every change to the list in CHANGES.md.
+
+A second gate holds each module's ``__all__`` to the names the module
+defines.
 """
 
 import argparse
 import ast
+import importlib
 import pathlib
 
 import ctlab
@@ -123,3 +127,13 @@ def test_every_definition_is_reached_or_allowed_with_a_reason():
         f"no longer defined, drop from ALLOWED: {sorted(ALLOWED.keys() - defs)}")
     assert all(reason.strip() for reason in ALLOWED.values())
 
+
+def test_every_exported_name_is_defined():
+    # a name left in __all__ after its definition is deleted breaks
+    # ``from ctlab.<module> import *``
+    undefined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"ctlab.{path.stem}".removesuffix(".__init__"))
+        undefined[path.stem] = [name for name in getattr(module, "__all__", ())
+                                if not hasattr(module, name)]
+    assert not any(undefined.values()), undefined

@@ -12,7 +12,6 @@ from ctlab.transport import ComparisonCost, PthPowerDistance
 from ctlab.walk import (
     WalkConfig,
     coupled_distance_moment,
-    moment_is_numerical,
     run_coupled,
     run_single,
     sample_unit_ball,
@@ -691,22 +690,6 @@ def test_ou_and_bad_distances_are_refused():
         coupled_distance_moment(Sphere(2), 3.2, 0.2, 0.4, PthPowerDistance(2.0))
     with pytest.raises(ValueError, match="nonnegative"):
         coupled_distance_moment(Sphere(2), 1.0, -0.2, 0.4, PthPowerDistance(2.0))
-
-
-@pytest.mark.parametrize("space, tau1, tau2, p", [
-    (Euclidean(2), 0.2, 0.4, 2.0), (Euclidean(2), 0.2, 0.4, 3.0), (Sphere(2), 0.3, 0.3, 3.0),
-    (Sphere(2), 0.2, 0.4, 2.0), (Sphere(1), 0.2, 0.4, 2.0), (Hyperbolic(2), 0.2, 0.4, 3.0),
-    (EuclideanOU(2, 1.0), 0.2, 0.4, 3.0), (Sphere(2), -0.2, 0.4, 3.0)])
-def test_moment_is_numerical_where_the_backward_equation_is_solved(monkeypatch, space,
-                                                                    tau1, tau2, p):
-    # cli.load_suite loads LAPACK at set-up exactly when a row will solve
-    solved = []
-    monkeypatch.setattr(walk_mod, "_backward_moment", lambda *a: solved.append(a) or 1.0)
-    try:
-        coupled_distance_moment(space, 1.0, tau1, tau2, PthPowerDistance(p))
-    except ValueError:
-        pass
-    assert moment_is_numerical(space, tau1, tau2, PthPowerDistance(p)) == bool(solved)
 
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)], ids=["S2", "H2"])
