@@ -43,8 +43,6 @@ from .walk import (
     CoupledWalkPath,
     WalkConfig,
     run_coupled,
-    has_heat_law,
-    run_single,
     sample_heat,
     sample_unit_ball,
     trajectory_rng,

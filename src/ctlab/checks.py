@@ -59,13 +59,7 @@ from .transport import (
     exact_cost,
     power_transform,
 )
-from .walk import (
-    WalkConfig,
-    coupled_distance_moment,
-    has_heat_law,
-    run_single,
-    sample_heat,
-)
+from .walk import WalkConfig, coupled_distance_moment, sample_heat
 
 __all__ = [
     "CheckSpec",
@@ -87,7 +81,7 @@ log = logging.getLogger("ctl")
 #: verdict levels: a statistical check fails below -Z sigma, a
 #: deterministic one below -EPS
 Z = 3.0
-EPS = 1e-5
+EPS = 1e-12
 H = 1e-3              # space step of geodesic central differences
 DU = 1e-2             # step in u of wvar_ode's difference quotient
 GAMMA2_CHUNK = 4096   # grid points per chunk of gamma2's series evaluation
@@ -124,7 +118,7 @@ class CheckSpec:
     tau1: Optional[float] = None
     tau2: Optional[float] = None
     n_trajectories: int = 5000
-    k: int = 30
+    k: int = 30                      # read by no check: every heat cloud is drawn exactly
     seed: int = 0
     block_size: int = 1000
     f: Optional[Callable | str] = None
@@ -303,34 +297,27 @@ def _starts(measure: EmpiricalMeasure, n: int, seed: int):
     return measure.points[idx]
 
 
-def _sampler(space: ModelSpace) -> str:
-    """How the two-sided checks draw their heat clouds on `space`."""
-    return "exact" if has_heat_law(space) else "walk"
-
-
 def _two_sided_samples(spec: CheckSpec, pairs: tuple) -> list:
-    """Terminal clouds of the two heat distributions, one (a, b) pair of
-    clouds per (time_a, time_b) in `pairs`.
+    """Terminal clouds of the two heat distributions, drawn from their exact
+    laws (walk.sample_heat), one (a, b) pair of clouds per (time_a, time_b)
+    in `pairs`.
 
-    The clouds come from the exact heat laws (walk.sample_heat) where the
-    space has them, and from the walk elsewhere.  With share_noise every
-    cloud is a side of one draw on the same per-trajectory streams
-    (common random numbers): the marginal laws are unchanged and the
-    differences between clouds have far lower variance.  Without it the
-    a sides and the b sides draw on separate seeds.
+    With share_noise every cloud is a side of one draw on the same
+    per-trajectory streams (common random numbers): the marginal laws are
+    unchanged and the differences between clouds have far lower variance.
+    Without it the a sides and the b sides draw on separate seeds.
     """
     n = spec.n_trajectories
     mu0, mu1 = _measures(spec)
     xa, xb = _starts(mu0, n, spec.seed + 3), _starts(mu1, n, spec.seed + 4)
     times = tuple(t for pair in pairs for t in pair)
-    cfg_a = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 1)
-    draw = sample_heat if _sampler(spec.space) == "exact" else run_single
+    cfg_a = WalkConfig(n_trajectories=n, seed=spec.seed + 1)
     if spec.share_noise:
-        clouds = draw(spec.space, (xa, xb) * len(pairs), times, cfg_a)
+        clouds = sample_heat(spec.space, (xa, xb) * len(pairs), times, cfg_a)
         return list(zip(clouds[0::2], clouds[1::2]))
-    cfg_b = WalkConfig(k=spec.k, n_trajectories=n, seed=spec.seed + 2)
-    a = draw(spec.space, (xa,) * len(pairs), times[0::2], cfg_a)
-    b = draw(spec.space, (xb,) * len(pairs), times[1::2], cfg_b)
+    cfg_b = WalkConfig(n_trajectories=n, seed=spec.seed + 2)
+    a = sample_heat(spec.space, (xa,) * len(pairs), times[0::2], cfg_a)
+    b = sample_heat(spec.space, (xb,) * len(pairs), times[1::2], cfg_b)
     return list(zip(a, b))
 
 
@@ -394,17 +381,13 @@ def _sampled_estimates(spec: CheckSpec, pairs: tuple, cost, transform) -> list:
 
 def _sample_plan(spec: CheckSpec, estimates: list) -> dict:
     """The metadata of a check that drew heat clouds: its sampler, the
-    trajectory count, k where the walk drew them, and the assignments
-    behind its block estimates, summed."""
-    sampler = _sampler(spec.space)
-    plan = dict(sampler=sampler, n_trajectories=spec.n_trajectories)
-    if sampler == "walk":
-        plan["k"] = spec.k
+    trajectory count and the assignments behind its block estimates,
+    summed."""
     counts = [e.assignments for e in estimates]
-    plan["assignments"] = dict(certified=sum(c["certified"] for c in counts),
-                               solved=sum(c["solved"] for c in counts),
-                               size=counts[0]["size"])
-    return plan
+    return dict(sampler="exact", n_trajectories=spec.n_trajectories,
+                assignments=dict(certified=sum(c["certified"] for c in counts),
+                                 solved=sum(c["solved"] for c in counts),
+                                 size=counts[0]["size"]))
 
 
 def _transport_report(spec: CheckSpec, transform, rhs,
@@ -502,7 +485,7 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     on the stronger quantity.  The moment comes from the law of the
     coupled distance, a 1-D diffusion on the model spaces
     (walk.coupled_distance_moment), and its discretization bound, carried
-    to the lhs by the delta method, is the lhs error.
+    to the lhs by the slope of c -> c^{2/p}, is the lhs error.
     """
     p = spec.exponents.p
     if p < 2:
@@ -516,9 +499,9 @@ def check_prectl(spec: CheckSpec) -> VerificationReport:
     rhs = math.exp(-arg) * d0**2 + (cd.N + p - 2.0) * 2.0 * decay_mean(arg) * (
         math.sqrt(spec.tau2) - math.sqrt(spec.tau1)) ** 2
     mean, bound = coupled_distance_moment(spec.space, d0, *_moment_plan(spec))
-    lhs = mean ** (2.0 / p)
-    se_lhs = (2.0 / p) * mean ** (2.0 / p - 1.0) * bound if mean > 0 else bound
-    return _base_report(spec, lhs, rhs, se_lhs, 0.0, tau_star=ts, d0=d0, sampler="coupled_law")
+    tf, slope = power_transform(2.0 / p)
+    return _base_report(spec, tf(mean), rhs, slope(mean) * bound, 0.0, tau_star=ts, d0=d0,
+                        sampler="coupled_law")
 
 
 def check_wvar_ode(spec: CheckSpec) -> VerificationReport:

@@ -1,4 +1,4 @@
-"""Coupled geodesic random walks.
+"""Coupled geodesic random walks and exact heat laws.
 
 A walk with discretization parameter k takes k^2 steps per unit of
 (rescaled) time.  Each step draws one sample zeta uniform on the unit
@@ -9,17 +9,19 @@ orthonormal frame as zeta_tilde = sqrt(2(m+2)) * Phi zeta, and moves
 
 The frame rides the step's own geodesic: one exp_transport call moves
 the point and transports the frame along it, which realizes a
-horizontal lift of the driving noise.  The coupled variant drives the
-second walker with the first walker's noise transported along the
-connecting minimal geodesic, from one log map (identity transport when
-the pair sits on the diagonal), each with its own time scale tau_i.
+horizontal lift of the driving noise.  run_coupled drives the second
+walker with the first walker's noise transported along the connecting
+minimal geodesic, from one log map (identity transport when the pair
+sits on the diagonal), each with its own time scale tau_i.  It is the
+paper's coupling: ctl simulate dumps its paths.
 
 Where a check needs only the heat laws P_t delta_x and no path,
-sample_heat draws them exactly on E^m, OU, S^1, S^2 and H^2: a uniform
-direction from the start and a radius, the scaled Gaussian norm on a
-flat space and an inverse CDF of the radial law on S^2 (a zonal Legendre
-series) and H^2 (McKean's kernel).  All sides of a trajectory share its
-Gaussian and its uniforms, a quantile coupling of the sides.
+sample_heat draws them exactly: a uniform direction from the start and
+a radius, the scaled Gaussian norm on a flat space or one of dimension
+1, and an inverse CDF of the radial law on S^d (a zonal series) and on
+H^2 (McKean's kernel) and H^3 (its closed-form kernel).  All sides of a
+trajectory share its Gaussian and its uniforms, a quantile coupling of
+the sides.  H^m for m >= 4 is refused.
 
 Where a check needs only a moment E h(rho_1) of the coupled distance at
 time 1, coupled_distance_moment takes it from its law: on E^m, S^m and
@@ -31,10 +33,9 @@ coupling is one of the couplings that W_p minimizes over.
 
 One driver, _clouds, draws every cloud: it goes over the trajectories
 in chunks, stacks each side's start rows and frames, and hands them to
-a kernel that moves the chunk.  There are three kernels: run_coupled
+a kernel that moves the chunk.  There are two kernels: run_coupled
 walks the pair (x, y), counts near-cut events and keeps snapshots;
-run_single walks any number of sides on common noise; sample_heat makes
-one exact jump per side.
+sample_heat makes one exact jump per side.
 
 Reproducibility: trajectory j draws from its own counter-based Philox
 stream keyed by (seed, j), its Gaussians first and then its uniforms,
@@ -64,9 +65,7 @@ __all__ = [
     "trajectory_rng",
     "sample_unit_ball",
     "run_coupled",
-    "run_single",
     "coupled_distance_moment",
-    "has_heat_law",
     "sample_heat",
     "write_path_csv",
 ]
@@ -157,46 +156,30 @@ class CoupledWalkPath:
 
 
 def _lift(frame: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Map ball coordinates (n, m) through frames (..., n, m, emb) to
-    tangent vectors, the same zeta for every leading (side) axis.
-
-    The contraction runs on flat (rows, m) and (rows, m, emb) operands:
-    given a broadcast operand, einsum takes a path several times slower.
-    """
-    m, emb = frame.shape[-2:]
-    scale = math.sqrt(2.0 * (m + 2))
-    rows = np.broadcast_to(zeta, frame.shape[:-1]).reshape(-1, m)
-    lifted = np.einsum("...i,...ie->...e", rows, frame.reshape(-1, m, emb))
-    return scale * lifted.reshape(frame.shape[:-2] + (emb,))
+    """Map ball coordinates (..., m) through frames (..., m, emb) to
+    tangent vectors."""
+    return math.sqrt(2.0 * (frame.shape[-2] + 2)) * np.einsum("...i,...ie->...e", zeta, frame)
 
 
 def _velocity(space, x, zt, tau, k):
-    """sqrt(tau)/k * zt + tau/k^2 * Z(x), projected onto the tangent space at x.
-
-    tau is a number or an array that broadcasts against x (one time
-    scale per side)."""
+    """sqrt(tau)/k * zt + tau/k^2 * Z(x), projected onto the tangent space at x."""
     inv_k = 1.0 / k
     inv_k2 = inv_k * inv_k
     v = np.sqrt(tau) * inv_k * zt + tau * inv_k2 * space.drift(x)
     return space.project_tangent(x, v)
 
 
-def _step_single(space, x, frame, zeta, tau, k):
-    """One step of a lone walker: the new point, the frame transported
-    along the step's own geodesic, and the lifted noise that drove it."""
-    zt = _lift(frame, zeta)
-    v = _velocity(space, x, zt, tau, k)[..., None, :]
-    new_x, new_frame = space.exp_transport(x[..., None, :], v, frame)
-    return new_x[..., 0, :], new_frame, zt
-
-
 def _step_coupled_arrays(space, x1, x2, frame1, zeta, tau1, tau2, k):
-    """One update of the coupled chain on batched state arrays."""
-    new_x1, new_frame, zt1 = _step_single(space, x1, frame1, zeta, tau1, k)
+    """One update of the coupled chain on batched state arrays: the first
+    walker steps and carries its frame along the step's own geodesic, and
+    the second steps on that lifted noise transported to it."""
+    zt1 = _lift(frame1, zeta)
+    v1 = _velocity(space, x1, zt1, tau1, k)[..., None, :]
+    new_x1, new_frame = space.exp_transport(x1[..., None, :], v1, frame1)
     u = space.log_map(x1, x2)
     diag = space._norm(u) < _DIAGONAL_TOL
     zt2 = np.where(diag, zt1, space.exp_transport(x1, u, zt1)[1])
-    return new_x1, space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
+    return new_x1[..., 0, :], space.exp_map(x2, _velocity(space, x2, zt2, tau2, k)), new_frame
 
 
 def _draws(seed, lo, hi, normal_shape, uniform_shape):
@@ -312,24 +295,6 @@ def run_coupled(space: ModelSpace, x, y, tau1: float, tau2: float, cfg: WalkConf
         terminal_distances=space.distance(x1, x2))
 
 
-def run_single(space: ModelSpace, starts: tuple, taus: tuple, cfg: WalkConfig) -> np.ndarray:
-    """Independent single walks, one side per start and time scale, stacked
-    as (sides, n, emb) like sample_heat.  A start is a point or
-    per-trajectory rows; every side walks on the same per-trajectory noise
-    streams (common random numbers) from its own start with its own frame.
-    """
-    starts, taus = _sides(space, starts, taus, cfg)
-    scales = np.reshape(np.asarray(taus, dtype=float), (-1, 1, 1))
-
-    def move(lo, hi, points, frames):
-        noise = _draw_chunk_noise(cfg.seed, lo, hi, cfg.n_steps, space.dim)
-        for i in range(cfg.n_steps):
-            points, frames, _ = _step_single(space, points, frames, noise[:, i, :], scales, cfg.k)
-        return points
-
-    return _clouds(space, starts, cfg, move)
-
-
 # ---------------------------------------------------------------------------
 # the law of the coupled distance
 
@@ -442,11 +407,10 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
 # exact heat laws
 
 
-def has_heat_law(space: ModelSpace) -> bool:
-    """Whether sample_heat draws the space's heat laws exactly: E^m and OU,
-    any space of dimension 1, the 2-sphere and the hyperbolic plane."""
-    return isinstance(space, Euclidean) or space.dim == 1 or (
-        isinstance(space, (Sphere, Hyperbolic)) and space.dim == 2)
+def _modes(tau: float) -> range:
+    """The degrees l >= 1 of a zonal series at time tau: until e^{-l^2 tau}
+    is below about e^-_TAIL."""
+    return range(1, 2 + math.ceil(math.sqrt(_TAIL / tau)))
 
 
 def _sphere_angle(tau: float):
@@ -463,7 +427,7 @@ def _sphere_angle(tau: float):
     u = np.cos(theta)
     upper = 1.0 - u   # becomes 2 (1 - F(u)) = 2 P(angle <= theta)
     prev, cur = np.ones_like(u), u.copy()
-    for l in range(1, 2 + math.ceil(math.sqrt(_TAIL / tau))):
+    for l in _modes(tau):
         nxt = ((2 * l + 1) * u * cur - l * prev) / (l + 1)
         upper -= math.exp(-l * (l + 1) * tau) * (nxt - prev)
         prev, cur = cur, nxt
@@ -495,6 +459,39 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces)))
 
 
+def _quantile(density: np.ndarray, x: np.ndarray):
+    """u -> the u-quantile of the law whose density, up to a factor, is
+    sampled on the increasing grid x: its CDF is the cumulative Simpson
+    integral, clipped at 0, made monotone and normalized, and is inverted
+    by linear interpolation."""
+    cdf = np.maximum.accumulate(np.maximum(_cumulative_simpson(density, x), 0.0))
+    cdf /= cdf[-1]
+    return lambda u: np.interp(u, cdf, x)
+
+
+def _zonal_angle(d: int, tau: float):
+    """u -> the u-quantile of the angle from the start under the heat law at
+    time tau on the unit d-sphere.  Its density in the angle is the zonal
+    series (Atkinson & Han, LNM 2044, 2012)
+
+        sin^{d-1}(theta) sum_l ((l + a)/a) C_l^a(cos theta) e^{-l(l+d-1) tau},  a = (d - 1)/2,
+
+    summed by the recurrence of the normalized Gegenbauer polynomials
+    G_l = C_l^a / C_l^a(1), (l + 2a) G_{l+1}(u) = 2(l + a) u G_l(u) - l G_{l-1}(u),
+    each weighted by ((l + a)/a) C_l^a(1), on _sphere_angle's angle grid and
+    modes: memory stays that of the grid."""
+    a = (d - 1) / 2.0
+    theta = np.linspace(0.0, min(math.pi, 2.0 * math.sqrt(_TAIL * tau)), _TABLE + 1)
+    u = np.cos(theta)
+    series, prev, cur = np.ones_like(u), np.ones_like(u), u
+    size = 1.0   # C_l^a(1) = binom(l + d - 2, l)
+    for l in _modes(tau):
+        size *= (l + d - 2) / l
+        series += math.exp(-l * (l + d - 1) * tau) * ((l + a) / a * size) * cur
+        prev, cur = cur, (2.0 * (l + a) * u * cur - l * prev) / (l + 2.0 * a)
+    return _quantile(np.sin(theta) ** (d - 1) * series, theta)
+
+
 def _hyperbolic_radius(tau: float):
     """(u, v) -> a radius of the heat law at time tau on the unit hyperbolic
     plane, from McKean's kernel
@@ -505,53 +502,64 @@ def _hyperbolic_radius(tau: float):
     read as a mixture: S has the density proportional to
     s sinh(s/2) e^{-s^2/4tau}, and given S the radius has the CDF
     1 - sqrt((cosh S - cosh r)/(cosh S - 1)) on [0, S].  So S is the
-    u-quantile of its law, whose CDF is the cumulative Simpson integral of
-    the density on a grid where it is above about e^-_TAIL of its peak,
-    and sinh(r/2) = sinh(S/2) sqrt(v (2 - v))."""
+    u-quantile of its law, tabulated where the density is above about
+    e^-_TAIL of its peak, and sinh(r/2) = sinh(S/2) sqrt(v (2 - v))."""
     half = 2.0 * math.sqrt(_TAIL * tau)
     s = np.linspace(max(0.0, tau - half), tau + half, _TABLE + 1)
     # s sinh(s/2) e^{-s^2/4tau} = e^{tau/4}/2 * s (1 - e^{-s}) e^{-(s - tau)^2/4tau}
-    density = s * -np.expm1(-s) * np.exp(-(s - tau) ** 2 / (4.0 * tau))
-    cdf = np.maximum.accumulate(np.maximum(_cumulative_simpson(density, s), 0.0))
-    cdf /= cdf[-1]
-    mixing = lambda u: np.interp(u, cdf, s)
+    mixing = _quantile(s * -np.expm1(-s) * np.exp(-(s - tau) ** 2 / (4.0 * tau)), s)
     return lambda u, v: 2.0 * np.arcsinh(np.sinh(mixing(u) / 2.0) * np.sqrt(v * (2.0 - v)))
+
+
+def _hyperbolic3_radius(tau: float):
+    """(u, v) -> the u-quantile of the radius of the heat law at time tau on
+    unit hyperbolic 3-space.  The kernel (4 pi tau)^{-3/2} (r / sinh r)
+    e^{-tau - r^2/4tau} (Grigor'yan & Noguchi, Bull. LMS 30, 1998) times the
+    area element 4 pi sinh^2 r gives the radial density, proportional to
+    r sinh r e^{-r^2/4tau}; it is tabulated where it is above about
+    e^-_TAIL of its peak."""
+    half = 2.0 * math.sqrt(_TAIL * tau)
+    r = np.linspace(max(0.0, 2.0 * tau - half), 2.0 * tau + half, _TABLE + 1)
+    # r sinh r e^{-r^2/4tau} = e^{tau}/2 * r (1 - e^{-2r}) e^{-(r - 2tau)^2/4tau}
+    radius = _quantile(r * -np.expm1(-2.0 * r) * np.exp(-(r - 2.0 * tau) ** 2 / (4.0 * tau)), r)
+    return lambda u, v: radius(u)
 
 
 def _radius(space: ModelSpace, t: float):
     """(|g|, u, v) -> the distance from the start of the heat law P_t delta_x,
-    for a standard Gaussian g in R^m and uniforms u and v, on a space with
-    has_heat_law.  A flat space's radius is sqrt(var) |g|, var the variance
-    per coordinate; a curved space's time is rescaled to the unit space and
-    its radius scaled back."""
+    for a standard Gaussian g in R^m and uniforms u and v.  A flat space's
+    radius is sqrt(var) |g|, var the variance per coordinate; a curved
+    space's time is rescaled to the unit space and its radius scaled back."""
     if isinstance(space, Euclidean) or space.dim == 1:
         lam = space.lam if isinstance(space, EuclideanOU) else 0.0
         scale = math.sqrt(2.0 * t * decay_mean(2.0 * lam * t))
         return lambda norm, u, v: scale * norm
     if isinstance(space, Sphere):
-        angle = _sphere_angle(t / space.radius**2)
+        tau = t / space.radius**2
+        angle = _sphere_angle(tau) if space.dim == 2 else _zonal_angle(space.dim, tau)
         return lambda norm, u, v: space.radius * angle(u)
-    radius = _hyperbolic_radius(t / space.R**2)
+    radius = (_hyperbolic_radius if space.dim == 2 else _hyperbolic3_radius)(t / space.R**2)
     return lambda norm, u, v: space.R * radius(u, v)
 
 
 def sample_heat(space: ModelSpace, x: tuple, tau: tuple, cfg: WalkConfig) -> np.ndarray:
-    """Exact samples of the heat laws P_tau delta_x, stacked as (sides, n, emb)
-    like run_single's walked clouds, on a space with has_heat_law.  x holds
-    one start per side, a point or per-trajectory rows, and tau one time
-    per side; cfg.k is not used.
+    """Exact samples of the heat laws P_tau delta_x, stacked as (sides, n, emb).
+    x holds one start per side, a point or per-trajectory rows, and tau one
+    time per side; cfg.k is not used.  Every space has its law but
+    hyperbolic space of dimension 4 or more, which is refused.
 
     Trajectory j draws from its stream trajectory_rng(cfg.seed, j) a
     Gaussian g in R^m and two uniforms u, v.  Each side sets
     X = exp_c(r * (g / |g|) . Phi), with Phi the frame at its start, c the
     start (on OU the mean e^{-lam tau} x) and r its radial law: on a flat
-    space or one of dimension 1, sqrt(var) |g|; on S^2 and H^2 a quantile
-    of its table at (u, v).  All sides share g, u and v, so every side's
-    radius rises with the same draw: a quantile coupling.  At tau = 0 a
-    side is its start, bit for bit.
+    space or one of dimension 1, sqrt(var) |g|; on S^d, H^2 and H^3 a
+    quantile of its table at (u, v).  All sides share g, u and v, so every
+    side's radius rises with the same draw: a quantile coupling.  At
+    tau = 0 a side is its start, bit for bit.
     """
-    if not has_heat_law(space):
-        raise ValueError(f"no exact heat law on {space.label}")
+    if isinstance(space, Hyperbolic) and space.dim > 3:
+        raise ValueError(f"no exact heat law on {space.label}: hyperbolic space is "
+                         "tabulated in dimensions 2 and 3 only")
     starts, taus = _sides(space, x, tau, cfg)
     m = space.dim
     radii = [_radius(space, t) if t > 0 else None for t in taus]

@@ -37,7 +37,7 @@ from ctlab.transport import (
     gaussian_w2,
     power_transform,
 )
-from ctlab.walk import WalkConfig, coupled_distance_moment, run_single, sample_heat
+from ctlab.walk import WalkConfig, coupled_distance_moment, sample_heat
 
 S2 = Sphere(2)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -52,9 +52,11 @@ def sphere_point(d):
 
 
 def test_verdict_deterministic():
+    # EPS = 1e-12 holds rounding on a sharp row (about 1e-15), not a false claim
     assert _verdict(0.5, 0.0) == "pass"
-    assert _verdict(-1e-6, 0.0) == "pass"
-    assert _verdict(-1e-4, 0.0) == "fail"
+    assert _verdict(-1e-13, 0.0) == "pass"
+    assert _verdict(-1e-11, 0.0) == "fail"
+    assert _verdict(-1e-6, 0.0) == "fail"
 
 
 def test_verdict_statistical():
@@ -213,7 +215,6 @@ def test_a_true_claim_on_s3_is_decided_without_a_cloud(monkeypatch):
     def no_cloud(*args, **kwargs):
         raise AssertionError("a cloud was drawn")
 
-    monkeypatch.setattr(ctlab.checks, "run_single", no_cloud)
     monkeypatch.setattr(ctlab.checks, "sample_heat", no_cloud)
     s3 = Sphere(3)
     x, y = np.eye(4)[3], np.array([0.0, 0.0, math.sin(1.0), math.cos(1.0)])
@@ -222,6 +223,18 @@ def test_a_true_claim_on_s3_is_decided_without_a_cloud(monkeypatch):
         rep = run_check(small(check_id, space=s3, x=x, y=y, **params))
         assert (rep.verdict, rep.metadata["sampler"]) == ("pass", "bounds")
         assert rep.sigma > 0 and rep.margin >= Z * rep.sigma
+
+
+def test_an_undecided_row_on_h4_is_an_error_row_and_a_true_claim_passes():
+    # H^4 has no exact heat law: a row the upper side leaves undecided
+    # cannot be sampled and reports why; a true claim is decided by that side
+    h4 = Hyperbolic(4)
+    x, y = h4.origin(), h4.exp_map(h4.origin(), np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    kw = dict(check_id="w2_control", space=h4, x=x, y=y, s=0.1, t=0.4, n_trajectories=40,
+              block_size=20)
+    false, true = run_suite([CheckSpec(cd=CurvatureDimension(0.0, 4.0), **kw), CheckSpec(**kw)])
+    assert false.verdict == "error" and "no exact heat law on hyperbolic4(c=-1)" in false.error
+    assert (true.verdict, true.metadata["sampler"]) == ("pass", "bounds")
 
 
 def _report_fields(rep):
@@ -499,21 +512,22 @@ def test_run_suite_logs_one_info_line_per_check(caplog):
 
 
 @pytest.mark.parametrize("share", [True, False])
-def test_two_sided_samples_seeds(share, monkeypatch):
-    # on a space without an exact law, shared noise walks both clouds on
-    # seed + 1; separate noise gives the b side seed + 2
-    monkeypatch.setattr(ctlab.checks, "has_heat_law", lambda space: False)
-    y = sphere_point(0.5)
-    spec = CheckSpec(check_id="w2_control", space=S2, x=NORTH, y=y, n_trajectories=30,
-                     k=4, seed=7, share_noise=share)
+def test_two_sided_samples_seeds(share):
+    # from a measure the starts are drawn on seed + 3; shared noise draws
+    # both clouds on seed + 1, separate noise the b side on seed + 2 (H^3)
+    h3 = Hyperbolic(3)
+    mu0 = EmpiricalMeasure.uniform(h3.embed(np.random.default_rng(2).normal(size=(5, 3))))
+    y = h3.exp_map(h3.origin(), np.array([0.0, 0.5, 0.0, 0.0]))
+    spec = CheckSpec(check_id="w2_control", space=h3, mu0=mu0, y=y, n_trajectories=30,
+                     seed=7, share_noise=share)
     pairs = ((0.1, 0.3), (0.2, 0.4))
     clouds = _two_sided_samples(spec, pairs)
+    starts = mu0.points[np.random.default_rng(10).choice(5, size=30, p=mu0.weights)]
     seed_b = 8 if share else 9
+    cfg = lambda seed: WalkConfig(n_trajectories=30, seed=seed)
     for (xs, ys), (ta, tb) in zip(clouds, pairs):
-        want_a = run_single(S2, (NORTH,), (ta,), WalkConfig(k=4, n_trajectories=30, seed=8))[0]
-        want_b = run_single(S2, (y,), (tb,), WalkConfig(k=4, n_trajectories=30, seed=seed_b))[0]
-        assert np.array_equal(xs, want_a)
-        assert np.array_equal(ys, want_b)
+        assert np.array_equal(xs, sample_heat(h3, (starts,), (ta,), cfg(8))[0])
+        assert np.array_equal(ys, sample_heat(h3, (y,), (tb,), cfg(seed_b))[0])
 
 
 @pytest.mark.parametrize("share", [True, False])
@@ -537,14 +551,13 @@ def test_two_sided_exact_samples_seeds(share):
 
 def test_report_records_the_sampler_of_its_space():
     # twice the true K is a false claim that the coupling's upper side
-    # leaves undecided, so the check draws its clouds; the true claim is
-    # decided by that side, with no cloud drawn
+    # leaves undecided, so the check draws its clouds from the exact laws;
+    # the true claim is decided by that side, with no cloud drawn
     kw = dict(check_id="w2_control", s=0.1, t=0.3, n_trajectories=40, k=2, block_size=20)
-    for space, x, y, sampler in ((S2, NORTH, sphere_point(0.5), "exact"),
-                                 (Sphere(3), np.eye(4)[3], np.eye(4)[0], "walk")):
+    for space, x, y in ((S2, NORTH, sphere_point(0.5)), (Sphere(3), np.eye(4)[3], np.eye(4)[0])):
         false = CurvatureDimension(2.0 * space.cd.K, space.cd.N)
         rep = run_check(CheckSpec(space=space, x=x, y=y, cd=false, **kw))
-        assert rep.metadata["sampler"] == sampler
+        assert rep.metadata["sampler"] == "exact"
         assert rep.rhs < rep.metadata["bounds"]["upper"]
         rep = run_check(CheckSpec(space=space, x=x, y=y, **kw))
         assert rep.metadata["sampler"] == "bounds"
@@ -562,7 +575,6 @@ def test_infinite_n_is_rejected_before_any_walk(monkeypatch, check_id, params):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk ran")
 
-    monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
     monkeypatch.setattr(ctlab.checks, "coupled_distance_moment", no_walk)
     monkeypatch.setattr(ctlab.checks, "sample_heat", no_walk)
     spec = CheckSpec(check_id=check_id, space=EuclideanOU(1, 1.0), x=np.zeros(1),
@@ -631,13 +643,13 @@ def test_reports_have_reproducibility_metadata():
         s=0.25, t=1.0))
     assert again.lhs == rep.lhs and again.rhs == rep.rhs
     s3 = Sphere(3)
-    walked = run_check(small(
+    drawn = run_check(small(
         "w2_control", space=s3, cd=CurvatureDimension(4.0, 3.0), x=np.array([0.0, 0.0, 0.0, 1.0]),
         y=np.array([0.0, 0.0, math.sin(0.5), math.cos(0.5)]), s=0.1, t=0.3,
         n_trajectories=400, k=4))
-    assert walked.metadata["sampler"] == "walk"
-    assert (walked.metadata["k"], walked.metadata["n_trajectories"]) == (4, 400)
-    assert walked.metadata["assignments"]["size"] == 200
+    assert drawn.metadata["sampler"] == "exact" and "k" not in drawn.metadata
+    assert drawn.metadata["n_trajectories"] == 400
+    assert drawn.metadata["assignments"]["size"] == 200
     # no samples drawn: none of the keys, also where the upper side decides
     law = run_check(small("prectl", space=S2, x=NORTH, y=sphere_point(1.0),
                           tau1=0.2, tau2=0.4))

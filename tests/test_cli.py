@@ -415,7 +415,6 @@ def test_malformed_check_exits_two_before_any_walk(tmp_path, capsys, monkeypatch
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk ran")
 
-    monkeypatch.setattr(ctlab.checks, "run_single", no_walk)
     monkeypatch.setattr(ctlab.checks, "coupled_distance_moment", no_walk)
     monkeypatch.setattr(ctlab.checks, "sample_heat", no_walk)
     check = {k: v for k, v in {**_W2, **change}.items() if v is not _DROP}

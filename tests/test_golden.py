@@ -2,10 +2,12 @@
 
 tests/data/golden_margins.json pins float.hex of the margin and sigma of
 a tiny Monte Carlo suite (n = 64 in two blocks, and n = 48 in one
-bootstrapped block; k = 3), sampled with the coupling's upper side
-patched out, of each of its reports that the upper side decides (the
-"/bounds" rows), and of the coupled walk's terminal moment E d^p and its
-standard error at the prectl plan.  tests/data/golden_geometry.json pins the
+bootstrapped block), sampled from the exact heat laws with the
+coupling's upper side patched out (the "/exact" rows), of each of its
+reports that the upper side decides (the "/bounds" rows), of prectl on
+the law of the coupled distance (the "/law" rows), and of the coupled
+walk's terminal moment E d^p and its standard error at the prectl plan
+(k = 3).  tests/data/golden_geometry.json pins the
 sha256 of the output bytes of every geometry operation on a seeded batch
 per model space, including a point on a coordinate axis and an antipodal
 pair, and each space's curvature-dimension bound.  A change that is meant to
@@ -24,7 +26,6 @@ and sigma with their relative move and the old and new verdict, or, for a
 geometry row, the operations whose digests moved.
 """
 
-import contextlib
 import hashlib
 import json
 import math
@@ -73,23 +74,21 @@ _SINGLE_BLOCK = {
 
 
 def cases():
-    """(name, spec, walk) for every pinned check: n = 64, k = 3, two 32-point
-    blocks; and n = 48, k = 3 in one block, whose error bar comes from
-    the bootstrap over resampled points.  The two-sided checks run on the
-    exact heat laws as "<name>/exact" and again on the walk (walk True;
-    the exact rows are listed first, so that adding them only added lines
-    to the data file).  prectl runs on the law of the coupled distance as
-    "<name>/law"; its walk row pins run_coupled's terminal moment at the
-    same plan."""
+    """(name, spec) for every pinned check: n = 64 in two 32-point blocks;
+    and n = 48 in one block, whose error bar comes from the bootstrap over
+    resampled points.  The two-sided checks run on the exact heat laws as
+    "<name>/exact".  prectl runs on the law of the coupled distance as
+    "<name>/law", and its row "<name>" pins run_coupled's terminal moment
+    at the same plan (k = 3)."""
     out = []
 
     def add(name, **kwargs):
         spec = CheckSpec(**kwargs)
-        if kwargs["check_id"] != "prectl":
-            out.append((f"{name}/exact", spec, False))
-        out.append((name, spec, True))
         if kwargs["check_id"] == "prectl":
-            out.append((f"{name}/law", spec, False))
+            out.append((name, spec))
+            out.append((f"{name}/law", spec))
+        else:
+            out.append((f"{name}/exact", spec))
 
     for label, (space, x, y) in _pairs().items():
         for i, (check, params) in enumerate(_PARAMS.items()):
@@ -122,18 +121,15 @@ def _pinned(rep) -> dict:
 
 def measure() -> dict:
     values = {}
-    for name, spec, walk in cases():
-        if walk and spec.check_id == "prectl":
+    for name, spec in cases():
+        if spec.check_id == "prectl" and not name.endswith("/law"):
             values[name] = _coupled_moment(spec)
             continue
-        # every row draws its heat clouds: the coupling's upper side is
-        # patched out, and the walk rows draw as on a space without an exact law
-        no_bound = mock.patch.object(ctlab.checks, "_coupling_bound", lambda *args: None)
-        no_law = mock.patch.object(ctlab.checks, "has_heat_law", lambda space: False)
-        with no_bound, no_law if walk else contextlib.nullcontext():
+        # every row draws its heat clouds: the coupling's upper side is patched out
+        with mock.patch.object(ctlab.checks, "_coupling_bound", lambda *args: None):
             values[name] = _pinned(run_check(spec))
     # the rows that the upper side decides, as "<check>/<space>/bounds"
-    for name, spec, walk in cases():
+    for name, spec in cases():
         if name.endswith("/exact"):
             rep = run_check(spec)
             if rep.metadata.get("sampler") == "bounds":

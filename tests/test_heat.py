@@ -15,7 +15,7 @@ from ctlab.heat import (
     heat_jet,
     slice_chart,
 )
-from ctlab.walk import WalkConfig, run_single
+from ctlab.walk import WalkConfig, run_coupled, sample_heat
 
 
 def zonal_cos(p):
@@ -245,9 +245,9 @@ def test_positivity_and_mass():
     assert heat_apply(s2, be, nonneg, 0.7, x) >= -1e-12
 
 
-def _walk_mean(space, f, t, x, cfg):
-    """The mean of f over a single walk's terminal cloud, with its standard error."""
-    vals = f(run_single(space, (x,), (t,), cfg)[0])
+def _sample_mean(space, f, t, x, cfg):
+    """The mean of f over an exact heat-law cloud, with its standard error."""
+    vals = f(sample_heat(space, (x,), (t,), cfg)[0])
     return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
 
 
@@ -256,8 +256,8 @@ def test_monte_carlo_agrees_with_spectral():
     be = default_backend(s2)
     x = np.array([0.0, math.sin(1.0), math.cos(1.0)])
     spectral = heat_apply(s2, be, zonal_cos, 0.4, x)
-    mean, stderr = _walk_mean(s2, zonal_cos, 0.4, x, WalkConfig(k=15, n_trajectories=4000, seed=3))
-    assert abs(mean - spectral) < 3 * stderr + 5e-3
+    mean, stderr = _sample_mean(s2, zonal_cos, 0.4, x, WalkConfig(n_trajectories=4000, seed=3))
+    assert abs(mean - spectral) < 3 * stderr
 
 
 def test_monte_carlo_euclidean_against_gauss_hermite():
@@ -265,8 +265,8 @@ def test_monte_carlo_euclidean_against_gauss_hermite():
     f = lambda p: np.exp(-0.5 * np.sum(p**2, axis=-1))
     x = np.array([0.4, -0.3])
     a = heat_apply(e2, default_backend(e2), f, 0.5, x)
-    mean, stderr = _walk_mean(e2, f, 0.5, x, WalkConfig(k=15, n_trajectories=4000, seed=4))
-    assert abs(a - mean) < 3 * stderr + 5e-3
+    mean, stderr = _sample_mean(e2, f, 0.5, x, WalkConfig(n_trajectories=4000, seed=4))
+    assert abs(a - mean) < 3 * stderr
 
 
 def test_backend_space_mismatch():
@@ -337,28 +337,13 @@ def test_sphere_zonal_rejects_non_zonal_field():
         heat_apply(s2, SphereZonal(), lambda p: p[..., 0], 0.5, np.array([1.0, 0.0, 0.0]))
 
 
-# the terminal cloud of a single walk samples the heat distribution
 def test_heat_sample_time_zero():
+    # at time zero the coupled walk leaves both walkers at their starts
     e2 = Euclidean(2)
-    pts = run_single(e2, (np.array([1.0, 2.0]),), (0.0,), WalkConfig(k=5, n_trajectories=7))[0]
-    assert pts.shape == (7, 2)
-    assert np.allclose(pts, [1.0, 2.0])
-
-
-def test_heat_sample_variance():
-    e2 = Euclidean(2)
-    pts = run_single(e2, (np.zeros(2),), (0.5,), WalkConfig(k=20, n_trajectories=4000, seed=5))[0]
-    var = pts.var(axis=0, ddof=1)
-    se = np.sqrt(np.var(pts**2, axis=0) / 4000)
-    assert np.all(np.abs(var - 1.0) < 3 * se)
-
-
-def test_heat_sample_ou_mean():
-    ou = EuclideanOU(1, 1.0)
-    pts = run_single(ou, (np.array([1.0]),), (0.4,),
-                     WalkConfig(k=20, n_trajectories=4000, seed=6))[0]
-    se = pts.std() / math.sqrt(4000)
-    assert abs(pts.mean() - math.exp(-0.4)) < 3 * se
+    x, y = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
+    path = run_coupled(e2, x, y, 0.0, 0.0, WalkConfig(k=5, n_trajectories=7))
+    assert path.terminal.x1.shape == (7, 2)
+    assert np.allclose(path.terminal.x1, x) and np.allclose(path.terminal.x2, y)
 
 
 def test_mono_app_inequality_on_deterministic_backends():

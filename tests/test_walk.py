@@ -13,7 +13,7 @@ from ctlab.walk import (
     WalkConfig,
     coupled_distance_moment,
     run_coupled,
-    run_single,
+    sample_heat,
     sample_unit_ball,
     trajectory_rng,
     write_path_csv,
@@ -111,28 +111,23 @@ def test_flat_coupled_second_moment():
 
 
 def test_single_walk_gaussian_variance():
+    # the first walker of a coupled run is a lone walk: on flat space its
+    # heat law at time tau has per-coordinate variance 2 tau
     sp = Euclidean(2)
     cfg = WalkConfig(k=20, n_trajectories=4000, seed=6)
-    pts = run_single(sp, (np.zeros(2),), (0.5,), cfg)[0]
-    # heat kernel at time tau has per-coordinate variance 2 tau
+    pts = run_coupled(sp, np.zeros(2), np.array([1.0, 0.0]), 0.5, 0.2, cfg).terminal.x1
     var = pts.var(axis=0, ddof=1)
     se = np.sqrt(np.var(pts**2, axis=0) / pts.shape[0])
     assert np.all(np.abs(var - 1.0) < 3 * se)
 
 
-def test_single_walk_ou_mean():
-    ou = EuclideanOU(1, 1.0)
-    cfg = WalkConfig(k=20, n_trajectories=6000, seed=7)
-    pts = run_single(ou, (np.array([1.0]),), (0.5,), cfg)[0]
-    se = pts.std() / math.sqrt(pts.shape[0])
-    assert abs(pts.mean() - math.exp(-0.5)) < 3 * se
-
-
 def test_sphere_walk_stays_on_sphere():
     sp = Sphere(2)
     cfg = WalkConfig(k=10, n_trajectories=100, seed=8)
-    pts = run_single(sp, (np.array([0.0, 0.0, 1.0]),), (0.5,), cfg)[0]
-    assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-10
+    x, y = _sphere_pair(sp)
+    path = run_coupled(sp, x, y, 0.5, 0.3, cfg)
+    for pts in (path.terminal.x1, path.terminal.x2):
+        assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-10
 
 
 def test_determinism_and_chunk_invariance():
@@ -171,7 +166,8 @@ def test_determinism_and_chunk_invariance():
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2), EuclideanOU(2, 1.0)],
                          ids=["S2", "H2", "E2", "OU"])
 def test_coupled_first_walker_is_single_walk(space):
-    # the coupled kernel drives its first walker exactly like a lone walk
+    # the coupled kernel drives its first walker exactly like a lone walk:
+    # neither the second walker's start nor its time scale moves it
     if isinstance(space, Sphere):
         x, y = _sphere_pair(space)
     elif isinstance(space, Hyperbolic):
@@ -180,8 +176,9 @@ def test_coupled_first_walker_is_single_walk(space):
         x, y = _flat_pair(space)
     cfg = WalkConfig(k=5, n_trajectories=40, seed=14)
     coupled = run_coupled(space, x, y, 0.3, 0.6, cfg)
-    single = run_single(space, (x,), (0.3,), cfg)[0]
-    assert np.array_equal(coupled.terminal.x1, single)
+    alone = run_coupled(space, x, x, 0.3, 0.3, cfg)
+    assert np.array_equal(coupled.terminal.x1, alone.terminal.x1)
+    assert np.array_equal(coupled.terminal.frame1, alone.terminal.frame1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -217,23 +214,24 @@ def _starts_on(space, n, rng):
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Euclidean(2), EuclideanOU(2, 1.0)],
                          ids=["S2", "H2", "E2", "OU"])
 def test_multi_side_walk_matches_separate_walks(space):
-    # every side of one walk steps on the shared noise exactly like a lone walk
+    # every side of one multi-side draw (the chunked driver that stacks the
+    # sides' starts and frames) moves exactly like a lone draw of that side
     x, y = _flat_pair(space)
     if isinstance(space, Sphere):
         x, y = np.array([1.0, 0.0, 0.0]), _sphere_pair(space)[1]
     elif isinstance(space, Hyperbolic):
         x, y = _hyper_pair(space)
     rows = _starts_on(space, 40, np.random.default_rng(3))
-    cfg = WalkConfig(k=5, n_trajectories=40, seed=15)
+    cfg = WalkConfig(n_trajectories=40, seed=15)
     sides = (x, y, rows, x)
     taus = (0.3, 0.6, 0.45, 0.0)
-    multi = run_single(space, sides, taus, cfg)
+    multi = sample_heat(space, sides, taus, cfg)
     assert multi.shape == (4, 40, space.emb_dim)
     for i, (start, tau) in enumerate(zip(sides, taus)):
-        lone = run_single(space, (start,), (tau,), cfg)
+        lone = sample_heat(space, (start,), (tau,), cfg)
         assert np.array_equal(multi[i], lone[0])
     with pytest.raises(ValueError):
-        run_single(space, (x, y), (0.3,), cfg)
+        sample_heat(space, (x, y), (0.3,), cfg)
 
 
 def test_sphere_walk_does_not_depend_on_batch_neighbours():
@@ -242,14 +240,15 @@ def test_sphere_walk_does_not_depend_on_batch_neighbours():
     sp = Sphere(2)
     starts = _starts_on(sp, 6, np.random.default_rng(0))
     cfg = WalkConfig(k=4, n_trajectories=6, seed=16)
-    together = run_single(sp, (starts,), (0.5,), cfg)[0]
+    together = run_coupled(sp, starts, starts[::-1], 0.5, 0.2, cfg)
     old = walk_mod._CHUNK
     try:
         walk_mod._CHUNK = 1
-        alone = run_single(sp, (starts,), (0.5,), cfg)[0]
+        alone = run_coupled(sp, starts, starts[::-1], 0.5, 0.2, cfg)
     finally:
         walk_mod._CHUNK = old
-    assert np.array_equal(together, alone)
+    assert np.array_equal(together.terminal.x1, alone.terminal.x1)
+    assert np.array_equal(together.terminal.x2, alone.terminal.x2)
     frames = sp.frame(starts)
     for j in range(6):
         assert np.array_equal(frames[j], sp.frame(starts[j]))
@@ -257,9 +256,10 @@ def test_sphere_walk_does_not_depend_on_batch_neighbours():
 
 def test_seed_changes_output():
     sp = Euclidean(2)
-    a = run_single(sp, (np.zeros(2),), (0.5,), WalkConfig(k=5, n_trajectories=10, seed=1))
-    b = run_single(sp, (np.zeros(2),), (0.5,), WalkConfig(k=5, n_trajectories=10, seed=2))
-    assert not np.array_equal(a, b)
+    x, y = _flat_pair(sp)
+    a = run_coupled(sp, x, y, 0.5, 0.2, WalkConfig(k=5, n_trajectories=10, seed=1))
+    b = run_coupled(sp, x, y, 0.5, 0.2, WalkConfig(k=5, n_trajectories=10, seed=2))
+    assert not np.array_equal(a.terminal.x1, b.terminal.x1)
 
 
 class _RotatedFrameSphere(Sphere):
@@ -394,15 +394,17 @@ def test_frame_stays_orthonormal_along_a_long_walk(space, gram_tol):
 
 @pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2)], ids=["S2", "H2"])
 def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
+    # the first walker's step and its frame ride one exp_transport: the only
+    # log map of a coupled step is the one from x1 to x2 that carries the
+    # noise to the second walker
     x, y = _start_pair(space)
     calls = []
     log_map = space.log_map
-    monkeypatch.setattr(space, "log_map", lambda a, b: calls.append(1) or log_map(a, b))
-    run_single(space, (x,), (0.5,), WalkConfig(k=1, n_trajectories=4))
-    assert calls == []
+    monkeypatch.setattr(space, "log_map", lambda a, b: calls.append((a, b)) or log_map(a, b))
     walk_mod._step_coupled_arrays(space, x, y, space.frame(x),
                                   sample_unit_ball(space.dim, trajectory_rng(0, 0)), 0.5, 0.5, 3)
     assert len(calls) == 1
+    assert calls[0][0] is x and calls[0][1] is y
 
 
 # ---------------------------------------------------------------------------
@@ -412,28 +414,73 @@ def test_single_step_makes_no_log_map_and_coupled_step_one(space, monkeypatch):
 def _law_cases():
     """(id, space, start, t, statistic of a sample, its exact mean)."""
     s2, s2_r2, s1 = Sphere(2), Sphere(2, radius=2.0), Sphere(1, radius=1.5)
+    s3, s3_r2, s4 = Sphere(3), Sphere(3, radius=2.0), Sphere(4)
     h2, h2_c = Hyperbolic(2), Hyperbolic(2, curvature=-0.5)
+    h3, h3_c = Hyperbolic(3), Hyperbolic(3, curvature=-0.5)
     north = np.array([0.0, 0.0, 1.0])
     cos_from = lambda sp, x: lambda X: X @ x / sp.radius**2
     cosh_from = lambda sp, x: lambda X: -(X[:, 1:] @ x[1:] - X[:, 0] * x[0]) / sp.R**2
+    e4, e5 = np.eye(4)[3], np.eye(5)[0]
     return [
         ("S2", s2, north, 0.3, cos_from(s2, north), math.exp(-0.6)),
         ("S2_r2", s2_r2, 2.0 * north, 0.8, cos_from(s2_r2, 2.0 * north), math.exp(-0.4)),
         ("S1_r1.5", s1, np.array([0.0, 1.5]), 0.5, cos_from(s1, np.array([0.0, 1.5])),
          math.exp(-0.5 / 1.5**2)),
+        ("S3", s3, e4, 0.2, cos_from(s3, e4), math.exp(-0.6)),
+        ("S3_r2", s3_r2, 2.0 * e4, 0.8, cos_from(s3_r2, 2.0 * e4), math.exp(-0.6)),
+        ("S4", s4, e5, 0.1, cos_from(s4, e5), math.exp(-0.4)),
         ("H2", h2, h2.origin(), 0.25, cosh_from(h2, h2.origin()), math.exp(0.5)),
         ("H2_c0.5", h2_c, h2_c.embed([0.3, -0.2]), 0.6, cosh_from(h2_c, h2_c.embed([0.3, -0.2])),
          math.exp(0.6)),
+        ("H3", h3, h3.origin(), 0.2, cosh_from(h3, h3.origin()), math.exp(0.6)),
+        ("H3_c0.5", h3_c, h3_c.embed([0.3, -0.2, 0.1]), 0.4,
+         cosh_from(h3_c, h3_c.embed([0.3, -0.2, 0.1])), math.exp(0.6)),
     ]
 
 
 @pytest.mark.parametrize("label, space, x, t, stat, mean", _law_cases(),
                          ids=[c[0] for c in _law_cases()])
 def test_exact_heat_law_moments_on_curved_spaces(label, space, x, t, stat, mean):
-    # S^d: E[cos(theta)] = e^{-d t/rho^2}; H^2: E[cosh(r/R)] = e^{2t/R^2}; 4 sigma at n = 10^4
+    # S^d: E[cos(theta)] = e^{-d t/rho^2}; H^m: E[cosh(r/R)] = e^{m t/R^2}; 4 sigma at n = 10^4
     vals = stat(walk_mod.sample_heat(space, (x,), (t,), WalkConfig(n_trajectories=10_000,
                                                                    seed=11))[0])
     assert abs(vals.mean() - mean) < 4 * vals.std() / math.sqrt(vals.size)
+
+
+_QUANTILES = (np.arange(200_000) + 0.5) / 200_000   # midpoints: a quadrature in u
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.01, 0.15, 1.0])
+def test_gegenbauer_table_at_d2_is_the_legendre_table(t):
+    # at d = 2 the Gegenbauer series is the Legendre series, summed as a density
+    # and integrated by Simpson rather than summed as a CDF
+    gap = walk_mod._zonal_angle(2, t)(_QUANTILES) - walk_mod._sphere_angle(t)(_QUANTILES)
+    assert np.max(np.abs(gap)) < 1e-8
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_gegenbauer_table_has_the_exact_mean_of_cos(d):
+    # E cos(theta) = e^{-d t} on the unit d-sphere, by quadrature over the table's quantiles
+    for t in (0.01, 0.04, 0.2, 1.0):
+        mean = np.cos(walk_mod._zonal_angle(d, t)(_QUANTILES)).mean()
+        assert abs(mean - math.exp(-d * t)) < 1e-6, t
+
+
+def test_hyperbolic3_table_inverts_the_closed_form_cdf():
+    # int_0^R r sinh r e^{-r^2/4t} dr = -2t sinh R e^{-R^2/4t}
+    #   + t sqrt(pi t) e^t [erf((R - 2t)/2 sqrt t) + erf((R + 2t)/2 sqrt t)]
+    from scipy.special import erf
+
+    for t in (1e-3, 0.05, 0.4, 2.0, 10.0):
+        q = 2 * math.sqrt(t)
+        mass = lambda R: (-2 * t * np.sinh(R) * np.exp(-R * R / (4 * t)) + t * math.sqrt(
+            math.pi * t) * math.exp(t) * (erf((R - 2 * t) / q) + erf((R + 2 * t) / q)))
+        radius = walk_mod._hyperbolic3_radius(t)(_QUANTILES, None)
+        total = t * math.sqrt(math.pi * t) * math.exp(t) * 2
+        # about 2e-6 is the linear interpolation between the table's 2,049 nodes
+        assert np.max(np.abs(mass(radius) / total - _QUANTILES)) < 5e-6, t
+        if t <= 0.05:  # later cosh r has heavy tails, which a quadrature in u does not see
+            assert np.cosh(radius).mean() == pytest.approx(math.exp(3 * t), rel=1e-6)
 
 
 @pytest.mark.parametrize("space, x, t", [
@@ -505,8 +552,9 @@ def test_cumulative_simpson_matches_scipy_on_the_hyperbolic_tables(monkeypatch):
 @pytest.mark.parametrize("space, x", [
     (Sphere(2), np.array([0.6, 0.0, 0.8])), (Sphere(1), np.array([0.6, 0.8])),
     (Hyperbolic(2), Hyperbolic(2).embed([0.4, -0.1])), (Euclidean(2), np.array([0.3, 0.1])),
-    (EuclideanOU(1, 1.0), np.array([0.7])),
-], ids=["S2", "S1", "H2", "E2", "OU1"])
+    (EuclideanOU(1, 1.0), np.array([0.7])), (Sphere(3), np.array([0.6, 0.0, 0.0, 0.8])),
+    (Hyperbolic(3), Hyperbolic(3).embed([0.4, -0.1, 0.2])),
+], ids=["S2", "S1", "H2", "E2", "OU1", "S3", "H3"])
 def test_exact_heat_law_at_time_zero_is_its_start(space, x):
     cfg = WalkConfig(n_trajectories=9, seed=3)
     rows = np.stack([x] * 9)
@@ -517,10 +565,13 @@ def test_exact_heat_law_at_time_zero_is_its_start(space, x):
 
 _STARTS = [(Sphere(2), np.array([0.6, 0.0, 0.8])),
            (Hyperbolic(2), Hyperbolic(2).embed([0.4, -0.1])),
-           (Euclidean(2), np.array([0.3, 0.1])), (EuclideanOU(2, 1.0), np.array([0.3, 0.1]))]
+           (Euclidean(2), np.array([0.3, 0.1])), (EuclideanOU(2, 1.0), np.array([0.3, 0.1])),
+           (Sphere(3), np.array([0.6, 0.0, 0.0, 0.8])),
+           (Hyperbolic(3), Hyperbolic(3).embed([0.4, -0.1, 0.2]))]
+_START_IDS = ["S2", "H2", "E2", "OU2", "S3", "H3"]
 
 
-@pytest.mark.parametrize("space, start", _STARTS, ids=["S2", "H2", "E2", "OU2"])
+@pytest.mark.parametrize("space, start", _STARTS, ids=_START_IDS)
 def test_exact_heat_law_is_invariant_to_chunk_size_and_prefix(space, start, monkeypatch):
     sides, taus = (start, start, start), (0.1, 0.4, 0.4)
     full = walk_mod.sample_heat(space, sides, taus, WalkConfig(n_trajectories=40, seed=9))
@@ -539,7 +590,7 @@ def test_exact_heat_law_is_invariant_to_chunk_size_and_prefix(space, start, monk
         assert np.allclose(near / r_near, far / r_far, atol=1e-9)
 
 
-@pytest.mark.parametrize("space, start", _STARTS, ids=["S2", "H2", "E2", "OU2"])
+@pytest.mark.parametrize("space, start", _STARTS, ids=_START_IDS)
 def test_exact_heat_law_frames_each_trajectory_start_on_its_own(space, start):
     # per-trajectory starts: row j is what a lone start at row j gives trajectory j
     cfg = WalkConfig(n_trajectories=6, seed=4)
@@ -553,20 +604,22 @@ def test_exact_heat_law_frames_each_trajectory_start_on_its_own(space, start):
 
 
 def test_exact_heat_law_only_where_the_space_has_one():
-    for space in (Euclidean(3), EuclideanOU(1, 1.0), Sphere(1), Sphere(2, radius=2.0),
-                  Hyperbolic(2, curvature=-0.5), Hyperbolic(1)):
-        assert walk_mod.has_heat_law(space), space
-    for space in (Sphere(3), Hyperbolic(3)):
-        assert not walk_mod.has_heat_law(space)
-        x = np.eye(space.emb_dim)[0] if isinstance(space, Sphere) else space.origin()
-        with pytest.raises(ValueError, match="no exact heat law"):
-            walk_mod.sample_heat(space, (x,), (0.1,), WalkConfig(n_trajectories=2))
+    for space in (Euclidean(3), EuclideanOU(1, 1.0), Sphere(1), Sphere(3), Sphere(2, radius=2.0),
+                  Hyperbolic(2, curvature=-0.5), Hyperbolic(3), Hyperbolic(1)):
+        x = space.origin() if isinstance(space, Hyperbolic) else np.eye(space.emb_dim)[0]
+        x = x * getattr(space, "radius", 1.0)
+        assert sample_heat(space, (x,), (0.1,), WalkConfig(n_trajectories=2)).shape == (
+            1, 2, space.emb_dim)
+    h4 = Hyperbolic(4)
+    with pytest.raises(ValueError, match=r"no exact heat law on hyperbolic4\(c=-1\)"):
+        sample_heat(h4, (h4.origin(),), (0.1,), WalkConfig(n_trajectories=2))
 
 
 def test_exact_sphere_law_at_small_time_has_no_cost_cliff(monkeypatch):
-    # the work is bounded, not timed: at t = 1e-4 the table sums about 670
-    # Legendre modes (one math.exp each) by the recurrence, never holding a
-    # grid x modes array (2049 x 670 doubles would be 11 MB)
+    # the work is bounded, not timed: at t = 1e-4 each table sums about 670
+    # Legendre (S^2) or Gegenbauer (S^3) modes (one math.exp each) by the
+    # recurrence, never holding a grid x modes array (2049 x 670 doubles
+    # would be 11 MB)
     import tracemalloc
 
     class CountingMath:
@@ -580,18 +633,32 @@ def test_exact_sphere_law_at_small_time_has_no_cost_cliff(monkeypatch):
             return math.exp(x)
 
     monkeypatch.setattr(walk_mod, "math", CountingMath())
-    north = np.array([0.0, 0.0, 1.0])
-    tracemalloc.start()
-    try:
-        pts = walk_mod.sample_heat(Sphere(2), (north,), (1e-4,),
-                                   WalkConfig(n_trajectories=1000))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 600 < CountingMath.calls < 700
-    assert peak < 1_000_000
-    angle2 = np.arccos(np.clip(pts[0, :, 2], -1, 1)) ** 2
-    assert abs(angle2.mean() - 4e-4) < 4 * angle2.std() / math.sqrt(angle2.size)
+    for space in (Sphere(2), Sphere(3)):
+        north = np.eye(space.emb_dim)[-1]
+        CountingMath.calls = 0
+        tracemalloc.start()
+        try:
+            pts = walk_mod.sample_heat(space, (north,), (1e-4,), WalkConfig(n_trajectories=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 600 < CountingMath.calls < 700, space
+        assert peak < 1_000_000, space
+        # the angle^2 has mean 2 d t to first order in t
+        angle2 = np.arccos(np.clip(pts[0, :, -1], -1, 1)) ** 2
+        assert abs(angle2.mean() - 2e-4 * space.dim) < 4 * angle2.std() / math.sqrt(angle2.size)
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Hyperbolic(2), Sphere(3), Hyperbolic(3)],
+                         ids=["S2", "H2", "S3", "H3"])
+def test_coupled_walk_first_walker_follows_the_exact_heat_law(space):
+    # the walk oracle: the distance from the start of run_coupled's first
+    # walker (k = 15) against the exact law's, by a two-sample KS test
+    x = space.origin() if isinstance(space, Hyperbolic) else np.eye(space.emb_dim)[-1]
+    y = space.exp_map(x, space.frame(x)[0])
+    walked = run_coupled(space, x, y, 0.3, 0.6, WalkConfig(k=15, n_trajectories=2000, seed=1))
+    exact = sample_heat(space, (x,), (0.3,), WalkConfig(n_trajectories=2000, seed=2))[0]
+    assert ks_2samp(space.distance(x, walked.terminal.x1), space.distance(x, exact)).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
