@@ -37,7 +37,7 @@ from numpy.polynomial.chebyshev import chebder, chebinterpolate, chebvander
 from .comparison import (
     CurvatureDimension,
     ExponentPair,
-    _simpson,
+    _cumulative_simpson,
     bakry_ledoux,
     coeff_A,
     comp_s,
@@ -395,7 +395,8 @@ def _transport_report(spec: CheckSpec, transform, rhs,
     """The transport pipeline of a check with a _moment_plan: first
     rhs(exact base cost) -> (closed-form rhs, metadata), then the
     coupling's upper side, recorded as metadata["bounds"].  Where the rhs
-    clears the upper side by Z times its error the check passes on it, with
+    clears the upper side by Z times its error, or by -EPS when the error
+    is 0 (the report's own rule at sigma = 0), the check passes on it, with
     sampler "bounds" and no cloud drawn; else the lhs is the block estimate
     of transform(cost) between heat clouds at the plan's times."""
     a, b, cost = _moment_plan(spec)
@@ -404,7 +405,7 @@ def _transport_report(spec: CheckSpec, transform, rhs,
     if bound is not None:
         upper, err = bound
         meta["bounds"] = dict(upper=upper, err=err)
-        if value - upper >= Z * err:
+        if value - upper >= (Z * err if err > 0 else -EPS):
             return _base_report(spec, upper, value, err, 0.0, **meta, sampler="bounds")
     (est,) = _sampled_estimates(spec, ((a, b),), cost, transform)
     return _base_report(spec, est.value, value, est.stderr, 0.0,
@@ -557,10 +558,9 @@ def _bl_rhs_coef(cd: CurvatureDimension, p: float, t: float) -> float:
     return 2.0 * t * decay_mean(2.0 * cd.K * t) / (cd.N + p - 2.0)
 
 
-def _field_and_backend(spec: CheckSpec, h: float = H):
-    """(f, |grad f|^{p*} as a batched callable, the deterministic backend).
-    |grad f| is the registered one, else geodesic central differences of
-    step h."""
+def _field(spec: CheckSpec, h: float = H):
+    """(f, |grad f|^{p*} as a batched callable).  |grad f| is the registered
+    one, else geodesic central differences of step h."""
     f, grad_f = _resolve_field(spec)
     space, pstar = spec.space, spec.exponents.p_star
     if grad_f is None:
@@ -569,8 +569,7 @@ def _field_and_backend(spec: CheckSpec, h: float = H):
             _, plus, minus = frame_stencil(space, f, pts, h)
             comps = [(a - b) / (2 * h) for a, b in zip(plus, minus)]
             return np.sqrt(np.sum(np.stack(comps, axis=-1) ** 2, axis=-1))
-    backend = default_backend(space)
-    return f, lambda pts: np.asarray(grad_f(pts), dtype=float) ** pstar, backend
+    return f, lambda pts: np.asarray(grad_f(pts), dtype=float) ** pstar
 
 
 def check_bl(spec: CheckSpec) -> VerificationReport:
@@ -579,15 +578,15 @@ def check_bl(spec: CheckSpec) -> VerificationReport:
     |grad P_t f|^2 <= e^{-2Kt} P_t(|grad f|^{p*})^{2/p*} - coef * (L P_t f)^2."""
     cd = spec.resolved_cd()
     ex = spec.exponents
-    f, g_pow, backend = _field_and_backend(spec)
+    f, g_pow = _field(spec)
     grid = spec.extra.get("grid")
     if grid is None:
         grid = default_grid(spec.space, spec.grid_n)
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         spec.space.check_point(grid)
-    _, grad, gen = heat_jet(spec.space, backend, f, spec.t, grid)
-    pt_term = heat_apply(spec.space, backend, g_pow, spec.t, grid)
+    _, grad, gen = heat_jet(spec.space, f, spec.t, grid)
+    pt_term = heat_apply(spec.space, g_pow, spec.t, grid)
     lhs_all = grad**2
     rhs_all = (math.exp(-2 * cd.K * spec.t) * np.maximum(pt_term, 0.0) ** (2.0 / ex.p_star)
                - _bl_rhs_coef(cd, ex.p, spec.t) * gen**2)
@@ -608,19 +607,19 @@ def check_bl_int(spec: CheckSpec) -> VerificationReport:
     cd = spec.resolved_cd()
     ex = spec.exponents
     beta, pstar = ex.beta, ex.p_star
-    f, g_pow, backend = _field_and_backend(spec)
+    f, g_pow = _field(spec)
     fam = bakry_ledoux(cd)
     x = np.asarray(spec.x, float)
     y = np.asarray(spec.y, float)
     d = float(spec.space.distance(x, y))
 
-    end, start = heat_apply(spec.space, backend, f, np.array([spec.t, spec.s]), np.stack([y, x]))
+    end, start = heat_apply(spec.space, f, np.array([spec.t, spec.s]), np.stack([y, x]))
     rs = np.linspace(0.0, 1.0, 129)
     xi = rs * spec.t + (1 - rs) * spec.s
     nodes = spec.space.geodesic_point(x, y, rs[:, None])
     mix = ((fam.a(xi) * d) ** beta + ((spec.t - spec.s) / fam.b(xi)) ** beta) ** (1.0 / beta)
-    pt = heat_apply(spec.space, backend, g_pow, xi, nodes)
-    rhs = _simpson(mix * np.maximum(pt, 0.0) ** (1.0 / pstar), rs)
+    pt = heat_apply(spec.space, g_pow, xi, nodes)
+    rhs = float(_cumulative_simpson(mix * np.maximum(pt, 0.0) ** (1.0 / pstar), rs)[-1])
     return _base_report(spec, abs(end - start), rhs, 0.0, 0.0, geodesic_length=d)
 
 
@@ -712,7 +711,6 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
     The cases go to the backend as families of fields, one per case, in one
     heat_apply call per side and at most MONO_VALUES field values a call."""
     space = spec.space
-    backend = default_backend(space)
     rng = np.random.default_rng(spec.seed)
     n_cases = spec.extra.get("n_cases", 100)
     grid = default_grid(space, 8)
@@ -720,7 +718,7 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
     params = rng.uniform([0.05, 0.01, 0.0, 0.0, 0.0], [0.95, 2.0, 2.0, 2.0, 2.0],
                          size=(n_cases, 5))
     index = rng.integers(0, len(grid), size=n_cases)
-    chunk = max(1, MONO_VALUES // backend.field_size[space.dim])
+    chunk = max(1, MONO_VALUES // default_backend(space).field_size[space.dim])
     worst, case, calls = (math.inf, math.nan, math.nan), (), 0
     for start in range(0, n_cases, chunk):
         cases = params[start:start + chunk]
@@ -737,9 +735,8 @@ def check_mono_app(spec: CheckSpec) -> VerificationReport:
         # the C library's pow on each case's scalars: NumPy's vectorized one moves last bits
         root = lambda v: np.array([a ** (1.0 / b) for a, b in zip(v.tolist(), r[:, 0].tolist())])
         x = grid[index[start:start + chunk]]
-        lifted = root(heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
-                                 spec.t, x)) - delta[:, 0]
-        plain = root(heat_apply(space, backend, lambda p: g(p) ** r, spec.t, x))
+        lifted = root(heat_apply(space, lambda p: (g(p) + delta) ** r, spec.t, x)) - delta[:, 0]
+        plain = root(heat_apply(space, lambda p: g(p) ** r, spec.t, x))
         calls += 2
         gap = lifted - plain
         i = int(np.argmin(np.where(np.isnan(gap), np.inf, gap)))  # the first least, nan skipped

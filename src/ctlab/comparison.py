@@ -17,7 +17,8 @@ J_N and everything built on it (j_measure, the exp-weighted mass,
 coeff_A, the Bakry-Ledoux xi_inverse and swc_reparam's l and xi_h) go
 through one pair: the J-coordinate l(r) = J_N([0, r]) and its inverse,
 in half-angle forms that need no series or threshold near K = 0.
-decay_mean is the (1 - e^{-x})/x of the checks' contraction coefficients.
+decay_mean is the (1 - e^{-x})/x of the checks' contraction coefficients,
+and _cumulative_simpson the package's one Simpson rule.
 
 Sign conventions: K is a Ricci-type lower bound (any sign), N an upper
 dimension bound in (0, inf].  kappa arguments are per-function curvature
@@ -539,7 +540,7 @@ def wc_var_rhs(
     """Right-hand side of the variational Wasserstein bound.
 
     int_0^1 [ a(xi)^beta W^beta eta'^beta + (xi'/b(xi))^beta ] dr by
-    composite Simpson on quadrature_n intervals.  With the duality
+    composite Simpson on quadrature_n intervals, made even.  With the duality
     reparametrization this reproduces A^beta W^beta + J^beta exactly;
     any other admissible pair gives some valid (possibly weaker) bound.
     """
@@ -557,18 +558,29 @@ def wc_var_rhs(
     vals = (av * W * ep) ** beta + (xp / bv) ** beta
     if not np.all(np.isfinite(vals)):
         raise ValueError("quadrature failure: non-finite integrand")
-    return _simpson(vals, r)
+    return float(_cumulative_simpson(vals, r)[-1])
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson integral of the samples y at the increasing nodes x,
-    an odd number of them, with the unequal-spacing arithmetic of
-    scipy.integrate.simpson (bit for bit the same sum)."""
-    h = np.diff(x)
-    h0, h1 = h[0::2], h[1::2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    terms = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
-                          + y[1:-1:2] * (hsum * (hsum / (h0 * h1)))
-                          + y[2::2] * (2.0 - h0divh1))
-    return float(np.sum(terms))
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The integrals of the samples y from x[0] to each increasing node x,
+    by scipy.integrate.cumulative_simpson's unequal-interval rule with
+    initial=0 (bit for bit the same values): interval i is integrated
+    under the parabola through its two nodes and the next node when i is
+    even, and the previous node when i is odd or the last.  So over an even
+    number of intervals the last value is the composite Simpson sum."""
+
+    def first_intervals(y, dx):  # over [x_i, x_{i+1}], parabola through x_i..x_{i+2}
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                          - x21x21_x31x32 * y[2:])
+
+    dx = np.diff(x)
+    ahead = first_intervals(y, dx)
+    behind = first_intervals(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(dx))
+    pieces[:-1:2] = ahead[::2]
+    pieces[1::2] = behind[::2]
+    pieces[-1] = behind[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces)))

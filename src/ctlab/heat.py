@@ -19,19 +19,23 @@ singleton axis (a0[:, None] for a batch (B,)) to meet each backend's nodes:
 * SphereZonal   - zonal functions on 2-spheres: the Legendre series
   sum c_l e^{-l(l+1) t/rho^2} P_l(u) in u = cos(polar angle), with
   |grad| = sqrt(1 - u^2) |sum c_l e^{..} P_l'(u)| / rho and L the
-  multiplier -l(l+1)/rho^2.
+  multiplier -l(l+1)/rho^2, with P_l from numpy's legvander.
 
-default_backend picks the first backend whose applies_to holds.  heat_jet
-returns the jet; heat_apply returns the value alone, and f itself at
-t = 0.  slice_chart is the 1-D slice the gradient checks evaluate on (a
-2-sphere's meridian, the circle, the first axis of E^m).  frame_stencil
-evaluates a function at exp_x(+-h e_i) over the orthonormal frame e_i at
-x: the geodesic central differences of fields with no analytic gradient.
+default_backend picks the first backend whose applies_to holds, built once
+per process on first use and shared by every thread: a backend only reads
+its tables.  heat_jet returns the jet from the space's backend (a space
+with none raises BackendMismatch); heat_apply returns the value alone, and
+f itself at t = 0.  slice_chart is the 1-D slice the gradient checks
+evaluate on (a 2-sphere's meridian, the circle, the first axis of E^m).
+frame_stencil evaluates a function at exp_x(+-h e_i) over the orthonormal
+frame e_i at x: the geodesic central differences of fields with no
+analytic gradient.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -68,8 +72,8 @@ class HeatBackend:
 
     def jet(self, space, f, t, x):  # pragma: no cover
         """(P_t f, |grad P_t f|, L P_t f) at points x (..., emb), each of
-        the broadcast batch shape of x and t > 0; heat_jet checks the
-        space and the times."""
+        the broadcast batch shape of x and t > 0; heat_jet picks the
+        backend and checks the times."""
         raise NotImplementedError
 
 
@@ -188,42 +192,26 @@ class SphereZonal(HeatBackend):
         rho = space.radius
         series = self._coefficients(space, f) * np.exp(self._eig * (t[..., None] / rho**2))
         u0 = np.clip(x[..., 2] / rho, -1.0, 1.0)
-        P = _legendre_table(MODES, u0)
+        P = legvander(u0, MODES - 1).reshape(u0.shape + (MODES,))  # a 0-d u0 gives (1, MODES)
         slope = (np.einsum("...n,nk->...k", series, self._deriv) * P).sum(-1)
         return ((series * P).sum(-1), np.sqrt(1.0 - u0**2) * np.abs(slope) / rho,
                 (series * self._eig * P).sum(-1) / rho**2)
 
 
-def _legendre_table(n_modes: int, u) -> np.ndarray:
-    """P_0(u), ..., P_{n_modes-1}(u) on a trailing axis, all degrees in one
-    pass of scipy.special.eval_legendre's recurrence in d_k = P_{k+1} - P_k:
-
-        d_k = ((2k+1)/(k+1)) (u - 1) P_k + (k/(k+1)) d_{k-1},  P_{k+1} = P_k + d_k.
-
-    So it equals eval_legendre bit for bit at |u| >= 1e-5, where that runs
-    the same recurrence once per degree; below, eval_legendre sums a power
-    series instead, and the two differ by ~1e-15."""
-    out = np.empty(np.shape(u) + (n_modes,))
-    out[..., 0] = 1.0
-    out[..., 1] = u
-    p = np.array(u, dtype=float)
-    um1 = p - 1.0
-    d = um1.copy()
-    for k in range(1, n_modes - 1):
-        step = ((2 * k + 1) / (k + 1)) * um1
-        step *= p
-        d *= k / (k + 1)
-        d += step
-        p += d
-        out[..., k + 1] = p
-    return out
+_BACKENDS = (GaussHermite, CircleFourier, SphereZonal)
+_built: dict[type, HeatBackend] = {}
+_building = threading.Lock()
 
 
 def default_backend(space: ModelSpace) -> HeatBackend:
-    """The first deterministic backend that models the space."""
-    for backend in (GaussHermite, CircleFourier, SphereZonal):
-        if backend.applies_to(space):
-            return backend()
+    """The first deterministic backend that models the space, built on first
+    use and shared by every later call (and thread) of the process."""
+    for cls in _BACKENDS:
+        if cls.applies_to(space):
+            with _building:
+                if cls not in _built:
+                    _built[cls] = cls()
+                return _built[cls]
     raise BackendMismatch(f"no deterministic backend for {space!r}")
 
 
@@ -245,28 +233,23 @@ def slice_chart(space: ModelSpace, theta) -> np.ndarray:
     raise ValueError(f"no 1-D slice of {space.label}")
 
 
-def _check_backend(space: ModelSpace, backend: HeatBackend) -> None:
-    if not backend.applies_to(space):
-        raise BackendMismatch(f"{type(backend).__name__} does not model {space!r}")
-
-
-def heat_jet(space: ModelSpace, backend: HeatBackend, f, t, x):
+def heat_jet(space: ModelSpace, f, t, x):
     """(P_t f, |grad P_t f|, L P_t f) at points x (..., emb) and times t > 0,
     a number or an array that broadcasts against x's batch shape."""
-    _check_backend(space, backend)
+    backend = default_backend(space)
     t = np.asarray(t, dtype=float)
     if not (t > 0).all():
         raise ValueError("the heat jet needs t > 0")
     return backend.jet(space, f, t, np.asarray(x, dtype=float))
 
 
-def heat_apply(space: ModelSpace, backend: HeatBackend, f, t, x):
+def heat_apply(space: ModelSpace, f, t, x):
     """P_t f(x) at points x (..., emb): f(x) itself when t is the number 0,
-    else the value of heat_jet."""
+    else the value of heat_jet; either refuses a space with no backend."""
     if np.ndim(t) == 0 and t == 0:  # one node per point, as a family of fields expects
-        _check_backend(space, backend)
+        default_backend(space)
         return np.asarray(f(np.asarray(x, dtype=float)[..., None, :]), dtype=float)[..., 0][()]
-    return heat_jet(space, backend, f, t, x)[0][()]
+    return heat_jet(space, f, t, x)[0][()]
 
 
 def frame_stencil(space: ModelSpace, g, x, h: float):

@@ -460,10 +460,9 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
     certifies that pairing (common noise on a flat space) nothing is
     solved.  The certificate is tried on flat spaces only: on a curved
     one the pairing of common noise is not optimal, and each rejected
-    certificate costs up to 5 % of a solve.  Blocks have ys, the checks'
-    later, more dispersed cloud, as rows, which cuts the solver's work by
-    a quarter to a third; the unpaired resamples keep xs as rows, as
-    another orientation may break their ties otherwise.
+    certificate costs up to 5 % of a solve.  Every matrix, a block's or a
+    resample's, has ys, the checks' later, more dispersed cloud, as rows,
+    which cuts the solver's work by a quarter to a third.
     """
     xs = np.atleast_2d(np.asarray(xs, float))
     ys = np.atleast_2d(np.asarray(ys, float))
@@ -478,14 +477,14 @@ def block_cost_estimate(space: ModelSpace, xs: np.ndarray, ys: np.ndarray,
 
     n_blocks = max(1, n // block_size)
     if n_blocks == 1:
-        C = cost.matrix(space, xs, ys)
+        C = cost.matrix(space, xs, ys, by_target=True)
         rows, cols, certified = _paired_assignment(C, certify)
         value = tf(float(C[rows, cols].mean()))
         boots = np.empty(_N_BOOT)
         for b in range(_N_BOOT):
             ii = rng.integers(0, n, size=n)
             jj = rng.integers(0, n, size=n)
-            Cb = C[np.ix_(ii, jj)]
+            Cb = C[np.ix_(jj, ii)]
             rr, cc = linear_sum_assignment(Cb)
             boots[b] = tf(float(Cb[rr, cc].mean()))
         return BlockEstimate(value=value, stderr=float(np.std(boots, ddof=1)),

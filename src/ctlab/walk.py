@@ -18,8 +18,9 @@ paper's coupling: ctl simulate dumps its paths.
 Where a check needs only the heat laws P_t delta_x and no path,
 sample_heat draws them exactly: a uniform direction from the start and
 a radius, the scaled Gaussian norm on a flat space or one of dimension
-1, and an inverse CDF of the radial law on S^d (a zonal series) and on
-H^2 (McKean's kernel) and H^3 (its closed-form kernel).  All sides of a
+1, and an inverse CDF of the radial law on S^d (one Gegenbauer series
+for every d >= 2) and on H^2 (McKean's kernel) and H^3 (its closed-form
+kernel), integrated by comparison._cumulative_simpson.  All sides of a
 trajectory share its Gaussian and its uniforms, a quantile coupling of
 the sides.  H^m for m >= 4 is refused.
 
@@ -54,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .comparison import comp_c, comp_s, comp_s_inverse, decay_mean
+from .comparison import _cumulative_simpson, comp_c, comp_s, comp_s_inverse, decay_mean
 from .geometry import Euclidean, EuclideanOU, Hyperbolic, ModelSpace, Sphere
 from .transport import CostSpec, PthPowerDistance, _flapack
 
@@ -407,58 +408,6 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
 # exact heat laws
 
 
-def _modes(tau: float) -> range:
-    """The degrees l >= 1 of a zonal series at time tau: until e^{-l^2 tau}
-    is below about e^-_TAIL."""
-    return range(1, 2 + math.ceil(math.sqrt(_TAIL / tau)))
-
-
-def _sphere_angle(tau: float):
-    """u -> the u-quantile of the angle from the start under the heat law at
-    time tau on the unit 2-sphere.  Its CDF in cos(angle) is the zonal series
-
-        F(u) = (u + 1)/2 + 1/2 sum_{l>=1} e^{-l(l+1) tau} (P_{l+1} - P_{l-1})(u),
-
-    summed by the Legendre recurrence on an angle grid that ends at pi or
-    where the tail is about e^-_TAIL, with modes until e^{-l(l+1) tau} is
-    below that too: memory stays that of the grid."""
-    top = min(math.pi, 2.0 * math.sqrt(_TAIL * tau))
-    theta = np.linspace(0.0, top, _TABLE + 1)
-    u = np.cos(theta)
-    upper = 1.0 - u   # becomes 2 (1 - F(u)) = 2 P(angle <= theta)
-    prev, cur = np.ones_like(u), u.copy()
-    for l in _modes(tau):
-        nxt = ((2 * l + 1) * u * cur - l * prev) / (l + 1)
-        upper -= math.exp(-l * (l + 1) * tau) * (nxt - prev)
-        prev, cur = cur, nxt
-    cdf = np.maximum.accumulate(np.clip(0.5 * upper, 0.0, 1.0))
-    return lambda q: np.interp(q, cdf, theta)
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The integrals of the samples y from x[0] to each increasing node x,
-    by scipy.integrate.cumulative_simpson's unequal-interval rule with
-    initial=0 (bit for bit the same values): interval i is integrated
-    under the parabola through its two nodes and the next node when i is
-    even, and the previous node when i is odd or the last."""
-
-    def first_intervals(y, dx):  # over [x_i, x_{i+1}], parabola through x_i..x_{i+2}
-        x21, x32 = dx[:-1], dx[1:]
-        x21_x31 = x21 / (x21 + x32)
-        x21x21_x31x32 = x21_x31 * (x21 / x32)
-        return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
-                          - x21x21_x31x32 * y[2:])
-
-    dx = np.diff(x)
-    ahead = first_intervals(y, dx)
-    behind = first_intervals(y[::-1], dx[::-1])[::-1]
-    pieces = np.empty(len(dx))
-    pieces[:-1:2] = ahead[::2]
-    pieces[1::2] = behind[::2]
-    pieces[-1] = behind[-1]
-    return np.concatenate(([0.0], np.cumsum(pieces)))
-
-
 def _quantile(density: np.ndarray, x: np.ndarray):
     """u -> the u-quantile of the law whose density, up to a factor, is
     sampled on the increasing grid x: its CDF is the cumulative Simpson
@@ -476,16 +425,17 @@ def _zonal_angle(d: int, tau: float):
 
         sin^{d-1}(theta) sum_l ((l + a)/a) C_l^a(cos theta) e^{-l(l+d-1) tau},  a = (d - 1)/2,
 
-    summed by the recurrence of the normalized Gegenbauer polynomials
+    the Legendre series on S^2 (a = 1/2), summed by the recurrence of the
+    normalized Gegenbauer polynomials
     G_l = C_l^a / C_l^a(1), (l + 2a) G_{l+1}(u) = 2(l + a) u G_l(u) - l G_{l-1}(u),
-    each weighted by ((l + a)/a) C_l^a(1), on _sphere_angle's angle grid and
-    modes: memory stays that of the grid."""
+    each weighted by ((l + a)/a) C_l^a(1).  The angle grid ends at pi or where
+    the tail is about e^-_TAIL, and the modes stop where e^{-l^2 tau} is too."""
     a = (d - 1) / 2.0
     theta = np.linspace(0.0, min(math.pi, 2.0 * math.sqrt(_TAIL * tau)), _TABLE + 1)
     u = np.cos(theta)
     series, prev, cur = np.ones_like(u), np.ones_like(u), u
     size = 1.0   # C_l^a(1) = binom(l + d - 2, l)
-    for l in _modes(tau):
+    for l in range(1, 2 + math.ceil(math.sqrt(_TAIL / tau))):
         size *= (l + d - 2) / l
         series += math.exp(-l * (l + d - 1) * tau) * ((l + a) / a * size) * cur
         prev, cur = cur, (2.0 * (l + a) * u * cur - l * prev) / (l + 2.0 * a)
@@ -535,8 +485,7 @@ def _radius(space: ModelSpace, t: float):
         scale = math.sqrt(2.0 * t * decay_mean(2.0 * lam * t))
         return lambda norm, u, v: scale * norm
     if isinstance(space, Sphere):
-        tau = t / space.radius**2
-        angle = _sphere_angle(tau) if space.dim == 2 else _zonal_angle(space.dim, tau)
+        angle = _zonal_angle(space.dim, t / space.radius**2)
         return lambda norm, u, v: space.radius * angle(u)
     radius = (_hyperbolic_radius if space.dim == 2 else _hyperbolic3_radius)(t / space.R**2)
     return lambda norm, u, v: space.R * radius(u, v)

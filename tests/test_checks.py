@@ -10,7 +10,7 @@ from ctlab.checks import (
     CheckSpec,
     DiameterError,
     VerificationReport,
-    _field_and_backend,
+    _field,
     _two_sided_samples,
     _verdict,
     default_grid,
@@ -183,10 +183,14 @@ def test_prectl_flat_quadratic_row_is_sharp_and_passes():
 # the coupling's upper side
 
 
+def _no_cloud(*args, **kwargs):
+    raise AssertionError("a cloud was drawn")
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_flat_upper_side_at_p2_is_the_gaussian_w2(m):
-    # the true claim is sharp here, so whether the upper side decides it
-    # rests on the last bit of the rhs; the false claim K' = 2 is sampled
+    # the true claim is sharp here and the upper side, with err = 0, decides
+    # it within EPS whatever the last bit of the rhs; the false claim K' = 2 is sampled
     x, y = np.zeros(m), np.linspace(0.3, 0.9, m)
     for s, t in ((0.25, 1.0), (0.1, 0.15)):
         oracle = gaussian_w2(m, x, y, s, t) ** 2
@@ -196,7 +200,21 @@ def test_flat_upper_side_at_p2_is_the_gaussian_w2(m):
             assert rep.metadata["bounds"] == {"upper": pytest.approx(oracle, rel=1e-14),
                                               "err": 0.0}
         assert true.rhs == pytest.approx(oracle, rel=1e-14)
+        assert (true.verdict, true.metadata["sampler"]) == ("pass", "bounds")
         assert false.metadata["sampler"] == "exact"
+
+
+def test_a_noise_free_upper_side_is_judged_like_a_deterministic_value(monkeypatch):
+    # E^1 from 0 to 0.3 at (s, t) = (0.1, 0.15): the closed-form upper side,
+    # with err = 0, sits 1 ulp above the rhs.  The report's rule at sigma = 0
+    # (margin >= -EPS) decides it, with no cloud drawn
+    monkeypatch.setattr(ctlab.checks, "sample_heat", _no_cloud)
+    rep = run_check(small("w2_control", space=Euclidean(1), x=np.zeros(1), y=np.array([0.3]),
+                          s=0.1, t=0.15))
+    assert rep.metadata["bounds"] == {"upper": 0.10010205144336438, "err": 0.0}
+    assert rep.rhs == 0.10010205144336437
+    assert (rep.verdict, rep.metadata["sampler"], rep.sigma) == ("pass", "bounds", 0.0)
+    assert -ctlab.checks.EPS <= rep.margin < 0
 
 
 def test_acceptance_transport_rows_are_decided_by_the_upper_side():
@@ -212,10 +230,7 @@ def test_acceptance_transport_rows_are_decided_by_the_upper_side():
 
 
 def test_a_true_claim_on_s3_is_decided_without_a_cloud(monkeypatch):
-    def no_cloud(*args, **kwargs):
-        raise AssertionError("a cloud was drawn")
-
-    monkeypatch.setattr(ctlab.checks, "sample_heat", no_cloud)
+    monkeypatch.setattr(ctlab.checks, "sample_heat", _no_cloud)
     s3 = Sphere(3)
     x, y = np.eye(4)[3], np.array([0.0, 0.0, math.sin(1.0), math.cos(1.0)])
     for check_id, params in (("w2_control", dict(s=0.1, t=0.4)),
@@ -353,7 +368,6 @@ def _mono_app_case_by_case(spec):
     """check_mono_app as one pair of heat_apply calls per case on scalars:
     (worst lhs, worst rhs, worst case's (r, delta, a0, a1, a2, grid index))."""
     space = spec.space
-    backend = default_backend(space)
     rng = np.random.default_rng(spec.seed)
     grid = default_grid(space, 8)
     n_cases = spec.extra["n_cases"]
@@ -372,9 +386,8 @@ def _mono_app_case_by_case(spec):
             g = lambda p: a0 + 0.1 + a1 * np.exp(-0.5 * np.sum(p**2, -1)) + \
                 a2 * np.tanh(p[..., 0]) ** 2
         x = grid[index]
-        lifted = heat_apply(space, backend, lambda p: (g(p) + delta) ** r,
-                            spec.t, x) ** (1.0 / r) - delta
-        plain = heat_apply(space, backend, lambda p: g(p) ** r, spec.t, x) ** (1.0 / r)
+        lifted = heat_apply(space, lambda p: (g(p) + delta) ** r, spec.t, x) ** (1.0 / r) - delta
+        plain = heat_apply(space, lambda p: g(p) ** r, spec.t, x) ** (1.0 / r)
         if lifted - plain < worst:
             worst = lifted - plain
             found = (plain, lifted, (r, delta, a0, a1, a2, index))
@@ -487,12 +500,20 @@ def test_run_suite_records_errors_and_continues():
 
 
 def test_run_suite_parallel_matches_serial():
-    specs = [CheckSpec(check_id="bl0", space=S2, t=t, f="cos_theta")
-             for t in (0.1, 0.5)]
+    # every heat backend is built once and shared by run_suite's threads
+    ou = EuclideanOU(1, 1.0)
+    specs = [CheckSpec(check_id="bl0", space=S2, t=t, f="cos_theta") for t in (0.1, 0.5)]
+    specs += [CheckSpec(check_id="bl0", space=Sphere(1), t=0.3, f="smooth_mix"),
+              CheckSpec(check_id="bl_int", space=Euclidean(1), x=[0.0], y=[1.0], s=0.2, t=0.5,
+                        f="sin"),
+              CheckSpec(check_id="bl0", space=ou, t=0.5, f="sin"),
+              CheckSpec(check_id="mono_app", space=ou, t=0.3, extra={"n_cases": 20})]
     serial = run_suite(specs, jobs=1)
-    parallel = run_suite(specs, jobs=2)
+    parallel = run_suite(specs, jobs=3)
     for a, b in zip(serial, parallel):
-        assert a.lhs == b.lhs and a.rhs == b.rhs and a.verdict == b.verdict
+        assert a.verdict == b.verdict == "pass"
+        assert float(a.lhs).hex() == float(b.lhs).hex()
+        assert float(a.rhs).hex() == float(b.rhs).hex()
 
 
 def test_run_suite_logs_one_info_line_per_check(caplog):
@@ -772,7 +793,7 @@ def test_fd_gradient_fallback_matches_the_analytic_gradient(space, name, exact, 
     assert named_field(space, name)[1] is None
     errs = []
     for h in (1e-2, 1e-3):
-        _, grad_sq, _ = _field_and_backend(CheckSpec(check_id="bl0", space=space, f=name), h=h)
+        _, grad_sq = _field(CheckSpec(check_id="bl0", space=space, f=name), h=h)
         errs.append(float(np.max(np.abs(np.sqrt(grad_sq(pts)) - exact(pts)))))
         assert errs[-1] <= h**2
     assert errs[0] / errs[1] > 50

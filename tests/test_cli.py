@@ -278,6 +278,28 @@ print(json.dumps([imported, {_SCIPY_MODULES}, rc]))
     assert loaded[2] == (0 if suite == "deterministic" else 1)
 
 
+def test_each_heat_backend_is_built_once_and_not_at_import(tmp_path):
+    # importing ctlab builds no backend; a gradient suite run on two threads
+    # builds each backend class once and shares it across its checks
+    doc = _workloads().generate("gradient_suite", 1, str(ROOT / "src"))
+    config = write_json(tmp_path / "suite.json", doc)
+    built = _fresh_interpreter(f"""
+import json
+import ctlab, ctlab.cli
+from ctlab import heat
+at_import, counts = sorted(type(b).__name__ for b in heat._built.values()), {{}}
+for cls in heat._BACKENDS:
+    def counted(self, _init=cls.__init__, _name=cls.__name__):
+        counts[_name] = counts.get(_name, 0) + 1
+        _init(self)
+    cls.__init__ = counted
+rc = ctlab.cli.main(["verify", "--config", {config!r}, "--out", {str(tmp_path / "out")!r},
+                     "--jobs", "2"])
+print(json.dumps([at_import, counts, rc]))
+""")
+    assert built == [[], {"GaussHermite": 1, "CircleFourier": 1, "SphereZonal": 1}, 1]
+
+
 def test_suite_with_assignments_imports_the_solver_when_loaded():
     # the load is set-up, not charged to the first check that solves, and
     # it is scipy's compiled solver alone, not the scipy.optimize package

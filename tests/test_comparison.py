@@ -10,7 +10,7 @@ from ctlab.comparison import (
     CurvatureDimension,
     ExponentPair,
     CoefficientFamily,
-    _simpson,
+    _cumulative_simpson,
     bakry_ledoux,
     coeff_A,
     comp_c,
@@ -420,14 +420,19 @@ def test_swc_reparam_lambda_one_degenerates():
 
 
 @pytest.mark.parametrize("n", [129, 257, 513], ids=["bl_int", "wc_var_rhs", "wc_var_rhs_512"])
-def test_simpson_matches_scipy_bit_for_bit(n):
-    # check_bl_int's 129 nodes and wc_var_rhs's quadrature_n + 1
+def test_cumulative_simpson_ends_at_the_composite_simpson_sum(n):
+    # check_bl_int's 129 nodes and wc_var_rhs's quadrature_n + 1: with an even
+    # number of intervals each pair shares one parabola, so the last value is
+    # scipy's composite Simpson sum up to rounding.  The bound is 8 ulps of
+    # sum |terms| (Simpson of |y|, whose weights are positive); the worst seen
+    # is 4.5, on sqrt(x) at 513 nodes, whose rounding errors all share a sign
     from scipy.integrate import simpson
 
     x = np.linspace(0.0, 1.0, n)
     rng = np.random.default_rng(n)
     for y in (rng.normal(size=n), np.exp(-3.0 * x) * np.cos(5.0 * x), np.sqrt(x)):
-        assert _simpson(y, x).hex() == float(simpson(y, x=x)).hex()
+        ulp = np.finfo(float).eps * simpson(np.abs(y), x=x)
+        assert abs(_cumulative_simpson(y, x)[-1] - simpson(y, x=x)) <= 8 * ulp
 
 
 def test_wc_var_rhs_flat_example():

@@ -622,18 +622,18 @@ def test_single_block_counts_its_resample_solves(monkeypatch):
 
 def _single_block_reference(space, xs, ys, cost, transform, n_boot, seed):
     """The single-block estimate with each resample's matrix rebuilt from
-    the resampled points."""
+    the resampled points, ys as rows as in every block."""
     tf = transform[0] if transform else (lambda v: v)
     n = xs.shape[0]
     rng = np.random.default_rng(seed)
-    C = cost.matrix(space, xs, ys)
+    C = cost.matrix(space, xs, ys, by_target=True)
     rows, cols = scipy_assignment(C)
     value = tf(float(C[rows, cols].mean()))
     boots = np.empty(n_boot)
     for b in range(n_boot):
         ii = rng.integers(0, n, size=n)
         jj = rng.integers(0, n, size=n)
-        Cb = cost.matrix(space, xs[ii], ys[jj])
+        Cb = cost.matrix(space, xs[ii], ys[jj], by_target=True)
         rr, cc = scipy_assignment(Cb)
         boots[b] = tf(float(Cb[rr, cc].mean()))
     return value, float(np.std(boots, ddof=1)), np.array([value])

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy.stats import ks_2samp
 
 import ctlab.walk as walk_mod
@@ -452,9 +453,18 @@ _QUANTILES = (np.arange(200_000) + 0.5) / 200_000   # midpoints: a quadrature in
 
 @pytest.mark.parametrize("t", [1e-3, 0.01, 0.15, 1.0])
 def test_gegenbauer_table_at_d2_is_the_legendre_table(t):
-    # at d = 2 the Gegenbauer series is the Legendre series, summed as a density
-    # and integrated by Simpson rather than summed as a CDF
-    gap = walk_mod._zonal_angle(2, t)(_QUANTILES) - walk_mod._sphere_angle(t)(_QUANTILES)
+    # at d = 2 the Gegenbauer density, integrated by Simpson, is the Legendre CDF
+    # series 2 P(angle <= theta) = 1 - u - sum_l e^{-l(l+1)t} (P_{l+1} - P_{l-1})(u),
+    # u = cos(theta), here summed by numpy's legval on the table's angle grid
+    theta = np.linspace(0.0, min(math.pi, 2.0 * math.sqrt(walk_mod._TAIL * t)),
+                        walk_mod._TABLE + 1)
+    l = np.arange(1, 3 + math.ceil(math.sqrt(60.0 / t)))  # to e^{-60}
+    coef = np.zeros(l[-1] + 2)
+    coef[l + 1] += np.exp(-l * (l + 1) * t)
+    coef[l - 1] -= np.exp(-l * (l + 1) * t)
+    u = np.cos(theta)
+    cdf = np.maximum.accumulate(np.clip(0.5 * (1.0 - u - legval(u, coef)), 0.0, 1.0))
+    gap = walk_mod._zonal_angle(2, t)(_QUANTILES) - np.interp(_QUANTILES, cdf, theta)
     assert np.max(np.abs(gap)) < 1e-8
 
 
@@ -509,7 +519,7 @@ def test_exact_sphere_angle_passes_ks_against_the_zonal_series():
     coef = np.zeros(61)  # 2 P(cos <= u) - (u + 1) = sum_l e^{-l(l+1)t} (P_{l+1} - P_{l-1})
     coef[l + 1] += np.exp(-l * (l + 1) * t)
     coef[l - 1] -= np.exp(-l * (l + 1) * t)
-    cdf = lambda th: 1.0 - 0.5 * (np.cos(th) + 1 + np.polynomial.legendre.legval(np.cos(th), coef))
+    cdf = lambda th: 1.0 - 0.5 * (np.cos(th) + 1 + legval(np.cos(th), coef))
     assert kstest(np.arccos(np.clip(pts[:, 2], -1, 1)), cdf).pvalue > 0.01
 
 
