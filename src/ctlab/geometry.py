@@ -20,6 +20,15 @@ sin or cosh, sinh) and frame axes; the flat spaces override it.  The log
 map and the distance stay per model: the sphere's carries the antipodal
 tie-break.
 
+The inner product, the Minkowski product and the distances' squared
+norms are summed over the embedding axis one coordinate at a time by
+_coordinate_sum, in the order in which np.add.reduce sums a contiguous
+axis, so each equals np.sum over that axis bit for bit.  A
+distance matrix between n and n points (transport.CostSpec.matrix) is
+thus built from (n, n) arrays alone: each coordinate's product and
+tangential residual is formed from the views x[..., k] and y[..., k],
+squared and added in place, and no (n, n, emb) array is ever stacked.
+
 All operations broadcast over batch axes; embedding constraints are
 renormalized after every move so accumulated drift stays below 1e-12.
 """
@@ -48,6 +57,62 @@ _NEAR_ANTIPODAL_COS = 1.0 - 1e-7  # looser threshold for event counting
 
 class UnsupportedParameterError(ValueError):
     """A curvature-dimension query the space cannot honour."""
+
+
+def _coordinate_sum(term, lo: int, hi: int):
+    """The sum of term(k, out) over k in [lo, hi), added in the order in
+    which np.add.reduce sums a contiguous axis (numpy's pairwise_sum), so
+    that it equals np.sum of the stacked terms over their last axis bit
+    for bit without stacking them: below 8 terms left to right; up to 128
+    in 8 interleaved partial sums, combined as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the remainder left to right; beyond 128 the two halves (the first
+    a multiple of 8 long) each so, then added.  The reduction starts from
+    its identity 0.0, so an all -0.0 sum reads 0.0.
+
+    Every operation of term(k, out) takes out=out, so it writes the k-th
+    term into the array `out` (a new array for out=None) and returns it,
+    never a view of its inputs: the sum is accumulated in place in the
+    terms it returns.  The result is an array, 0-d for a single point."""
+    total = _pairwise_sum(term, lo, hi)
+    total += 0.0
+    return total
+
+
+def _pairwise_sum(term, lo: int, hi: int):
+    """numpy's pairwise_sum of the terms, without the identity."""
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(term, lo, lo + half)
+        total += _pairwise_sum(term, lo + half, hi)
+        return total
+    parts = [np.asarray(term(lo, None))]
+    scratch = np.empty_like(parts[0])
+    if n >= 8:
+        parts += [term(k, np.empty_like(scratch)) for k in range(lo + 1, lo + 8)]
+        for k in range(lo + 8, hi - n % 8):
+            parts[(k - lo) % 8] += term(k, scratch)
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            parts[i] += parts[j]
+        lo = hi - n % 8
+    else:
+        lo += 1
+    for k in range(lo, hi):
+        parts[0] += term(k, scratch)
+    return parts[0]
+
+
+def _product(u, v):
+    """The coordinate products u_k v_k as a _coordinate_sum term."""
+    return lambda k, out: np.multiply(u[..., k], v[..., k], out=out)
+
+
+def _square(coordinate):
+    """The squares of coordinate(k, out) as a _coordinate_sum term."""
+    def term(k, out):
+        c = coordinate(k, out)
+        return np.multiply(c, c, out=out)
+    return term
 
 
 class ModelSpace(ABC):
@@ -94,8 +159,7 @@ class ModelSpace(ABC):
 
     @staticmethod
     def _inner(u, v):
-        # np.sum without its Python wrapper, as np.linalg.norm reduces
-        return np.add.reduce(u * v, axis=-1)
+        return _coordinate_sum(_product(u, v), 0, u.shape[-1])
 
     def _norm(self, v):
         """sqrt(<v, v>) over the last axis, kept as a unit axis."""
@@ -227,7 +291,12 @@ class Euclidean(ModelSpace):
         self.emb_dim = dim
 
     def distance(self, x, y):
-        return np.linalg.norm(np.asarray(y, float) - np.asarray(x, float), axis=-1)
+        """|y - x|, as np.linalg.norm(y - x, axis=-1) gives it."""
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        step = lambda k, out: np.subtract(y[..., k], x[..., k], out=out)
+        d = _coordinate_sum(_square(step), 0, self.emb_dim)
+        return np.sqrt(d, out=d)[()]
 
     def exp_transport(self, x, v, w):
         return np.asarray(x, float) + np.asarray(v, float), w
@@ -317,13 +386,20 @@ class Sphere(ModelSpace):
         return np.abs(np.linalg.norm(x, axis=-1) - self.radius)
 
     def distance(self, x, y):
+        """rho atan2(|u| / rho, c) with c = <x, y> / rho^2 and u = y - c x
+        the residual of y tangent at x, formed and squared one coordinate
+        at a time."""
         x = np.asarray(x, float)
         y = np.asarray(y, float)
-        rho2 = self.radius**2
-        c = np.sum(x * y, axis=-1) / rho2
-        u = y - c[..., None] * x
-        s = np.linalg.norm(u, axis=-1) / self.radius
-        return self.radius * np.arctan2(s, c)
+        c = self._inner(x, y)
+        c /= self.radius**2
+        u = lambda k, out: np.subtract(y[..., k], np.multiply(c, x[..., k], out=out), out=out)
+        s = _coordinate_sum(_square(u), 0, self.emb_dim)
+        np.sqrt(s, out=s)
+        s /= self.radius
+        np.arctan2(s, c, out=s)
+        s *= self.radius
+        return s[()]
 
     def _tiebreak_direction(self, x):
         """Deterministic unit tangent at x used at antipodal pairs: the
@@ -346,9 +422,9 @@ class Sphere(ModelSpace):
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         rho2 = self.radius**2
-        c = np.sum(x * y, axis=-1) / rho2
+        c = self._inner(x, y) / rho2
         u = y - c[..., None] * x
-        nu = np.linalg.norm(u, axis=-1)
+        nu = np.sqrt(self._inner(u, u))
         d = self.radius * np.arctan2(nu / self.radius, c)
         antipodal = c < -_ANTIPODAL_COS
         degenerate = (nu < 1e-300) | antipodal
@@ -363,7 +439,7 @@ class Sphere(ModelSpace):
         return v
 
     def is_near_cut(self, x, y):
-        c = np.sum(np.asarray(x, float) * np.asarray(y, float), axis=-1) / self.radius**2
+        c = self._inner(np.asarray(x, float), np.asarray(y, float)) / self.radius**2
         return c < -_NEAR_ANTIPODAL_COS
 
 
@@ -372,7 +448,15 @@ class Sphere(ModelSpace):
 
 def _mink(u, v):
     """Minkowski product with signature (-, +, ..., +)."""
-    return np.sum(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0]
+    return _minkowski_sum(_product(u, v), u.shape[-1])
+
+
+def _minkowski_sum(term, emb: int):
+    """The sum of the spatial terms k = 1, ..., emb - 1 less the time
+    term 0, as np.sum(t[..., 1:], axis=-1) - t[..., 0] of the stacked terms."""
+    total = _coordinate_sum(term, 1, emb)
+    total -= term(0, None)
+    return total
 
 
 class Hyperbolic(ModelSpace):
@@ -415,7 +499,31 @@ class Hyperbolic(ModelSpace):
         return np.abs(_mink(x, x) + self.R**2) / scale
 
     def distance(self, x, y):
-        return self._norm(self.log_map(x, y))[..., 0]
+        """The Minkowski norm of log_map(x, y) = (d / nu) u, with u = y +
+        (<x, y> / R^2) x, nu = |u| and d = R arcsinh(nu / R), bit for bit:
+        u and v are formed one coordinate at a time and only their squares
+        are summed."""
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        a = _mink(x, y)
+        a /= self.R**2
+        u = lambda k, out: np.add(y[..., k], np.multiply(a, x[..., k], out=out), out=out)
+        nu = _minkowski_sum(_square(u), self.emb_dim)
+        np.maximum(nu, 0.0, out=nu)
+        np.sqrt(nu, out=nu)
+        tiny = nu < 1e-300
+        w = np.divide(nu, self.R, out=np.empty_like(nu))
+        np.arcsinh(w, out=w)
+        w *= self.R
+        # log_map sets v = 0 where nu is tiny; w = 0 squares to the same 0
+        np.copyto(nu, 1.0, where=tiny)
+        w /= nu
+        np.copyto(w, 0.0, where=tiny)
+        del nu   # freed before the second pass
+        v = lambda k, out: np.multiply(w, u(k, out), out=out)
+        d = _minkowski_sum(_square(v), self.emb_dim)
+        np.maximum(d, 0.0, out=d)
+        return np.sqrt(d, out=d)[()]
 
     def log_map(self, x, y):
         x = np.asarray(x, float)

@@ -389,14 +389,18 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
     diag[1:] -= down
     steps = max(1, cells // 4)
     half = 0.5 / steps
+    diag, up, down = half * diag, half * up, half * down   # the (dt/2) A bands
     # I - (dt/2) A is strictly diagonally dominant, so the factorization exists
-    *lu, _ = lapack.dgttrf(-half * down, 1.0 - half * diag, -half * up)
-    v = h(r)
+    *lu, _ = lapack.dgttrf(-down, 1.0 - diag, -up)
+    v = np.array(h(r), float)
+    rhs, scratch = np.empty(cells), np.empty(cells - 1)
     for _ in range(steps):
-        rhs = v + half * diag * v
-        rhs[:-1] += half * up * v[1:]
-        rhs[1:] += half * down * v[:-1]
-        v, _ = lapack.dgttrs(*lu, rhs)
+        np.multiply(diag, v, out=rhs)
+        rhs += v
+        rhs[:-1] += np.multiply(up, v[1:], out=scratch)
+        rhs[1:] += np.multiply(down, v[:-1], out=scratch)
+        # solved in place, and the old v's buffer takes the next right-hand side
+        v, rhs = lapack.dgttrs(*lu, rhs, overwrite_b=1)[0], v
     j = min(max(math.floor((d0 - lo) / dr - 0.5) - 1, 0), cells - 4)
     t = (d0 - r[j]) / dr
     weights = (-(t - 1) * (t - 2) * (t - 3) / 6, t * (t - 2) * (t - 3) / 2,

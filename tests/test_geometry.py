@@ -321,3 +321,88 @@ def test_point_validation():
     with pytest.raises(ValueError):
         sp.check_point(np.array([1.0, 0.0]))
     sp.check_point(np.array([0.0, 0.0, 1.0]))
+
+
+def _reference_distance(space, x, y):
+    """The distances as np.sum and np.linalg.norm reduce them over a stacked
+    embedding axis: the formulas that distance reproduces coordinate by
+    coordinate."""
+    if isinstance(space, Sphere):
+        c = np.sum(x * y, axis=-1) / space.radius**2
+        u = y - c[..., None] * x
+        return space.radius * np.arctan2(np.linalg.norm(u, axis=-1) / space.radius, c)
+    if isinstance(space, Hyperbolic):
+        def mink(a, b):
+            return np.sum(a[..., 1:] * b[..., 1:], axis=-1) - a[..., 0] * b[..., 0]
+        u = y + (mink(x, y) / space.R**2)[..., None] * x
+        nu = np.sqrt(np.maximum(mink(u, u), 0.0))
+        d = space.R * np.arcsinh(nu / space.R)
+        tiny = nu < 1e-300
+        v = np.where(tiny[..., None], 0.0, (d / np.where(tiny, 1.0, nu))[..., None] * u)
+        return np.sqrt(np.maximum(mink(v, v), 0.0))
+    return np.linalg.norm(y - x, axis=-1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _kernel_spaces():
+    for emb in range(1, 18):
+        yield Euclidean(emb)
+        yield EuclideanOU(emb, 1.5)
+        if emb >= 2:
+            yield from (Sphere(emb - 1), Sphere(emb - 1, radius=2.0),
+                        Hyperbolic(emb - 1), Hyperbolic(emb - 1, curvature=-0.5))
+
+
+@pytest.mark.parametrize("space", list(_kernel_spaces()), ids=lambda s: s.label)
+def test_distance_is_the_stacked_reduction_bit_for_bit(space):
+    # embedding dimensions 1 to 17 cross numpy's switch from a left-to-right
+    # sum to eight pairwise partial sums at 8 terms
+    rng = np.random.default_rng(space.emb_dim)
+    if isinstance(space, Hyperbolic):   # pairs up to about 6 apart
+        xs, ys = space.embed(3.0 * rng.standard_normal((2, 9, space.dim)))
+    else:
+        xs, ys = random_points(space, 9, rng), random_points(space, 9, rng)
+    # a coincident pair on a coordinate axis (there nu is exactly 0) and a
+    # coincident pair off the axes
+    axis = space.origin() if isinstance(space, Hyperbolic) else np.eye(space.emb_dim)[0]
+    if isinstance(space, Sphere):
+        axis = space.radius * axis
+    xs[0] = ys[0] = axis
+    ys[1] = xs[1]
+    if isinstance(space, Sphere):
+        ys[2] = -xs[2]   # antipodal
+    ref = _reference_distance(space, xs[:, None], ys[None])
+    assert np.all(np.diag(ref)[:2] < 1e-7)
+    if isinstance(space, Hyperbolic):
+        assert _reference_distance(space, xs[0], ys[0]) == 0.0
+    for got, want in [
+            (space.distance(xs[:, None], ys[None]), ref),
+            (space.distance(xs[None], ys[:, None]), _reference_distance(space, xs[None], ys[:, None])),
+            (space.distance(xs, ys), _reference_distance(space, xs, ys)),
+            (space.distance(xs[3], ys[4]), _reference_distance(space, xs[3], ys[4])),
+            (space.distance(xs[1], ys[1]), _reference_distance(space, xs[1], ys[1]))]:
+        assert _same_bits(got, want)
+    if isinstance(space, Hyperbolic):
+        assert _same_bits(space.distance(xs, ys), space._norm(space.log_map(xs, ys))[..., 0])
+
+
+@pytest.mark.parametrize("emb", [1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 128, 129, 300])
+def test_embedding_product_is_np_sum_bit_for_bit(emb):
+    # beyond 128 terms numpy sums two halves, the first a multiple of 8 long
+    rng = np.random.default_rng(emb)
+    u = rng.standard_normal((5, emb)) * np.exp(rng.uniform(-30, 30, (5, emb)))
+    v = rng.standard_normal((4, 1, emb))
+    u[0] = 0.0
+    v[0, 0] = -1.0   # the first row's products are all -0.0, which sum to 0.0
+    e = Euclidean(emb)
+    assert _same_bits(e._inner(u, v), np.sum(u * v, axis=-1))
+    assert _same_bits(e._inner(u[1], v[1, 0]), np.sum(u[1] * v[1, 0]))
+    assert str(np.sum(u[0] * v[0, 0])) == "0.0"
+    if emb >= 2:
+        h = Hyperbolic(emb - 1)
+        assert _same_bits(h._inner(u, v),
+                          np.sum(u[..., 1:] * v[..., 1:], axis=-1) - u[..., 0] * v[..., 0])

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 from unittest import mock
 
@@ -569,6 +570,32 @@ def test_matrix_by_target_is_the_transpose_bit_for_bit(space, cost_name):
     oriented = cost.matrix(space, xs, ys, by_target=True)
     assert oriented.shape == (43, 57) and oriented.flags.c_contiguous
     assert oriented.tobytes() == np.ascontiguousarray(plain.T).tobytes()
+
+
+@pytest.mark.parametrize("space", [Sphere(2), Sphere(3), Hyperbolic(2), Hyperbolic(3),
+                                   Euclidean(2)], ids=lambda s: s.label)
+@pytest.mark.parametrize("cost_name", ["p2", "comparison"])
+def test_cost_matrix_stacks_no_embedding_axis(space, cost_name):
+    # an (n, n, emb) temporary alone would take emb n^2 doubles; the distance
+    # is summed one coordinate at a time from (n, n) arrays
+    n = 1000
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(2, n, space.emb_dim))
+    if space.kind == "sphere":
+        xs, ys = space.project_point(g)
+    elif space.kind == "hyperbolic":
+        xs, ys = space.embed(0.7 * g[..., 1:])
+    else:
+        xs, ys = g
+    cost = PthPowerDistance(2.0) if cost_name == "p2" else ComparisonCost(
+        2.0, kstar=space.cd.K / space.cd.N)
+    tracemalloc.start()
+    try:
+        cost.matrix(space, xs, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (space.emb_dim + 4) * n * n * 8
 
 
 def _solver_calls(monkeypatch):
