@@ -499,31 +499,23 @@ class Hyperbolic(ModelSpace):
         return np.abs(_mink(x, x) + self.R**2) / scale
 
     def distance(self, x, y):
-        """The Minkowski norm of log_map(x, y) = (d / nu) u, with u = y +
-        (<x, y> / R^2) x, nu = |u| and d = R arcsinh(nu / R), bit for bit:
-        u and v are formed one coordinate at a time and only their squares
-        are summed."""
+        """R arcsinh(nu / R), with nu the Minkowski norm of the residual
+        u = y + (<x, y> / R^2) x of y tangent at x, formed and squared one
+        coordinate at a time.  It is |log_map(x, y)| in exact arithmetic,
+        and agrees with that norm's floating-point value to roundoff, not
+        bit for bit: the norm rounds a second time."""
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         a = _mink(x, y)
         a /= self.R**2
         u = lambda k, out: np.add(y[..., k], np.multiply(a, x[..., k], out=out), out=out)
-        nu = _minkowski_sum(_square(u), self.emb_dim)
-        np.maximum(nu, 0.0, out=nu)
-        np.sqrt(nu, out=nu)
-        tiny = nu < 1e-300
-        w = np.divide(nu, self.R, out=np.empty_like(nu))
-        np.arcsinh(w, out=w)
-        w *= self.R
-        # log_map sets v = 0 where nu is tiny; w = 0 squares to the same 0
-        np.copyto(nu, 1.0, where=tiny)
-        w /= nu
-        np.copyto(w, 0.0, where=tiny)
-        del nu   # freed before the second pass
-        v = lambda k, out: np.multiply(w, u(k, out), out=out)
-        d = _minkowski_sum(_square(v), self.emb_dim)
+        d = _minkowski_sum(_square(u), self.emb_dim)
         np.maximum(d, 0.0, out=d)
-        return np.sqrt(d, out=d)[()]
+        np.sqrt(d, out=d)
+        d /= self.R
+        np.arcsinh(d, out=d)
+        d *= self.R
+        return d[()]
 
     def log_map(self, x, y):
         x = np.asarray(x, float)

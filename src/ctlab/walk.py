@@ -376,7 +376,12 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
     (1/w)(D w f')' from f = h over unit time, on `cells` cells of
     [lo, hi] with a quarter as many Crank-Nicolson steps (the time error
     stays far below the space error), read at d0 by cubic interpolation
-    through the four nearest cell centres."""
+    through the four nearest cell centres.
+
+    A step solves (I - (dt/2) A) v' = (I + (dt/2) A) v.  Since
+    I + (dt/2) A = 2I - (I - (dt/2) A), that is v' = B^-1 v - v with
+    B = (I - (dt/2) A) / 2: B is factored once, and each step is one
+    tridiagonal solve and one subtraction."""
     lapack = _flapack()
     dr = (hi - lo) / cells
     r = lo + (np.arange(cells) + 0.5) * dr
@@ -388,19 +393,12 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
     diag[:-1] -= up
     diag[1:] -= down
     steps = max(1, cells // 4)
-    half = 0.5 / steps
-    diag, up, down = half * diag, half * up, half * down   # the (dt/2) A bands
-    # I - (dt/2) A is strictly diagonally dominant, so the factorization exists
-    *lu, _ = lapack.dgttrf(-down, 1.0 - diag, -up)
+    quarter = 0.25 / steps   # B's off-diagonals are -(dt/4) A's
+    # B is strictly diagonally dominant, so the factorization exists
+    *lu, _ = lapack.dgttrf(-quarter * down, 0.5 - quarter * diag, -quarter * up)
     v = np.array(h(r), float)
-    rhs, scratch = np.empty(cells), np.empty(cells - 1)
     for _ in range(steps):
-        np.multiply(diag, v, out=rhs)
-        rhs += v
-        rhs[:-1] += np.multiply(up, v[1:], out=scratch)
-        rhs[1:] += np.multiply(down, v[:-1], out=scratch)
-        # solved in place, and the old v's buffer takes the next right-hand side
-        v, rhs = lapack.dgttrs(*lu, rhs, overwrite_b=1)[0], v
+        np.subtract(lapack.dgttrs(*lu, v)[0], v, out=v)
     j = min(max(math.floor((d0 - lo) / dr - 0.5) - 1, 0), cells - 4)
     t = (d0 - r[j]) / dr
     weights = (-(t - 1) * (t - 2) * (t - 3) / 6, t * (t - 2) * (t - 3) / 2,

@@ -23,7 +23,11 @@ the recorded ones.
 Re-record all three with:  PYTHONPATH=src python tests/test_golden.py
 Before it writes, it prints every row it changes: the old and new margin
 and sigma with their relative move and the old and new verdict, or, for a
-geometry row, the operations whose digests moved.
+geometry row, the operations whose digests moved.  Each file ends with one
+summary line: the rows moved, the largest relative move of a margin, a
+sigma and a walk moment, and the number of verdicts changed.  The script
+exits 1 if any verdict changed, so a re-record that is meant to move only
+last bits checks that itself.
 """
 
 import hashlib
@@ -300,6 +304,14 @@ def test_gradient_side_is_bitwise_pinned():
         assert have[name] == row, name
 
 
+_MOVING = ("margin", "sigma", "moment", "stderr")
+
+
+def _relative_move(old: str, new: str) -> float:
+    a, b = float.fromhex(old), float.fromhex(new)
+    return abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
+
+
 def _describe_move(old: dict, new: dict) -> str:
     """The change from a recorded row to a measured one, in words."""
     if "verdict" not in new:
@@ -308,27 +320,40 @@ def _describe_move(old: dict, new: dict) -> str:
     for key in ("margin", "sigma"):
         if key in new:
             a, b = float.fromhex(old[key]), float.fromhex(new[key])
-            rel = abs(b - a) / abs(a) if a else math.inf
-            parts.append(f"{key} {a!r} -> {b!r} (rel {rel:.1e})")
+            parts.append(f"{key} {a!r} -> {b!r} (rel {_relative_move(old[key], new[key]):.1e})")
     return "; ".join(parts) + f"; verdict {old['verdict']} -> {new['verdict']}"
 
 
-def record(path: pathlib.Path, measured: dict) -> None:
-    """Print each row of path that measured changes, then write measured."""
+def record(path: pathlib.Path, measured: dict) -> int:
+    """Print each row of path that measured changes, then one summary line:
+    the rows moved, the largest relative move of each pinned number and
+    the verdicts changed.  Write measured and return that last count."""
     old = json.loads(path.read_text())["values"] if path.exists() else {}
+    moved, verdicts, largest = 0, 0, {}
     for name in old.keys() - measured["values"].keys():
         print(f"{path.name} {name}: removed")
+        moved += 1
     for name, row in measured["values"].items():
         if name not in old:
             print(f"{path.name} {name}: new")
+            moved += 1
         elif old[name] != row:
             print(f"{path.name} {name}: {_describe_move(old[name], row)}")
+            moved += 1
+            verdicts += "verdict" in row and old[name].get("verdict") != row["verdict"]
+            for key in _MOVING:
+                if key in row and key in old[name]:
+                    rel = _relative_move(old[name][key], row[key])
+                    largest[key] = max(largest.get(key, 0.0), rel)
+    moves = ", ".join(f"{key} {rel:.1e}" for key, rel in largest.items()) or "none"
+    print(f"{path.name}: {moved} rows moved; largest relative move: {moves}; "
+          f"{verdicts} verdicts changed")
     path.write_text(json.dumps(measured, indent=1) + "\n")
+    return verdicts
 
 
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
-    record(DATA, measure())
-    record(GEOMETRY_DATA, measure_geometry())
-    record(GRADIENT_DATA, measure_gradient())
-    sys.exit(0)
+    changed = (record(DATA, measure()) + record(GEOMETRY_DATA, measure_geometry())
+               + record(GRADIENT_DATA, measure_gradient()))
+    sys.exit(1 if changed else 0)

@@ -696,6 +696,41 @@ def test_the_moment_of_a_cost_is_solved_from_that_cost(m):
         assert abs(value - (d0**2 + 2 * m * D) / 4) <= bound + 1e-12
 
 
+@pytest.mark.parametrize("space, hi", [(Sphere(2), math.pi), (Hyperbolic(2), 4.0),
+                                       (Euclidean(2), 3.0)], ids=["S2", "H2", "E2"])
+def test_backward_moment_is_the_crank_nicolson_scheme(space, hi):
+    # the generator rebuilt densely from its flux-form bands on 40 cells, and
+    # ((I - hA)^-1 (I + hA))^10 applied to the cost with dense solves
+    m, k = space.dim, space.sectional_curvature
+    a, b, cells, lo = 0.2, 0.4, 40, 0.0
+    D = (math.sqrt(b) - math.sqrt(a)) ** 2
+    weight = 4.0 * math.sqrt(a * b) / D
+    log_w = lambda r: (m - 1) * (np.log(comp_s(k, r)) + weight * np.log(comp_c(k, r / 2.0)))
+    cost = ComparisonCost(2.0, k)
+    dr = (hi - lo) / cells
+    r = lo + (np.arange(cells) + 0.5) * dr
+    jump = np.diff(log_w(r))
+    bernoulli = lambda x: np.where(x == 0.0, 1.0, x / np.expm1(x))
+    A = np.zeros((cells, cells))
+    for i in range(cells - 1):   # the flux between cells i and i + 1
+        A[i, i + 1] = D / dr**2 * bernoulli(-jump[i])
+        A[i + 1, i] = D / dr**2 * bernoulli(jump[i])
+    A -= np.diag(A.sum(axis=1))
+    steps = cells // 4
+    half = 0.5 / steps
+    eye = np.eye(cells)
+    v = cost.of_distance(r)
+    for _ in range(steps):
+        v = np.linalg.solve(eye - half * A, (eye + half * A) @ v)
+    for d0 in (0.3, 1.0, 2.0, hi - 0.01):
+        # Lagrange interpolation through the four nearest cell centres
+        near = np.sort(np.argsort(np.abs(r - d0), kind="stable")[:4])
+        lagrange = [np.prod([(d0 - r[j]) / (r[i] - r[j]) for j in near if j != i]) for i in near]
+        want = float(np.dot(lagrange, v[near]))
+        got = walk_mod._backward_moment(log_w, D, lo, hi, cells, d0, cost.of_distance)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def _distance_ode(space, d0, tau, steps=4000):
     """rho at u = 1 from d rho/du = 2(m-1) tau (c_k(rho) - 1)/s_k(rho), the
     noise-free drift at a = b, by classical Runge-Kutta."""
