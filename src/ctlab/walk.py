@@ -332,11 +332,13 @@ def coupled_distance_moment(space: ModelSpace, d0: float, tau1: float, tau2: flo
     grid is [0, pi/sqrt(k)] on S^m.  On E^m and H^m the drift lies
     between 0 and (m - 1)(D/r + sqrt(-k)(a + b)), and the grid is cut
     where the law's tails are below about e^-_TAIL on either side.
-    Time steps by Crank-Nicolson.  Two grids of _CELLS and 2 _CELLS cells
-    give the value by Richardson extrapolation and the bound as their
-    difference, which bounds the extrapolation's error whether the grids
-    converge at second order (a smooth law) or at first order (noise
-    small against a cell).
+    Time steps by Crank-Nicolson, an eighth as many as cells, so that dt
+    stays proportional to dr.  Two grids of _CELLS and 2 _CELLS cells then
+    halve dr and dt together and give the value by Richardson
+    extrapolation, which cancels their joint O(dr^2 + dt^2) term, and the
+    bound as their difference, which bounds the extrapolation's error
+    whether the grids converge at second order (a smooth law) or at first
+    order (noise small against a cell).
 
     Two cases are exact, with bound 0: E^m with h(r) = r^2, where
     E rho^2 = d0^2 + 2mD, and a = b, where no noise is left and
@@ -374,9 +376,9 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
                      h) -> float:
     """E h(rho_1) from rho_0 = d0: the backward equation of the generator
     (1/w)(D w f')' from f = h over unit time, on `cells` cells of
-    [lo, hi] with a quarter as many Crank-Nicolson steps (the time error
-    stays far below the space error), read at d0 by cubic interpolation
-    through the four nearest cell centres.
+    [lo, hi] with an eighth as many Crank-Nicolson steps (dt stays
+    proportional to dr, so a grid twice as fine halves both), read at d0
+    by cubic interpolation through the four nearest cell centres.
 
     A step solves (I - (dt/2) A) v' = (I + (dt/2) A) v.  Since
     I + (dt/2) A = 2I - (I - (dt/2) A), that is v' = B^-1 v - v with
@@ -392,7 +394,7 @@ def _backward_moment(log_w, D: float, lo: float, hi: float, cells: int, d0: floa
     diag = np.zeros(cells)
     diag[:-1] -= up
     diag[1:] -= down
-    steps = max(1, cells // 4)
+    steps = max(1, cells // 8)
     quarter = 0.25 / steps   # B's off-diagonals are -(dt/4) A's
     # B is strictly diagonally dominant, so the factorization exists
     *lu, _ = lapack.dgttrf(-quarter * down, 0.5 - quarter * diag, -quarter * up)

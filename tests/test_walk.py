@@ -700,7 +700,7 @@ def test_the_moment_of_a_cost_is_solved_from_that_cost(m):
                                        (Euclidean(2), 3.0)], ids=["S2", "H2", "E2"])
 def test_backward_moment_is_the_crank_nicolson_scheme(space, hi):
     # the generator rebuilt densely from its flux-form bands on 40 cells, and
-    # ((I - hA)^-1 (I + hA))^10 applied to the cost with dense solves
+    # ((I - hA)^-1 (I + hA))^5 applied to the cost with dense solves
     m, k = space.dim, space.sectional_curvature
     a, b, cells, lo = 0.2, 0.4, 40, 0.0
     D = (math.sqrt(b) - math.sqrt(a)) ** 2
@@ -716,7 +716,7 @@ def test_backward_moment_is_the_crank_nicolson_scheme(space, hi):
         A[i, i + 1] = D / dr**2 * bernoulli(-jump[i])
         A[i + 1, i] = D / dr**2 * bernoulli(jump[i])
     A -= np.diag(A.sum(axis=1))
-    steps = cells // 4
+    steps = cells // 8
     half = 0.5 / steps
     eye = np.eye(cells)
     v = cost.of_distance(r)
@@ -757,17 +757,34 @@ def test_equal_time_scales_leave_no_noise(space):
             assert value == pytest.approx(_distance_ode(space, d0, 0.3) ** p, rel=1e-10)
 
 
-@pytest.mark.parametrize("space, d0", [(Sphere(2), 1.0), (Sphere(2), 2.8), (Hyperbolic(2), 1.0),
-                                       (Hyperbolic(2), 0.0)], ids=["S2", "S2_far", "H2", "H2_d0"])
+@pytest.mark.parametrize("space, d0, taus", [
+    (Sphere(2), 1.0, (0.2, 0.4)), (Sphere(2), 2.8, (0.2, 0.4)), (Hyperbolic(2), 1.0, (0.2, 0.4)),
+    (Hyperbolic(2), 0.0, (0.2, 0.4)),
+    # far out: at nearly equal times on H^3 the bound needs an eighth as many
+    # steps as cells (a sixteenth fails), S^2 has the tightest bound of a sweep
+    # over S^2, S^3, H^2, H^3, E^2 and E^3, and on S^3 at (0.25, 1) the time
+    # error is most of the bound
+    (Hyperbolic(3), 2.8, (0.2, 0.21)), (Sphere(3), 2.8, (0.25, 1.0)), (Sphere(2), 2.8, (0.2, 0.21)),
+], ids=["S2", "S2_far", "H2", "H2_d0", "H3_far_close_times", "S3_far", "S2_far_close_times"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
-def test_a_four_times_finer_grid_stays_within_the_bound(monkeypatch, space, d0, p):
-    value, bound = coupled_distance_moment(space, d0, 0.2, 0.4, PthPowerDistance(p))
+def test_a_four_times_finer_grid_stays_within_the_bound(monkeypatch, space, d0, taus, p):
+    value, bound = coupled_distance_moment(space, d0, *taus, PthPowerDistance(p))
     monkeypatch.setattr(walk_mod, "_CELLS", 4 * walk_mod._CELLS)
-    finer, finer_bound = coupled_distance_moment(space, d0, 0.2, 0.4, PthPowerDistance(p))
+    finer, finer_bound = coupled_distance_moment(space, d0, *taus, PthPowerDistance(p))
     assert abs(finer - value) < bound
     assert finer_bound < bound
     if isinstance(space, Sphere) and d0 == 1.0:
         assert abs(finer - value) < 1e-6
+
+
+@pytest.mark.parametrize("space, d0, p", [(Hyperbolic(3), 1.0, 2.0), (Hyperbolic(3), 1.0, 3.0),
+                                          (Sphere(3), 2.8, 3.0)], ids=["H3_p2", "H3_p3", "S3_p3"])
+def test_nearly_equal_time_scales_stay_within_the_bound_of_the_exact_law(space, d0, p):
+    # at tau1 = tau2 the law is exact; a relative gap of 1e-7 leaves almost no
+    # noise against a drift that is strong on every cell
+    exact, _ = coupled_distance_moment(space, d0, 1.0, 1.0, PthPowerDistance(p))
+    value, bound = coupled_distance_moment(space, d0, 1.0, 1.0 + 1e-7, PthPowerDistance(p))
+    assert abs(value - exact) <= bound
 
 
 def test_law_reproduces_the_one_dimensional_prototype():
